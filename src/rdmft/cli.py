@@ -66,26 +66,23 @@ def _statistics(name) -> Statistics:
 def _model_from(obj, fallback_seed=None) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ConfigError("model must be a JSON object")
-    try:
-        kind = obj["kind"]
-        nb = int(obj["nb"])
-        n = int(obj["n"])
-        statistics = _statistics(obj["statistics"])
-    except KeyError as exc:
-        raise ConfigError(f"model config missing key {exc}") from None
     seed = obj.get("seed", fallback_seed)
     try:
         return ModelSpec(
-            kind=kind,
-            nb=nb,
-            n=n,
-            statistics=statistics,
+            kind=obj["kind"],
+            nb=int(obj["nb"]),
+            n=int(obj["n"]),
+            statistics=_statistics(obj["statistics"]),
             h_scale=float(obj.get("h_scale", 1.0)),
             w_norm=float(obj.get("w_norm", 1.0)),
             u=float(obj.get("u", 4.0)),
             t_hop=float(obj.get("t_hop", 1.0)),
             seed=None if seed is None else int(seed),
         )
+    except KeyError as exc:
+        raise ConfigError(f"model config missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model value: {exc}") from None
     except RdmftError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -178,10 +175,13 @@ def _options_from(cfg) -> InversionOptions:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown inversion options: {sorted(unknown)}")
-    try:
-        return InversionOptions(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad inversion options: {exc}") from exc
+    for key, value in raw.items():
+        integer = key in ("max_iter", "stagnation_window")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            if not (key == "norm_cap" and value is None):
+                kind = "an integer" if integer else "a number"
+                raise ConfigError(f"inversion option {key!r} must be {kind}, got {value!r}")
+    return InversionOptions(**raw)
 
 
 def cmd_gibbs(cfg, out: Path, seed) -> int:
@@ -191,6 +191,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
     betas = _betas_from(cfg)
     potentials = _potentials_from(cfg, model.nb, seed)
     meta = {"command": "gibbs", "config_hash": config_hash(cfg)}
+    fermion = basis.statistics is Statistics.FERMION
     summary_rows, occupation_rows = [], []
     for run_id, (beta, (v_id, v)) in enumerate(product(betas, enumerate(potentials))):
         params = EnsembleParams(beta)
@@ -202,7 +203,8 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
         occupations = natural_spectrum(gamma).occupations
         summary_rows.append((run_id, beta, v_id, v.norm, solution.omega, s, energy, solution.log_z))
         occupation_rows.extend(
-            (run_id, beta, orbital, float(x)) for orbital, x in enumerate(occupations)
+            (run_id, beta, orbital, float(x), float(min(x, 1 - x) if fermion else x))
+            for orbital, x in enumerate(occupations)
         )
         dump_json(out / f"rdm_{run_id:03d}.json", {**rdm_to_json(gamma), "beta": beta, "run_id": run_id})
     write_csv(
@@ -213,7 +215,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
     )
     write_csv(
         out / "occupations.csv",
-        ["run_id", "beta", "orbital", "occupation"],
+        ["run_id", "beta", "orbital", "occupation", "face_distance"],
         occupation_rows,
         meta,
     )
@@ -263,9 +265,9 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         rows = []
         for lam in np.linspace(0.0, 1.0, points):
             gamma = OneRdm((1 - lam) * start.matrix + lam * stop.matrix)
-            f_value, _ = universal_functional(gamma, system, params)
-            rows.append((float(lam), f_value))
-        write_csv(out / "segment.csv", ["lambda", "f_value"], rows, meta)
+            f_value, gradient = universal_functional(gamma, system, params)
+            rows.append((float(lam), f_value, float(np.linalg.norm(gradient.matrix))))
+        write_csv(out / "segment.csv", ["lambda", "f_value", "gradient_norm"], rows, meta)
         print(f"functional: segment scan of {points} points written to {out}")
         return 0
     if "targets" in cfg:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,15 @@ from .errors import (
     InvalidDensityOperator,
     NonHermitianInput,
 )
-from .fock import ConfigurationBasis, DensityOperator, ManyBodyOperator, Statistics, _hermiticity_defect
+from .fock import (
+    LIFTED_HERMITICITY_TOL,
+    ConfigurationBasis,
+    DensityOperator,
+    ManyBodyOperator,
+    Statistics,
+    _hermiticity_defect,
+    _rdm_matrix,
+)
 
 RDM_TRACE_TOL = 1e-10
 ENTROPY_EIGENVALUE_TOL = 1e-12
@@ -72,7 +81,7 @@ class OneRdm:
         m = np.asarray(getattr(self.matrix, "matrix", self.matrix), dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if _hermiticity_defect(m) > 1e-12:
+        if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
             raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", m)
 
@@ -99,26 +108,40 @@ class RdmClass(Enum):
     OUTSIDE = "outside"
 
 
+class _Gibbs(NamedTuple):
+    energies: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+    z_shifted: float
+    log_z: float
+    rho: np.ndarray
+
+
+def _gibbs(h: np.ndarray, beta: float) -> _Gibbs:
+    """The log-space Gibbs kernel: eigenpairs of H, the populations
+    exp(-beta*(E_m - E_min))/Z~, the shifted sum Z~, log Z, and rho."""
+    energies, vectors = np.linalg.eigh(h)
+    boltzmann = np.exp(-beta * (energies - energies[0]))
+    z_shifted = float(np.sum(boltzmann))
+    weights = boltzmann / z_shifted
+    rho = (vectors * weights) @ vectors.conj().T
+    log_z = -beta * float(energies[0]) + log(z_shifted)
+    return _Gibbs(energies, vectors, weights, z_shifted, log_z, (rho + rho.conj().T) / 2)
+
+
 def gibbs_state(hamiltonian: ManyBodyOperator, params: EnsembleParams) -> GibbsSolution:
     """Diagonalize H and assemble exp(-beta*H)/Z in log space."""
     h = hamiltonian.matrix
-    if _hermiticity_defect(h) > 1e-12:
+    if _hermiticity_defect(h) > LIFTED_HERMITICITY_TOL:
         raise NonHermitianInput("Hamiltonian is not Hermitian within 1e-12")
-    energies, vectors = np.linalg.eigh(h)
-    shifted = energies - energies[0]
-    boltzmann = np.exp(-params.beta * shifted)
-    z_shifted = float(np.sum(boltzmann))
-    log_z = -params.beta * float(energies[0]) + log(z_shifted)
-    weights = boltzmann / z_shifted
-    rho = (vectors * weights) @ vectors.conj().T
-    rho = (rho + rho.conj().T) / 2
+    g = _gibbs(h, params.beta)
     return GibbsSolution(
-        rho=DensityOperator(rho, hamiltonian.basis_tag),
-        log_z=log_z,
-        omega=-log_z / params.beta,
-        energies=energies,
-        eigenvectors=vectors,
-        weights=weights,
+        rho=DensityOperator(g.rho, hamiltonian.basis_tag),
+        log_z=g.log_z,
+        omega=-g.log_z / params.beta,
+        energies=g.energies,
+        eigenvectors=g.vectors,
+        weights=g.weights,
     )
 
 
@@ -148,13 +171,7 @@ def one_rdm(rho: DensityOperator, basis: ConfigurationBasis) -> OneRdm:
         raise BasisMismatch(f"state on {rho.basis_tag!r}, basis is {basis.tag!r}")
     if rho.dim != basis.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs basis dim {basis.dim}")
-    gamma = np.zeros((basis.nb, basis.nb), dtype=complex)
-    m = rho.matrix
-    for i in range(basis.nb):
-        for j in range(basis.nb):
-            rows, cols, amps = basis.hop_terms[j][i]
-            gamma[i, j] = np.sum(amps * m[cols, rows])
-    gamma = (gamma + gamma.conj().T) / 2
+    gamma = _rdm_matrix(rho.matrix, basis)
     if abs(float(np.trace(gamma).real) - basis.n) > RDM_TRACE_TOL:
         raise InvalidDensityOperator(
             f"1RDM trace {np.trace(gamma).real!r} differs from n={basis.n} beyond 1e-10"

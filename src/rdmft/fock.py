@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +142,18 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+class HopTable(NamedTuple):
+    """Flat sparse table of the hopping operators: entry k states
+    <rows[k]| a+_i a_j |cols[k]> = amps[k] with pair[k] = i*nb + j.  For a
+    fixed pair the rows are distinct, since a+_i a_j maps distinct
+    configurations to distinct ones."""
+
+    pair: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    amps: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConfigurationBasis:
     """Ordered occupation-vector basis of the n-particle space."""
@@ -168,71 +181,44 @@ class ConfigurationBasis:
         return np.array(self.states, dtype=float)
 
     @cached_property
-    def hop_terms(self) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Sparse triples (rows, cols, amps) of a+_i a_j for every (i, j)."""
-        table = []
-        for i in range(self.nb):
-            row_i = []
-            for j in range(self.nb):
-                rows, cols, amps = [], [], []
-                for col, state in enumerate(self.states):
-                    hop = _apply_hop(state, i, j, self.statistics)
-                    if hop is None:
-                        continue
-                    target, amp = hop
-                    rows.append(self.index[target])
+    def hop_terms(self) -> HopTable:
+        """Every nonzero matrix element of a+_i a_j, ordered by pair = i*nb + j."""
+        pair, rows, cols, amps = [], [], [], []
+        for i, j in itertools.product(range(self.nb), repeat=2):
+            for col, state in enumerate(self.states):
+                hop = _apply_hop(state, i, j, self.statistics)
+                if hop is not None:
+                    pair.append(i * self.nb + j)
+                    rows.append(self.index[hop[0]])
                     cols.append(col)
-                    amps.append(amp)
-                row_i.append(
-                    (
-                        np.array(rows, dtype=np.intp),
-                        np.array(cols, dtype=np.intp),
-                        np.array(amps, dtype=float),
-                    )
-                )
-            table.append(row_i)
-        return table
-
-
-def _annihilate(state: tuple[int, ...], k: int, statistics: Statistics):
-    """Apply a_k; returns (new state, amplitude) or None if annihilated."""
-    occ = state[k]
-    if occ == 0:
-        return None
-    s = list(state)
-    if statistics is Statistics.FERMION:
-        sign = -1.0 if sum(state[:k]) % 2 else 1.0
-        s[k] = 0
-        return tuple(s), sign
-    s[k] = occ - 1
-    return tuple(s), sqrt(occ)
-
-
-def _create(state: tuple[int, ...], k: int, statistics: Statistics):
-    """Apply a+_k; returns (new state, amplitude) or None if annihilated."""
-    s = list(state)
-    if statistics is Statistics.FERMION:
-        if state[k]:
-            return None
-        sign = -1.0 if sum(state[:k]) % 2 else 1.0
-        s[k] = 1
-        return tuple(s), sign
-    s[k] = state[k] + 1
-    return tuple(s), sqrt(state[k] + 1)
+                    amps.append(hop[1])
+        return HopTable(
+            np.array(pair, dtype=np.intp),
+            np.array(rows, dtype=np.intp),
+            np.array(cols, dtype=np.intp),
+            np.array(amps, dtype=float),
+        )
 
 
 def _apply_hop(state: tuple[int, ...], i: int, j: int, statistics: Statistics):
-    """Amplitude and target of a+_i a_j on a configuration, or None."""
+    """Target and amplitude of a+_i a_j on a configuration, or None."""
+    occ = list(state)
+    if occ[j] == 0:
+        return None
     if i == j:
         # number operator: exact integer amplitude, no sqrt round-off
-        return (state, float(state[j])) if state[j] else None
-    down = _annihilate(state, j, statistics)
-    if down is None:
-        return None
-    up = _create(down[0], i, statistics)
-    if up is None:
-        return None
-    return up[0], down[1] * up[1]
+        return state, float(occ[j])
+    if statistics is Statistics.FERMION:
+        if occ[i]:
+            return None
+        # a_j counts the orbitals below j, then a+_i those below i without j
+        sign = -1.0 if (sum(occ[:j]) + sum(occ[:i]) - (j < i)) % 2 else 1.0
+        occ[j], occ[i] = 0, 1
+        return tuple(occ), sign
+    amp = sqrt(occ[j]) * sqrt(occ[i] + 1)
+    occ[j] -= 1
+    occ[i] += 1
+    return tuple(occ), amp
 
 
 def _boson_states(nb: int, n: int) -> list[tuple[int, ...]]:
@@ -271,61 +257,54 @@ def build_basis(nb: int, n: int, statistics: Statistics) -> ConfigurationBasis:
     return ConfigurationBasis(nb=nb, n=n, statistics=statistics, states=tuple(states))
 
 
+def _lift(coeffs: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
+    """Dense sum_ij coeffs[i*nb + j] a+_i a_j on the basis, unchecked."""
+    table = basis.hop_terms
+    values = np.asarray(coeffs)[table.pair] * table.amps
+    flat = table.rows * basis.dim + table.cols
+    size = basis.dim * basis.dim
+    out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
+    return out.reshape(basis.dim, basis.dim)
+
+
+def _rdm_matrix(rho: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
+    """gamma_ij = Tr{rho a+_j a_i} from one contraction with the hop table."""
+    table = basis.hop_terms
+    values = table.amps * rho[table.cols, table.rows]
+    size = basis.nb * basis.nb
+    traces = np.bincount(table.pair, values.real, size) + 1j * np.bincount(table.pair, values.imag, size)
+    gamma = traces.reshape(basis.nb, basis.nb).T
+    return (gamma + gamma.conj().T) / 2
+
+
 def lift_one_body(h, basis: ConfigurationBasis) -> ManyBodyOperator:
     """Lift sum_ij h_ij a+_i a_j onto the configuration basis."""
     m = _as_square(h, basis.nb)
     if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
         raise NonHermitianInput("one-body matrix is not Hermitian within 1e-13")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in range(basis.nb):
-        for j in range(basis.nb):
-            hij = m[i, j]
-            if hij == 0:
-                continue
-            rows, cols, amps = basis.hop_terms[i][j]
-            np.add.at(out, (rows, cols), hij * amps)
-    return _hermitized(out, basis.tag)
+    return _hermitized(_lift(m.ravel(), basis), basis.tag)
 
 
 def lift_two_body(w, basis: ConfigurationBasis) -> ManyBodyOperator:
     """Lift (1/2) sum_ijkl w_ijkl a+_i a+_j a_l a_k onto the basis.
 
-    The annihilators act first (a_k, then a_l), then the creators
-    (a+_j, then a+_i), each carrying the convention of this module.
+    Uses a+_i a+_j a_l a_k = a+_i a_k a+_j a_l - delta_jk a+_i a_l, which
+    holds for both statistics, so the lift is a sum over orbital pairs
+    (i, k) of hop(i, k) times the one-body lift of w[i, :, k, :].
     """
     op = w if isinstance(w, TwoBodyOperator) else TwoBodyOperator(np.asarray(w, dtype=complex))
     if op.nb != basis.nb:
         raise DimensionMismatch(f"tensor is for {op.nb} orbitals, basis has {basis.nb}")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
     if basis.n == 1:
-        return ManyBodyOperator(out, basis.tag)
-    tensor = op.tensor
-    stats = basis.statistics
-    for col, state in enumerate(basis.states):
-        for k in range(basis.nb):
-            first = _annihilate(state, k, stats)
-            if first is None:
-                continue
-            s1, a1 = first
-            for l in range(basis.nb):
-                second = _annihilate(s1, l, stats)
-                if second is None:
-                    continue
-                s2, a2 = second
-                for j in range(basis.nb):
-                    third = _create(s2, j, stats)
-                    if third is None:
-                        continue
-                    s3, a3 = third
-                    for i in range(basis.nb):
-                        if tensor[i, j, k, l] == 0:
-                            continue
-                        fourth = _create(s3, i, stats)
-                        if fourth is None:
-                            continue
-                        s4, a4 = fourth
-                        out[basis.index[s4], col] += 0.5 * tensor[i, j, k, l] * a1 * a2 * a3 * a4
-    return _hermitized(out, basis.tag)
+        return ManyBodyOperator(np.zeros((basis.dim, basis.dim), dtype=complex), basis.tag)
+    nb, table = basis.nb, basis.hop_terms
+    out = -_lift(np.trace(op.tensor, axis1=1, axis2=2).ravel(), basis)
+    by_pair = op.tensor.transpose(0, 2, 1, 3).reshape(nb * nb, nb * nb)
+    bounds = np.searchsorted(table.pair, np.arange(nb * nb + 1))
+    for p in np.flatnonzero(np.any(by_pair != 0, axis=1)):
+        k = slice(bounds[p], bounds[p + 1])
+        out[table.rows[k]] += table.amps[k, None] * _lift(by_pair[p], basis)[table.cols[k]]
+    return _hermitized(out / 2, basis.tag)
 
 
 def _hermitized(m: np.ndarray, tag: str) -> ManyBodyOperator:

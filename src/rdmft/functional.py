@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import log, sqrt
+from functools import cached_property
+from math import sqrt
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .ensemble import (
     EnsembleParams,
     OneRdm,
     RdmClass,
+    _gibbs,
+    _Gibbs,
     classify_rdm,
 )
 from .errors import (
@@ -37,10 +40,12 @@ from .errors import (
     NotRepresentableError,
 )
 from .fock import (
+    ONE_BODY_HERMITICITY_TOL,
     ConfigurationBasis,
     ManyBodyOperator,
     _hermiticity_defect,
-    lift_one_body,
+    _lift,
+    _rdm_matrix,
 )
 
 TRACE_TOL = 1e-12
@@ -64,7 +69,7 @@ class TracelessPotential:
         m = np.asarray(getattr(self.matrix, "matrix", self.matrix), dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if _hermiticity_defect(m) > 1e-13:
+        if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
             raise NonHermitianInput("potential is not Hermitian within 1e-13")
         # relative to scale: a large potential cannot express an exactly
         # zero trace below the ulp of its own diagonal entries
@@ -96,9 +101,15 @@ class PotentialBasis:
     def size(self) -> int:
         return self.elements.shape[0]
 
+    @property
+    def element_matrix(self) -> np.ndarray:
+        """(K, nb*nb) view whose row a is G_a flattened, so that
+        sum_a c_a G_a = c @ element_matrix and tr{G_a m} = element_matrix @ m.T.ravel()."""
+        return self.elements.reshape(self.size, -1)
+
     def coefficients(self, matrix) -> np.ndarray:
         m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
-        return np.einsum("aij,ji->a", self.elements, m).real
+        return (self.element_matrix @ m.T.ravel()).real
 
     def assemble(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs, dtype=float), self.elements, axes=1)
@@ -143,6 +154,11 @@ class System:
     def __post_init__(self):
         if self.h0.basis_tag != self.basis.tag:
             raise BasisMismatch(f"H0 on {self.h0.basis_tag!r}, basis is {self.basis.tag!r}")
+
+    @cached_property
+    def pbasis(self) -> PotentialBasis:
+        """The Gell-Mann potential basis of the system's orbitals, built once."""
+        return potential_basis(self.basis.nb)
 
 
 class InversionVerdict(Enum):
@@ -192,58 +208,25 @@ class InversionReport:
 
 @dataclass(frozen=True, eq=False)
 class _Thermal:
-    """Spectral data of one Gibbs state inside the Newton loop."""
+    """Gibbs state of H0 + lift(v) and its 1RDM inside the Newton loop."""
 
-    energies: np.ndarray
-    vectors: np.ndarray
-    weights: np.ndarray
-    z_shifted: float
+    gibbs: _Gibbs
     omega: float
-    rotated: np.ndarray
-    gamma_coeffs: np.ndarray
+    gamma: np.ndarray
 
 
-def _lift_basis(pbasis: PotentialBasis, basis: ConfigurationBasis) -> np.ndarray:
-    """Stack of the lifted potential-basis elements, shape (K, dim, dim)."""
-    return np.array([lift_one_body(g, basis).matrix for g in pbasis.elements])
-
-
-def _thermal(c: np.ndarray, system: System, params: EnsembleParams, lifted: np.ndarray) -> _Thermal:
-    hv = system.h0.matrix + np.tensordot(c, lifted, axes=1)
-    energies, vectors = np.linalg.eigh(hv)
-    shifted = energies - energies[0]
-    boltzmann = np.exp(-params.beta * shifted)
-    z_shifted = float(np.sum(boltzmann))
-    weights = boltzmann / z_shifted
-    omega = float(energies[0]) - log(z_shifted) / params.beta
-    # tr{gamma_v G_a} = Tr{rho lift(G_a)}, evaluated in the eigenbasis of H_v
-    rotated = np.einsum("ma,kmn,nb->kab", vectors.conj(), lifted, vectors, optimize=True)
-    gamma_coeffs = np.einsum("kmm,m->k", rotated, weights).real
-    return _Thermal(
-        energies=energies,
-        vectors=vectors,
-        weights=weights,
-        z_shifted=z_shifted,
-        omega=omega,
-        rotated=rotated,
-        gamma_coeffs=gamma_coeffs,
-    )
-
-
-def _gamma_matrix(coeffs: np.ndarray, pbasis: PotentialBasis, n: int) -> np.ndarray:
-    """Reconstruct the 1RDM from its traceless coefficients plus the fixed
-    trace part (n/nb) * identity."""
-    return (n / pbasis.nb) * np.eye(pbasis.nb) + pbasis.assemble(coeffs)
+def _thermal(v: np.ndarray, system: System, params: EnsembleParams) -> _Thermal:
+    """Lift, kernel, pair traces for a potential flattened to (nb*nb,)."""
+    gibbs = _gibbs(system.h0.matrix + _lift(v, system.basis), params.beta)
+    return _Thermal(gibbs=gibbs, omega=-gibbs.log_z / params.beta, gamma=_rdm_matrix(gibbs.rho, system.basis))
 
 
 def omega_of_v(v: TracelessPotential, system: System, params: EnsembleParams) -> tuple[float, OneRdm]:
     """Grand potential and Gibbs 1RDM of H0 + lift(v)."""
     if v.nb != system.basis.nb:
         raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
-    pbasis = potential_basis(system.basis.nb)
-    lifted = _lift_basis(pbasis, system.basis)
-    state = _thermal(pbasis.coefficients(v), system, params, lifted)
-    return state.omega, OneRdm(_gamma_matrix(state.gamma_coeffs, pbasis, system.basis.n))
+    state = _thermal(v.matrix.ravel(), system, params)
+    return state.omega, OneRdm(state.gamma)
 
 
 def _divided_differences(shifted: np.ndarray, boltzmann: np.ndarray, beta: float) -> np.ndarray:
@@ -260,14 +243,30 @@ def _divided_differences(shifted: np.ndarray, boltzmann: np.ndarray, beta: float
     return np.where(near, midpoint, quotient)
 
 
-def _jacobian(state: _Thermal, params: EnsembleParams) -> np.ndarray:
-    """Response matrix J_ab = d tr{gamma_v G_a} / d c_b; symmetric and
-    negative definite on the traceless space."""
-    shifted = state.energies - state.energies[0]
-    boltzmann = state.weights * state.z_shifted
-    phi = _divided_differences(shifted, boltzmann, params.beta) / state.z_shifted
-    j = np.einsum("amn,bmn,mn->ab", state.rotated.conj(), state.rotated, phi, optimize=True).real
-    j += params.beta * np.outer(state.gamma_coeffs, state.gamma_coeffs)
+def _jacobian(state: _Thermal, basis: ConfigurationBasis, params: EnsembleParams, pbasis: PotentialBasis) -> np.ndarray:
+    """Response matrix J_ab = d tr{gamma_v G_a} / d c_b in the coordinates of
+    pbasis; symmetric and negative definite on the traceless space.
+
+    Daleckii-Krein form in the eigenbasis V of H_v: the pair block
+    M_pq = sum_mn conj(Q_p)_mn (Q_q)_mn phi_mn over the rotated hops
+    Q_p = V+ lift(a+_i a_j) V is projected to J = conj(P) M P^T.
+    """
+    gibbs = state.gibbs
+    shifted = gibbs.energies - gibbs.energies[0]
+    boltzmann = gibbs.weights * gibbs.z_shifted
+    phi = _divided_differences(shifted, boltzmann, params.beta) / gibbs.z_shifted
+    # lift(a+_i a_j) V scatters rows of V, one pair per slab of the stack
+    table, pairs = basis.hop_terms, basis.nb * basis.nb
+    stack = np.zeros((pairs, basis.dim, basis.dim), dtype=complex)
+    stack[table.pair, table.rows] = table.amps[:, None] * gibbs.vectors[table.cols]
+    rotated = (gibbs.vectors.conj().T @ stack).reshape(pairs, -1)
+    del stack
+    weighted = rotated.conj()
+    weighted *= phi.ravel()
+    elements = pbasis.element_matrix
+    j = (elements.conj() @ (weighted @ rotated.T) @ elements.T).real
+    gamma_coeffs = pbasis.coefficients(state.gamma)
+    j += params.beta * np.outer(gamma_coeffs, gamma_coeffs)
     return (j + j.T) / 2
 
 
@@ -276,12 +275,13 @@ def response_jacobian(
 ) -> np.ndarray:
     """Analytic derivative of the potential-to-1RDM map at v, in the
     coefficient coordinates of pbasis."""
-    pb = pbasis if pbasis is not None else potential_basis(system.basis.nb)
+    pb = pbasis if pbasis is not None else system.pbasis
     if pb.nb != system.basis.nb:
         raise DimensionMismatch(f"potential basis for {pb.nb} orbitals, system has {system.basis.nb}")
-    lifted = _lift_basis(pb, system.basis)
-    state = _thermal(pb.coefficients(v), system, params, lifted)
-    return _jacobian(state, params)
+    if v.nb != system.basis.nb:
+        raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
+    state = _thermal(v.matrix.ravel(), system, params)
+    return _jacobian(state, system.basis, params, pb)
 
 
 def invert_potential(
@@ -309,8 +309,8 @@ def invert_potential(
     classification = classify_rdm(target, basis.statistics, opts.classify_tol)
     interior = classification is RdmClass.INTERIOR
 
-    pbasis = potential_basis(basis.nb)
-    lifted = _lift_basis(pbasis, basis)
+    pbasis = system.pbasis
+    elements = pbasis.element_matrix
     target_coeffs = pbasis.coefficients(target.matrix)
     norm_cap = opts.norm_cap if opts.norm_cap is not None else 1e6 / params.beta
 
@@ -324,7 +324,7 @@ def invert_potential(
     def dual_value(state: _Thermal, coeffs: np.ndarray) -> float:
         return state.omega - float(np.dot(coeffs, target_coeffs))
 
-    state = _thermal(c, system, params, lifted)
+    state = _thermal(c @ elements, system, params)
     records: list[IterationRecord] = []
     best_residual = float("inf")
     stalled = 0
@@ -336,7 +336,7 @@ def invert_potential(
     for iteration in range(1, opts.max_iter + 1):
         iterations = iteration
         g_value = dual_value(state, c)
-        grad = state.gamma_coeffs - target_coeffs
+        grad = pbasis.coefficients(state.gamma) - target_coeffs
         # both 1RDMs carry trace n, so the coefficient-space norm equals
         # the Frobenius distance of the matrices
         residual = float(np.linalg.norm(grad))
@@ -357,7 +357,7 @@ def invert_potential(
             verdict = InversionVerdict.NON_REPRESENTABLE if not interior else InversionVerdict.MAX_ITERATIONS
             break
 
-        jac = _jacobian(state, params)
+        jac = _jacobian(state, basis, params, pbasis)
         try:
             step = np.linalg.solve(jac, -grad)
         except np.linalg.LinAlgError:
@@ -377,7 +377,7 @@ def invert_potential(
         accepted = None
         while t >= MIN_STEP:
             trial_c = c + t * step
-            trial = _thermal(trial_c, system, params, lifted)
+            trial = _thermal(trial_c @ elements, system, params)
             required = ARMIJO_SLOPE * t * slope
             if dual_value(trial, trial_c) >= g_value + required:
                 accepted = (trial_c, trial)
@@ -385,7 +385,7 @@ def invert_potential(
             # once the required gain falls below float resolution of g the
             # Armijo test is meaningless; accept on residual contraction
             if required <= 1e-12 * g_scale:
-                trial_residual = float(np.linalg.norm(trial.gamma_coeffs - target_coeffs))
+                trial_residual = float(np.linalg.norm(pbasis.coefficients(trial.gamma) - target_coeffs))
                 if trial_residual <= residual * (1.0 - ARMIJO_SLOPE * t):
                     accepted = (trial_c, trial)
                     break

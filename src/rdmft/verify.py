@@ -32,7 +32,6 @@ from .functional import (
     System,
     invert_potential,
     omega_of_v,
-    potential_basis,
     universal_functional,
 )
 from .models import ModelSpec, build_system
@@ -155,7 +154,7 @@ def check_omega_concavity(config: CheckConfig) -> TheoremReport:
     a minimum endpoint separation."""
     system = build_system(config.model)
     params = EnsembleParams(config.beta)
-    pbasis = potential_basis(config.model.nb)
+    pbasis = system.pbasis
     rng = _rng(config, "omega_concavity")
     records, margins, failures = [], [], 0
     for k in range(config.trials):
@@ -176,7 +175,7 @@ def check_injectivity(config: CheckConfig) -> TheoremReport:
     """Distinct potentials produce distinct Gibbs 1RDMs."""
     system = build_system(config.model)
     params = EnsembleParams(config.beta)
-    pbasis = potential_basis(config.model.nb)
+    pbasis = system.pbasis
     rng = _rng(config, "injectivity")
     records, margins, failures = [], [], 0
     for k in range(config.trials):
@@ -258,7 +257,7 @@ def check_gradient(config: CheckConfig) -> TheoremReport:
     m = config.model
     system = build_system(m)
     params = EnsembleParams(config.beta)
-    pbasis = potential_basis(m.nb)
+    pbasis = system.pbasis
     rng = _rng(config, "gradient")
     eps = config.fd_step
     records, margins, failures = [], [], 0
@@ -371,7 +370,7 @@ def check_fractional_occupations(config: CheckConfig) -> TheoremReport:
     faces across a temperature sweep."""
     m = config.model
     system = build_system(m)
-    pbasis = potential_basis(m.nb)
+    pbasis = system.pbasis
     rng = _rng(config, "fractional_occupations")
     records, margins, failures = [], [], 0
     for k in range(config.trials):
@@ -397,7 +396,7 @@ def check_gibbs_minimality(config: CheckConfig) -> TheoremReport:
     m = config.model
     system = build_system(m)
     params = EnsembleParams(config.beta)
-    pbasis = potential_basis(m.nb)
+    pbasis = system.pbasis
     basis = system.basis
     dim = len(basis.states)
     rng = _rng(config, "gibbs_minimality")

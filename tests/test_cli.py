@@ -52,9 +52,11 @@ class TestGibbs:
         assert float(row["omega"]) == pytest.approx(-np.log(3))
         assert float(row["entropy"]) == pytest.approx(np.log(3))
         assert float(row["energy"]) == pytest.approx(0, abs=1e-12)
-        _, occ_rows = read_csv(out / "occupations.csv")
+        occ_header, occ_rows = read_csv(out / "occupations.csv")
+        assert occ_header == ["run_id", "beta", "orbital", "occupation", "face_distance"]
         assert len(occ_rows) == 3
         assert all(float(r[3]) == pytest.approx(2 / 3) for r in occ_rows)
+        assert all(float(r[4]) == pytest.approx(1 / 3) for r in occ_rows)
         gamma = rdm_from_json(json.loads((out / "rdm_000.json").read_text()))
         np.testing.assert_allclose(gamma.matrix, (2 / 3) * np.eye(3), atol=1e-12)
 
@@ -79,6 +81,9 @@ class TestGibbs:
 
     def test_bad_statistics_is_config_error(self, tmp_path):
         model = {**ZERO_MODEL, "statistics": "anyon"}
+        code, _ = run(tmp_path, "gibbs", {"model": model, "beta": 1.0})
+        assert code == 2
+        model = {**ZERO_MODEL, "nb": "three"}
         code, _ = run(tmp_path, "gibbs", {"model": model, "beta": 1.0})
         assert code == 2
 
@@ -148,6 +153,8 @@ class TestInvert:
         }
         code, _ = run(tmp_path, "invert", cfg)
         assert code == 2
+        code, _ = run(tmp_path, "invert", {**cfg, "options": {"max_iter": "10"}})
+        assert code == 2
 
 
 class TestFunctional:
@@ -177,10 +184,14 @@ class TestFunctional:
         }
         code, out = run(tmp_path, "functional", cfg)
         assert code == 0
-        _, rows = read_csv(out / "segment.csv")
+        header, rows = read_csv(out / "segment.csv")
+        assert header == ["lambda", "f_value", "gradient_norm"]
         assert len(rows) == 9
         values = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(values, 2) >= -1e-8)
+        # the endpoints are diagonal and non-uniform, so dF/dgamma is nonzero there
+        norms = np.array([float(r[2]) for r in rows])
+        assert np.all(np.isfinite(norms)) and norms[0] > 0 and norms[-1] > 0
 
     def test_sampled_targets(self, tmp_path):
         cfg = {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": 3, "seed": 5}}

@@ -173,7 +173,7 @@ class TestLiftTwoBody:
             expected[k, k] = u * doubly
         npt.assert_allclose(lifted, expected, atol=1e-13)
 
-    @pytest.mark.parametrize("nb,n,stat", [(3, 2, F), (4, 3, F), (2, 2, B), (3, 2, B)])
+    @pytest.mark.parametrize("nb,n,stat", [(3, 2, F), (4, 3, F), (2, 2, B), (3, 2, B), (5, 3, F), (3, 3, B)])
     def test_matches_string_oracle(self, nb, n, stat, seed=1):
         basis = build_basis(nb, n, stat)
         rng = np.random.default_rng(seed)

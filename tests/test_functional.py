@@ -20,6 +20,7 @@ from rdmft.fock import Statistics, build_basis, lift_one_body
 from rdmft.functional import (
     InversionOptions,
     InversionVerdict,
+    PotentialBasis,
     System,
     TracelessPotential,
     invert_potential,
@@ -156,20 +157,25 @@ class TestResponseJacobian:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 5.0])
     def test_matches_finite_differences(self, beta):
         system = interacting_system(3, 2, F, seed=3)
-        pb = potential_basis(3)
+        gell_mann = potential_basis(3)
+        # a caller's basis must be honoured, not replaced by the system's own:
+        # the Gell-Mann elements mixed by a seeded random orthogonal matrix
+        mix = np.linalg.qr(np.random.default_rng(21).normal(size=(gell_mann.size,) * 2))[0]
+        rotated = PotentialBasis(nb=3, elements=np.tensordot(mix, gell_mann.elements, axes=1))
         v = random_potential(3, seed=8)
         params = EnsembleParams(beta=beta)
-        jac = response_jacobian(v, system, params, pb)
-        c0 = pb.coefficients(v.matrix)
-        step = 1e-5
-        fd = np.zeros_like(jac)
-        for b in range(pb.size):
-            for sign in (+1, -1):
-                cb = c0.copy()
-                cb[b] += sign * step
-                _, gamma = omega_of_v(pb.potential(cb), system, params)
-                fd[:, b] += sign * pb.coefficients(gamma.matrix) / (2 * step)
-        assert np.linalg.norm(fd - jac) / np.linalg.norm(jac) <= 1e-6
+        for pb in (gell_mann, rotated):
+            jac = response_jacobian(v, system, params, pb)
+            c0 = pb.coefficients(v.matrix)
+            step = 1e-5
+            fd = np.zeros_like(jac)
+            for b in range(pb.size):
+                for sign in (+1, -1):
+                    cb = c0.copy()
+                    cb[b] += sign * step
+                    _, gamma = omega_of_v(pb.potential(cb), system, params)
+                    fd[:, b] += sign * pb.coefficients(gamma.matrix) / (2 * step)
+            assert np.linalg.norm(fd - jac) / np.linalg.norm(jac) <= 1e-6
 
     def test_degenerate_spectrum_handled(self):
         # zero Hamiltonian: fully degenerate, runs through the limit branch
