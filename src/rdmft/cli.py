@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,10 +38,9 @@ from .functional import (
     InversionVerdict,
     TracelessPotential,
     invert_potential,
-    potential_basis,
     universal_functional,
 )
-from .models import MODEL_KINDS, ModelSpec, build_system
+from .models import ModelSpec, build_system
 from .representability import polytope_decompose, random_rdm, simplex_decompose
 from .serialize import (
     config_hash,
@@ -51,40 +53,68 @@ from .serialize import (
     suite_report_json,
     write_csv,
 )
-from .verify import ALL_CHECKS, DEFAULT_BETAS, DEFAULT_MODELS, DEFAULT_SYSTEMS, SuiteConfig, run_suite, suite_failures
-
-_STATISTICS = {"fermion": Statistics.FERMION, "boson": Statistics.BOSON}
+from .verify import CheckConfig, SuiteConfig, run_suite, suite_failures
 
 
-def _statistics(name) -> Statistics:
-    try:
-        return _STATISTICS[name]
-    except (KeyError, TypeError):
-        raise ConfigError(f"statistics must be 'fermion' or 'boson', got {name!r}") from None
+def _convert(hint, value, where: str):
+    """A JSON value as the annotated type hint, or a ConfigError.
+
+    Reads int, float, bool, str, dict, Statistics, X | None and tuples
+    (tuple[X, ...] or fixed length) from JSON lists.  Integer fields take
+    JSON integers only; float fields also take integers.
+    """
+    if get_origin(hint) is UnionType:
+        (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        return None if value is None else _convert(inner, value, where)
+    if get_origin(hint) is tuple and isinstance(value, list):
+        args = get_args(hint)
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(_convert(item, x, where) for item, x in zip(items, value))
+    elif hint is Statistics and value in ("fermion", "boson"):
+        return Statistics(value)
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif hint in (int, bool, str, dict) and type(value) is hint:
+        return value
+    if hint is Statistics:
+        expected = "'fermion' or 'boson'"
+    else:
+        expected = hint.__name__ if get_origin(hint) is None else str(hint)
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
+
+
+def _fields_from(cls, obj, what: str) -> dict:
+    """Keyword arguments of dataclass cls from a JSON object, each value
+    read as its field's annotation; unknown keys are a ConfigError."""
+    obj = _convert(dict, obj, what)
+    hints = get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    return {key: _convert(hints[key], value, f"{what} {key}") for key, value in obj.items()}
+
+
+def _get(obj: dict, key: str, hint, default):
+    return _convert(hint, obj[key], key) if key in obj else default
 
 
 def _model_from(obj, fallback_seed=None) -> ModelSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("model must be a JSON object")
-    seed = obj.get("seed", fallback_seed)
+    spec = {"seed": fallback_seed, **_fields_from(ModelSpec, obj, "model")}
     try:
-        return ModelSpec(
-            kind=obj["kind"],
-            nb=int(obj["nb"]),
-            n=int(obj["n"]),
-            statistics=_statistics(obj["statistics"]),
-            h_scale=float(obj.get("h_scale", 1.0)),
-            w_norm=float(obj.get("w_norm", 1.0)),
-            u=float(obj.get("u", 4.0)),
-            t_hop=float(obj.get("t_hop", 1.0)),
-            seed=None if seed is None else int(seed),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model config missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model value: {exc}") from None
+        return ModelSpec(**spec)
+    except TypeError as exc:  # a required field is missing
+        raise ConfigError(f"model config: {exc}") from None
     except RdmftError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _model_entry(entry) -> tuple[str, dict]:
+    """A verify 'models' entry as its kind and the parameters it sets."""
+    params = _fields_from(ModelSpec, entry, "model")
+    if "kind" not in params:
+        raise ConfigError("each model needs a 'kind'")
+    return params.pop("kind"), params
 
 
 def _build_system_checked(model: ModelSpec):
@@ -96,32 +126,31 @@ def _build_system_checked(model: ModelSpec):
 
 def _betas_from(cfg) -> list[float]:
     if "betas" in cfg:
-        raw = cfg["betas"]
+        betas = _convert(tuple[float, ...], cfg["betas"], "betas")
     elif "beta" in cfg:
-        raw = [cfg["beta"]]
+        betas = (_convert(float, cfg["beta"], "beta"),)
     else:
         raise ConfigError("config needs 'beta' or 'betas'")
     try:
-        betas = [float(b) for b in raw]
         for b in betas:
             EnsembleParams(b)
-    except (TypeError, ValueError, RdmftError) as exc:
+    except RdmftError as exc:
         raise ConfigError(f"bad beta grid: {exc}") from exc
-    return betas
+    return list(betas)
 
 
-def _potentials_from(cfg, nb: int, seed) -> list[TracelessPotential]:
+def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     spec_obj = cfg.get("potentials")
-    pbasis = potential_basis(nb) if nb >= 2 else None
-    zero = TracelessPotential(np.zeros((nb, nb), dtype=complex))
+    nb = system.basis.nb
     if spec_obj is None:
-        return [zero]
+        return [TracelessPotential(np.zeros((nb, nb), dtype=complex))]
     if isinstance(spec_obj, dict):
-        count = int(spec_obj.get("count", 1))
-        norm = float(spec_obj.get("norm", 1.0))
-        if pbasis is None:
+        count = _get(spec_obj, "count", int, 1)
+        norm = _get(spec_obj, "norm", float, 1.0)
+        if nb < 2:
             raise ConfigError("random potentials need nb >= 2")
-        rng = np.random.default_rng(spec_obj.get("seed", seed))
+        pbasis = system.pbasis
+        rng = np.random.default_rng(_get(spec_obj, "seed", int | None, seed))
         out = []
         for _ in range(count):
             c = rng.normal(size=pbasis.size)
@@ -143,18 +172,18 @@ def _target_rdm(obj, model: ModelSpec, seed) -> OneRdm:
         if "matrix" in obj:
             gamma = OneRdm(matrix_from_json(obj["matrix"]))
         elif "occupations" in obj:
-            occ = np.asarray(obj["occupations"], dtype=float)
-            if occ.ndim != 1 or occ.size != model.nb:
+            occ = np.array(_convert(tuple[float, ...], obj["occupations"], "occupations"))
+            if occ.size != model.nb:
                 raise ConfigError(f"occupations must have length nb={model.nb}")
             gamma = OneRdm(np.diag(occ).astype(complex))
         elif "sample" in obj:
-            sample = obj["sample"] or {}
+            sample = _convert(dict | None, obj["sample"], "sample") or {}
             gamma = random_rdm(
                 model.nb,
                 model.n,
                 model.statistics,
-                interior=bool(sample.get("interior", True)),
-                seed=sample.get("seed", seed),
+                interior=_get(sample, "interior", bool, True),
+                seed=_get(sample, "seed", int | None, seed),
             )
         else:
             raise ConfigError("target needs 'matrix', 'occupations', or 'sample'")
@@ -168,20 +197,7 @@ def _target_rdm(obj, model: ModelSpec, seed) -> OneRdm:
 
 
 def _options_from(cfg) -> InversionOptions:
-    raw = cfg.get("options", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("'options' must be a JSON object")
-    allowed = {"tol", "max_iter", "norm_cap", "stagnation_window", "stagnation_rtol", "classify_tol"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown inversion options: {sorted(unknown)}")
-    for key, value in raw.items():
-        integer = key in ("max_iter", "stagnation_window")
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            if not (key == "norm_cap" and value is None):
-                kind = "an integer" if integer else "a number"
-                raise ConfigError(f"inversion option {key!r} must be {kind}, got {value!r}")
-    return InversionOptions(**raw)
+    return InversionOptions(**_fields_from(InversionOptions, cfg.get("options", {}), "inversion option"))
 
 
 def cmd_gibbs(cfg, out: Path, seed) -> int:
@@ -189,7 +205,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
     system = _build_system_checked(model)
     basis = system.basis
     betas = _betas_from(cfg)
-    potentials = _potentials_from(cfg, model.nb, seed)
+    potentials = _potentials_from(cfg, system, seed)
     meta = {"command": "gibbs", "config_hash": config_hash(cfg)}
     fermion = basis.statistics is Statistics.FERMION
     summary_rows, occupation_rows = [], []
@@ -254,10 +270,8 @@ def cmd_functional(cfg, out: Path, seed) -> int:
     params = EnsembleParams(_betas_from(cfg)[0])
     meta = {"command": "functional", "config_hash": config_hash(cfg)}
     if "segment" in cfg:
-        seg = cfg["segment"]
-        if not isinstance(seg, dict):
-            raise ConfigError("'segment' must be a JSON object")
-        points = int(seg.get("points", 11))
+        seg = _convert(dict, cfg["segment"], "segment")
+        points = _get(seg, "points", int, 11)
         if points < 2:
             raise ConfigError("segment needs at least 2 points")
         start = _target_rdm(seg.get("from"), model, seed)
@@ -271,11 +285,12 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         print(f"functional: segment scan of {points} points written to {out}")
         return 0
     if "targets" in cfg:
-        targets = [_target_rdm(t, model, seed) for t in cfg["targets"]]
+        entries = _convert(tuple[dict, ...], cfg["targets"], "targets")
+        targets = [_target_rdm(t, model, seed) for t in entries]
     elif "samples" in cfg:
-        sample = cfg["samples"]
-        count = int(sample.get("count", 10))
-        rng = np.random.default_rng(sample.get("seed", seed))
+        sample = _convert(dict, cfg["samples"], "samples")
+        count = _get(sample, "count", int, 10)
+        rng = np.random.default_rng(_get(sample, "seed", int | None, seed))
         targets = [
             random_rdm(model.nb, model.n, model.statistics, interior=True, seed=rng)
             for _ in range(count)
@@ -303,51 +318,18 @@ def cmd_functional(cfg, out: Path, seed) -> int:
 
 
 def cmd_verify(cfg, out: Path, seed) -> int:
-    checks = tuple(cfg.get("checks", ALL_CHECKS))
-    systems_raw = cfg.get("systems")
-    if systems_raw is None:
-        systems = DEFAULT_SYSTEMS
-    else:
-        try:
-            systems = tuple((int(nb), int(n), _statistics(s)) for nb, n, s in systems_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad systems grid: {exc}") from exc
-    betas = tuple(_betas_from(cfg)) if ("beta" in cfg or "betas" in cfg) else DEFAULT_BETAS
-    models_raw = cfg.get("models")
-    if models_raw is None:
-        models = DEFAULT_MODELS
-    else:
-        models = []
-        for entry in models_raw:
-            if not isinstance(entry, dict) or "kind" not in entry:
-                raise ConfigError("each model needs a 'kind'")
-            kind = entry["kind"]
-            if kind not in MODEL_KINDS:
-                raise ConfigError(f"unknown model kind {kind!r}")
-            models.append((kind, {k: v for k, v in entry.items() if k != "kind"}))
-        models = tuple(models)
-    overrides = cfg.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'tolerances' must be a JSON object")
-    allowed = {
-        "v_scale", "separation", "midpoint", "fd_step", "gradient_tol", "convexity_slack",
-        "coleman_tol", "injectivity_floor", "fractional_floor", "fractional_betas",
-        "fractional_v_scale",
-    }
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
-    if "fractional_betas" in overrides:
-        overrides = {**overrides, "fractional_betas": tuple(overrides["fractional_betas"])}
-    suite = SuiteConfig(
-        checks=checks,
-        systems=systems,
-        betas=betas,
-        models=models,
-        seed=int(seed if seed is not None else cfg.get("seed", 2026)),
-        trials=int(cfg.get("trials", 20)),
-        overrides=overrides,
-    )
+    hints = get_type_hints(SuiteConfig)
+    grid = {key: _convert(hints[key], cfg[key], key) for key in ("checks", "systems", "trials") if key in cfg}
+    if "beta" in cfg or "betas" in cfg:
+        grid["betas"] = tuple(_betas_from(cfg))
+    if "models" in cfg:
+        entries = _convert(tuple[dict, ...], cfg["models"], "models")
+        grid["models"] = tuple(_model_entry(entry) for entry in entries)
+    if "tolerances" in cfg:
+        grid["overrides"] = _fields_from(CheckConfig, cfg["tolerances"], "tolerance")
+    if seed is not None:
+        grid["seed"] = seed
+    suite = SuiteConfig(**grid)
     reports = run_suite(suite)
     resolved = {
         "checks": list(suite.checks),
@@ -356,7 +338,7 @@ def cmd_verify(cfg, out: Path, seed) -> int:
         "models": [{"kind": kind, **params} for kind, params in suite.models],
         "seed": suite.seed,
         "trials": suite.trials,
-        "tolerances": {k: list(v) if isinstance(v, tuple) else v for k, v in suite.overrides.items()},
+        "tolerances": suite.overrides,
     }
     dump_json(out / "theorem_reports.json", suite_report_json(reports, resolved))
     write_csv(
@@ -392,13 +374,12 @@ def cmd_verify(cfg, out: Path, seed) -> int:
 
 
 def cmd_polytope(cfg, out: Path, seed) -> int:
-    statistics = _statistics(cfg.get("statistics", "fermion"))
-    try:
-        n_particles = int(cfg["n"])
-    except KeyError:
-        raise ConfigError("polytope config needs 'n'") from None
+    statistics = _convert(Statistics, cfg.get("statistics", "fermion"), "statistics")
+    if "n" not in cfg:
+        raise ConfigError("polytope config needs 'n'")
+    n_particles = _convert(int, cfg["n"], "n")
     if "occupations" in cfg:
-        occupations = np.asarray(cfg["occupations"], dtype=float)
+        occupations = np.array(_convert(tuple[float, ...], cfg["occupations"], "occupations"))
     elif "gamma" in cfg:
         try:
             gamma = OneRdm(matrix_from_json(cfg["gamma"]))
@@ -475,7 +456,7 @@ def main(argv=None) -> int:
             raise ConfigError("top-level config must be a JSON object")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.get("seed")
+        seed = args.seed if args.seed is not None else _convert(int | None, cfg.get("seed"), "seed")
         return _COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

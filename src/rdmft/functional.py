@@ -400,11 +400,14 @@ def invert_potential(
     else:
         verdict = InversionVerdict.MAX_ITERATIONS if interior else InversionVerdict.NON_REPRESENTABLE
 
+    v_star = pbasis.potential(c)
+    # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
+    # JSON reports would then print
     return InversionReport(
         verdict=verdict,
-        v_star=pbasis.potential(c),
+        v_star=v_star,
         f_value=dual_value(state, c),
-        gradient=pbasis.potential(-c),
+        gradient=TracelessPotential(0.0 - v_star.matrix),
         residual=residual,
         iterations=iterations,
         classification=classification,

@@ -10,6 +10,7 @@ identical report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .ensemble import (
     one_rdm,
 )
 from .errors import ConfigError, RdmftError
-from .fock import ManyBodyOperator, Statistics, lift_one_body
+from .fock import ManyBodyOperator, Statistics, build_basis, lift_one_body
 from .functional import (
     InversionOptions,
     InversionVerdict,
@@ -136,13 +137,34 @@ def _mix_parameter(rng: np.random.Generator, config: CheckConfig) -> float:
     return 0.5 if config.midpoint else float(rng.uniform(0.1, 0.9))
 
 
-def _report(theorem_id, config, records, margins, failures, notes="") -> TheoremReport:
-    worst = float(min(margins)) if margins else None
+def _campaign(check: str, config: CheckConfig, trial, fails=lambda m: m <= 0, notes="") -> TheoremReport:
+    """Run config.trials trials of one check on its own substream.
+
+    trial(rng, k, record) fills in the fields of record, which starts as
+    {"trial": k}, and returns the signed margin; fails(margin) says whether
+    the claim broke.  A trial whose computation raises RdmftError fails
+    with no margin and the error's text.
+    """
+    rng = _rng(config, check)
+    records, margins, failures = [], [], 0
+    for k in range(config.trials):
+        record = {"trial": k}
+        records.append(record)
+        try:
+            margin = trial(rng, k, record)
+        except RdmftError as exc:
+            record.update(margin=None, error=str(exc))
+            failures += 1
+            continue
+        record["margin"] = float(margin)
+        margins.append(margin)
+        if fails(margin):
+            failures += 1
     return TheoremReport(
-        theorem_id=theorem_id,
+        theorem_id=check,
         trials=len(records),
         failures=failures,
-        worst_margin=worst,
+        worst_margin=float(min(margins)) if margins else None,
         config=config.describe(),
         details=tuple(records),
         notes=notes,
@@ -155,20 +177,16 @@ def check_omega_concavity(config: CheckConfig) -> TheoremReport:
     system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
-    rng = _rng(config, "omega_concavity")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
+
+    def trial(rng, k, record):
         c1, c2 = _separated_coeff_pair(rng, pbasis, config.v_scale, config.separation)
-        t = _mix_parameter(rng, config)
+        t = record["t"] = _mix_parameter(rng, config)
         omega_1, _ = omega_of_v(pbasis.potential(c1), system, params)
         omega_2, _ = omega_of_v(pbasis.potential(c2), system, params)
         omega_mix, _ = omega_of_v(pbasis.potential(t * c1 + (1 - t) * c2), system, params)
-        margin = omega_mix - t * omega_1 - (1 - t) * omega_2
-        if margin <= 0:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "t": t, "margin": float(margin)})
-    return _report("omega_concavity", config, records, margins, failures)
+        return omega_mix - t * omega_1 - (1 - t) * omega_2
+
+    return _campaign("omega_concavity", config, trial)
 
 
 def check_injectivity(config: CheckConfig) -> TheoremReport:
@@ -176,19 +194,15 @@ def check_injectivity(config: CheckConfig) -> TheoremReport:
     system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
-    rng = _rng(config, "injectivity")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
+
+    def trial(rng, k, record):
         c1, c2 = _separated_coeff_pair(rng, pbasis, config.v_scale, config.separation)
         _, gamma_1 = omega_of_v(pbasis.potential(c1), system, params)
         _, gamma_2 = omega_of_v(pbasis.potential(c2), system, params)
-        distance = float(np.linalg.norm(gamma_1.matrix - gamma_2.matrix))
-        margin = distance - config.injectivity_floor
-        if margin <= 0:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "rdm_distance": distance, "margin": float(margin)})
-    return _report("injectivity", config, records, margins, failures)
+        distance = record["rdm_distance"] = float(np.linalg.norm(gamma_1.matrix - gamma_2.matrix))
+        return distance - config.injectivity_floor
+
+    return _campaign("injectivity", config, trial)
 
 
 def _random_density(rng: np.random.Generator, dim: int, tag: str) -> DensityOperator:
@@ -203,23 +217,19 @@ def check_entropy_concavity(config: CheckConfig) -> TheoremReport:
     random full-rank density operators."""
     basis = build_system(config.model).basis
     dim = len(basis.states)
-    rng = _rng(config, "entropy_concavity")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
+
+    def trial(rng, k, record):
         rho_1 = rho_2 = None
         for _ in range(1000):
             rho_1 = _random_density(rng, dim, basis.tag)
             rho_2 = _random_density(rng, dim, basis.tag)
             if np.linalg.norm(rho_1.matrix - rho_2.matrix) >= config.separation:
                 break
-        t = _mix_parameter(rng, config)
+        t = record["t"] = _mix_parameter(rng, config)
         mixed = DensityOperator(t * rho_1.matrix + (1 - t) * rho_2.matrix, basis.tag)
-        margin = entropy(mixed) - t * entropy(rho_1) - (1 - t) * entropy(rho_2)
-        if margin <= 0:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "t": t, "margin": float(margin)})
-    return _report("entropy_concavity", config, records, margins, failures)
+        return entropy(mixed) - t * entropy(rho_1) - (1 - t) * entropy(rho_2)
+
+    return _campaign("entropy_concavity", config, trial)
 
 
 def check_f_convexity(config: CheckConfig) -> TheoremReport:
@@ -228,27 +238,18 @@ def check_f_convexity(config: CheckConfig) -> TheoremReport:
     m = config.model
     system = build_system(m)
     params = EnsembleParams(config.beta)
-    rng = _rng(config, "f_convexity")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
+
+    def trial(rng, k, record):
         gamma_0 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-        t = _mix_parameter(rng, config)
+        t = record["t"] = _mix_parameter(rng, config)
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
-        try:
-            f_0, _ = universal_functional(gamma_0, system, params)
-            f_1, _ = universal_functional(gamma_1, system, params)
-            f_mix, _ = universal_functional(mixed, system, params)
-        except RdmftError as exc:
-            failures += 1
-            records.append({"trial": k, "t": t, "margin": None, "error": str(exc)})
-            continue
-        margin = t * f_0 + (1 - t) * f_1 - f_mix
-        if margin < -config.convexity_slack:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "t": t, "margin": float(margin)})
-    return _report("f_convexity", config, records, margins, failures)
+        f_0, _ = universal_functional(gamma_0, system, params)
+        f_1, _ = universal_functional(gamma_1, system, params)
+        f_mix, _ = universal_functional(mixed, system, params)
+        return t * f_0 + (1 - t) * f_1 - f_mix
+
+    return _campaign("f_convexity", config, trial, fails=lambda margin: margin < -config.convexity_slack)
 
 
 def check_gradient(config: CheckConfig) -> TheoremReport:
@@ -258,43 +259,29 @@ def check_gradient(config: CheckConfig) -> TheoremReport:
     system = build_system(m)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
-    rng = _rng(config, "gradient")
     eps = config.fd_step
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
+
+    def trial(rng, k, record):
         gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         report = invert_potential(gamma, system, params)
         if report.verdict is not InversionVerdict.CONVERGED:
-            failures += 1
-            records.append({"trial": k, "margin": None, "error": f"inversion {report.verdict.value}"})
-            continue
+            raise RdmftError(f"inversion {report.verdict.value}")
         cv = pbasis.coefficients(report.v_star)
         warm = InversionOptions(initial=cv)
         directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
         worst_dev = 0.0
-        bad = None
         for d in directions:
             shift = eps * pbasis.assemble(d)
-            try:
-                f_plus, _ = universal_functional(OneRdm(gamma.matrix + shift), system, params, warm)
-                f_minus, _ = universal_functional(OneRdm(gamma.matrix - shift), system, params, warm)
-            except RdmftError as exc:
-                bad = str(exc)
-                break
+            f_plus, _ = universal_functional(OneRdm(gamma.matrix + shift), system, params, warm)
+            f_minus, _ = universal_functional(OneRdm(gamma.matrix - shift), system, params, warm)
             fd = (f_plus - f_minus) / (2 * eps)
             exact = -float(np.dot(cv, d))
             worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
-        if bad is not None:
-            failures += 1
-            records.append({"trial": k, "margin": None, "error": bad})
-            continue
-        margin = config.gradient_tol - worst_dev
-        if margin < 0:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "max_rel_dev": float(worst_dev), "margin": float(margin)})
+        record["max_rel_dev"] = float(worst_dev)
+        return config.gradient_tol - worst_dev
+
     notes = "a well-defined derivative also certifies that the subgradient set is a single element"
-    return _report("gradient", config, records, margins, failures, notes=notes)
+    return _campaign("gradient", config, trial, fails=lambda margin: margin < 0, notes=notes)
 
 
 def _boundary_occupations(rng, nb, n, statistics, variant):
@@ -339,10 +326,9 @@ def check_coleman(config: CheckConfig) -> TheoremReport:
         variants = ("interior", "zero_pinned", "one_pinned", "idempotent")
     else:
         variants = ("interior", "zero_pinned", "condensate")
-    rng = _rng(config, "coleman")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
-        variant = variants[k % len(variants)]
+
+    def trial(rng, k, record):
+        variant = record["variant"] = variants[k % len(variants)]
         if variant == "interior":
             gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         else:
@@ -350,19 +336,11 @@ def check_coleman(config: CheckConfig) -> TheoremReport:
             q = _haar_unitary(rng, m.nb)
             g = (q * occ) @ q.conj().T
             gamma = OneRdm((g + g.conj().T) / 2)
-        try:
-            rho = construct(gamma, basis)
-            err = float(np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix))
-        except RdmftError as exc:
-            failures += 1
-            records.append({"trial": k, "variant": variant, "margin": None, "error": str(exc)})
-            continue
-        margin = config.coleman_tol - err
-        if margin < 0:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "variant": variant, "error_norm": err, "margin": float(margin)})
-    return _report("coleman", config, records, margins, failures)
+        rho = construct(gamma, basis)
+        err = record["error_norm"] = float(np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix))
+        return config.coleman_tol - err
+
+    return _campaign("coleman", config, trial, fails=lambda margin: margin < 0)
 
 
 def check_fractional_occupations(config: CheckConfig) -> TheoremReport:
@@ -371,37 +349,29 @@ def check_fractional_occupations(config: CheckConfig) -> TheoremReport:
     m = config.model
     system = build_system(m)
     pbasis = system.pbasis
-    rng = _rng(config, "fractional_occupations")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
-        beta = config.fractional_betas[k % len(config.fractional_betas)]
+
+    def trial(rng, k, record):
+        beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.fractional_v_scale))
         _, gamma = omega_of_v(v, system, EnsembleParams(beta))
         occ = natural_spectrum(gamma).occupations
-        lowest = float(occ.min())
+        lowest = record["min_occupation"] = float(occ.min())
         head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
-        margin = min(lowest, head) - config.fractional_floor
-        if margin <= 0:
-            failures += 1
-        margins.append(margin)
-        records.append(
-            {"trial": k, "beta": beta, "min_occupation": lowest, "margin": float(margin)}
-        )
-    return _report("fractional_occupations", config, records, margins, failures)
+        return min(lowest, head) - config.fractional_floor
+
+    return _campaign("fractional_occupations", config, trial)
 
 
 def check_gibbs_minimality(config: CheckConfig) -> TheoremReport:
     """The Gibbs state strictly beats every competitor density operator in
     the free-energy objective of its own Hamiltonian."""
-    m = config.model
-    system = build_system(m)
+    system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
     basis = system.basis
     dim = len(basis.states)
-    rng = _rng(config, "gibbs_minimality")
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
+
+    def trial(rng, k, record):
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.v_scale))
         h_v = ManyBodyOperator(system.h0.matrix + lift_one_body(v.matrix, basis).matrix, basis.tag)
         gibbs = gibbs_state(h_v, params)
@@ -416,12 +386,10 @@ def check_gibbs_minimality(config: CheckConfig) -> TheoremReport:
             "random_state": _random_density(rng, dim, basis.tag),
         }
         gaps = {name: helmholtz(rho, h_v, params) - base for name, rho in competitors.items()}
-        margin = min(gaps.values())
-        if margin <= 0:
-            failures += 1
-        margins.append(margin)
-        records.append({"trial": k, "margin": float(margin), **{f"gap_{n}": float(g) for n, g in gaps.items()}})
-    return _report("gibbs_minimality", config, records, margins, failures)
+        record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
+        return min(gaps.values())
+
+    return _campaign("gibbs_minimality", config, trial)
 
 
 CHECK_REGISTRY = {
@@ -466,34 +434,36 @@ class SuiteConfig:
 
 
 def run_suite(config: SuiteConfig) -> list[TheoremReport]:
-    """All selected checks over the whole grid, in deterministic order."""
+    """All selected checks over the whole grid, in deterministic order.
+
+    Every grid point is built, and so validated, before the first check
+    runs: each system needs a configuration basis and nb >= 2, so that it
+    has a potential space.
+    """
     if not config.checks:
         raise ConfigError("no checks selected")
     unknown = [c for c in config.checks if c not in CHECK_REGISTRY]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}; available: {sorted(CHECK_REGISTRY)}")
-    reports = []
-    combo = 0
-    for nb, n, statistics in config.systems:
-        for beta in config.betas:
-            for kind, raw_params in config.models:
-                combo += 1
-                combo_seed = int(np.random.SeedSequence((config.seed, combo)).generate_state(1)[0])
-                mparams = dict(raw_params)
-                model_seed = mparams.pop("seed", combo_seed)
-                model = ModelSpec(
-                    kind=kind, nb=nb, n=n, statistics=statistics, seed=model_seed, **mparams
-                )
-                for name in config.checks:
-                    check_config = CheckConfig(
-                        model=model,
-                        beta=beta,
-                        seed=combo_seed,
-                        trials=config.trials,
-                        **config.overrides,
-                    )
-                    reports.append(CHECK_REGISTRY[name](check_config))
-    return reports
+    grid = []
+    try:
+        for nb, n, statistics in config.systems:
+            if nb < 2:
+                raise ConfigError(f"system ({nb}, {n}) has no potential space; it needs nb >= 2")
+            build_basis(nb, n, statistics)
+        points = product(config.systems, config.betas, config.models)
+        for combo, ((nb, n, statistics), beta, (kind, raw_params)) in enumerate(points, start=1):
+            combo_seed = int(np.random.SeedSequence((config.seed, combo)).generate_state(1)[0])
+            mparams = dict(raw_params)
+            model_seed = mparams.pop("seed", combo_seed)
+            model = ModelSpec(kind=kind, nb=nb, n=n, statistics=statistics, seed=model_seed, **mparams)
+            grid.append(
+                CheckConfig(model=model, beta=beta, seed=combo_seed, trials=config.trials, **config.overrides)
+            )
+    except (TypeError, RdmftError) as exc:
+        # TypeError: a model parameter or an override names a field the grid sets
+        raise ConfigError(f"bad suite grid: {exc}") from exc
+    return [CHECK_REGISTRY[name](check_config) for check_config in grid for name in config.checks]
 
 
 def suite_failures(reports: list[TheoremReport]) -> int:

@@ -262,6 +262,47 @@ class TestVerify:
         ).read_text()
 
 
+# name: (command, config, a fragment the error message must name)
+MALFORMED = {
+    "verify_trials": ("verify", {**TestVerify.TINY, "trials": "x"}, "trials"),
+    "verify_seed": ("verify", {**TestVerify.TINY, "seed": "s"}, "seed"),
+    "verify_tolerance": ("verify", {**TestVerify.TINY, "tolerances": {"coleman_tol": "abc"}}, "coleman_tol"),
+    "verify_model_key": ("verify", {**TestVerify.TINY, "models": [{"kind": "zero", "bogus": 1}]}, "bogus"),
+    "verify_model_value": ("verify", {**TestVerify.TINY, "models": [{"kind": "zero", "u": "big"}]}, "'big'"),
+    "verify_no_basis": (
+        "verify",
+        {**TestVerify.TINY, "systems": [[3, 2, "fermion"], [3, 3, "fermion"]]},
+        "nb > n",
+    ),
+    "verify_nb_1": (
+        "verify",
+        {**TestVerify.TINY, "checks": ["gradient"], "systems": [[3, 2, "fermion"], [1, 1, "boson"]]},
+        "nb >= 2",
+    ),
+    "verify_checks_string": ("verify", {**TestVerify.TINY, "checks": "coleman"}, "checks must be"),
+    "gibbs_count": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": "two"}}, "count"),
+    "functional_count": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": "x"}}, "count"),
+    "functional_points": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "segment": {"points": "x"}}, "points"),
+    "functional_targets": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "targets": 5}, "targets"),
+    "polytope_n": ("polytope", {"statistics": "fermion", "n": "two", "occupations": [1.0, 0.5]}, "'two'"),
+    "polytope_occupations": ("polytope", {"statistics": "fermion", "n": 2, "occupations": "abc"}, "occupations"),
+    "invert_sample": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": 3}}, "sample"),
+    "invert_occupations": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": ["a", "b", "c"]}},
+        "'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,cfg,reason", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2(tmp_path, capsys, command, cfg, reason):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+
+
 class TestPolytope:
     def test_half_filled_pair(self, tmp_path):
         cfg = {"statistics": "fermion", "n": 2, "occupations": [1.0, 0.5, 0.5]}

@@ -217,6 +217,7 @@ class TestInvertPotential:
         assert report.verdict is InversionVerdict.CONVERGED
         assert report.iterations <= 30
         assert np.linalg.norm(report.v_star.matrix - v.matrix) <= 1e-8
+        assert np.array_equal(report.gradient.matrix, -report.v_star.matrix)
 
     def test_idempotent_target_is_non_representable(self):
         system = zero_system(3, 2, F)

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rdmft.errors import ConfigError
+from rdmft import verify
+from rdmft.errors import ConfigError, ConvergenceFailure
 from rdmft.fock import Statistics
 from rdmft.models import ModelSpec
 from rdmft.serialize import canonical_json, suite_report_json, theorem_report_to_json
@@ -67,6 +68,16 @@ class TestIndividualChecks:
         variants = {row["variant"] for row in report.details}
         assert variants == {"interior", "zero_pinned", "one_pinned", "idempotent"}
         assert report.failures == 0
+
+
+    def test_trial_error_is_a_failed_trial(self, monkeypatch):
+        def no_maximum(*args):
+            raise ConvergenceFailure("no maximum")
+
+        monkeypatch.setattr(verify, "omega_of_v", no_maximum)
+        report = CHECK_REGISTRY["omega_concavity"](small_config(F, trials=2))
+        assert report.failures == 2 and report.worst_margin is None
+        assert [(row["margin"], row["error"]) for row in report.details] == [(None, "no maximum")] * 2
 
 
 class TestDeterminism:
