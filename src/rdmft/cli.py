@@ -86,17 +86,19 @@ def _convert(hint, value, where: str):
 
 def _fields_from(cls, obj, what: str) -> dict:
     """Keyword arguments of dataclass cls from a JSON object, each value
-    read as its field's annotation; unknown keys are a ConfigError."""
+    read as its field's annotation; unknown keys are a ConfigError, and a
+    null reads as an absent key."""
     obj = _convert(dict, obj, what)
     hints = get_type_hints(cls)
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
-    return {key: _convert(hints[key], value, f"{what} {key}") for key, value in obj.items()}
+    return {key: _convert(hints[key], value, f"{what} {key}") for key, value in obj.items() if value is not None}
 
 
 def _get(obj: dict, key: str, hint, default):
-    return _convert(hint, obj[key], key) if key in obj else default
+    """obj[key] read as hint; an absent key or a null gives default."""
+    return default if obj.get(key) is None else _convert(hint, obj[key], key)
 
 
 def _model_from(obj, fallback_seed=None) -> ModelSpec:
@@ -418,12 +420,13 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
     return 0
 
 
+# each command with the top-level config keys it reads besides "seed"
 _COMMANDS = {
-    "gibbs": cmd_gibbs,
-    "invert": cmd_invert,
-    "functional": cmd_functional,
-    "verify": cmd_verify,
-    "polytope": cmd_polytope,
+    "gibbs": (cmd_gibbs, {"model", "beta", "betas", "potentials"}),
+    "invert": (cmd_invert, {"model", "beta", "betas", "target", "options"}),
+    "functional": (cmd_functional, {"model", "beta", "betas", "segment", "targets", "samples"}),
+    "verify": (cmd_verify, {"checks", "systems", "trials", "beta", "betas", "models", "tolerances"}),
+    "polytope": (cmd_polytope, {"statistics", "n", "occupations", "gamma"}),
 }
 
 
@@ -454,10 +457,16 @@ def main(argv=None) -> int:
         cfg = load_json(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be a JSON object")
+        command, keys = _COMMANDS[args.command]
+        unknown = sorted(set(cfg) - keys - {"seed"})
+        if unknown:
+            raise ConfigError(f"unknown {args.command} config keys: {unknown}")
+        # a null reads as an absent key
+        cfg = {key: value for key, value in cfg.items() if value is not None}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else _convert(int | None, cfg.get("seed"), "seed")
-        return _COMMANDS[args.command](cfg, out, seed)
+        return command(cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -154,6 +154,24 @@ class HopTable(NamedTuple):
     amps: np.ndarray
 
 
+class HopBlocks(NamedTuple):
+    """The hop table regrouped for the response Jacobian.
+
+    diagonal and upper hold the entries of the pairs (i, i) and of the pairs
+    i < j (in np.triu_indices order), one row per pair; all diagonal pairs
+    have the same number of entries, and so do all off-diagonal ones.  The
+    pairs i > j are left out because a+_j a_i is the adjoint of a+_i a_j.
+    triangle holds the flat indices m*dim + n of the upper triangle m <= n
+    of a dim x dim matrix, its dim diagonal entries first, and mirror the
+    transposed positions n*dim + m.
+    """
+
+    diagonal: HopTable
+    upper: HopTable
+    triangle: np.ndarray
+    mirror: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConfigurationBasis:
     """Ordered occupation-vector basis of the n-particle space."""
@@ -198,6 +216,24 @@ class ConfigurationBasis:
             np.array(cols, dtype=np.intp),
             np.array(amps, dtype=float),
         )
+
+    @cached_property
+    def hop_blocks(self) -> HopBlocks:
+        """hop_terms of the pairs i <= j as equal-length rows, see HopBlocks."""
+        table, nb = self.hop_terms, self.nb
+        bounds = np.searchsorted(table.pair, np.arange(nb * nb + 1))
+        blocks = []
+        for i, j in (np.diag_indices(nb), np.triu_indices(nb, 1)):
+            starts = bounds[i * nb + j]
+            counts = bounds[i * nb + j + 1] - starts
+            k = int(counts.max(initial=0))
+            assert np.all(counts == k)
+            entries = starts[:, None] + np.arange(k)
+            blocks.append(HopTable(*(field[entries] for field in table)))
+        m, n = np.diag_indices(self.dim)
+        upper_m, upper_n = np.triu_indices(self.dim, 1)
+        m, n = np.concatenate([m, upper_m]), np.concatenate([n, upper_n])
+        return HopBlocks(*blocks, triangle=m * self.dim + n, mirror=n * self.dim + m)
 
 
 def _apply_hop(state: tuple[int, ...], i: int, j: int, statistics: Statistics):

@@ -42,6 +42,7 @@ from .errors import (
 from .fock import (
     ONE_BODY_HERMITICITY_TOL,
     ConfigurationBasis,
+    HopTable,
     ManyBodyOperator,
     _hermiticity_defect,
     _lift,
@@ -111,8 +112,19 @@ class PotentialBasis:
         m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
         return (self.element_matrix @ m.T.ravel()).real
 
+    @cached_property
+    def generator_map(self) -> np.ndarray:
+        """(K, nb*nb) matrix T with G_a = sum_r T_ar h_r over the Hermitian
+        generators h_r: E_ii, then E_ij + E_ji and -i(E_ij - E_ji) for the
+        pairs i < j in np.triu_indices order, so that
+        T = [Re G_a,ii | Re G_a,ij | -Im G_a,ij]."""
+        i, j = np.triu_indices(self.nb, 1)
+        d = np.arange(self.nb)
+        g = self.elements
+        return np.concatenate([g[:, d, d].real, g[:, i, j].real, -g[:, i, j].imag], axis=1)
+
     def assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coeffs, dtype=float), self.elements, axes=1)
+        return (np.asarray(coeffs, dtype=float) @ self.element_matrix).reshape(self.nb, self.nb)
 
     def potential(self, coeffs: np.ndarray) -> TracelessPotential:
         m = self.assemble(coeffs)
@@ -243,30 +255,55 @@ def _divided_differences(shifted: np.ndarray, boltzmann: np.ndarray, beta: float
     return np.where(near, midpoint, quotient)
 
 
-def _jacobian(state: _Thermal, basis: ConfigurationBasis, params: EnsembleParams, pbasis: PotentialBasis) -> np.ndarray:
-    """Response matrix J_ab = d tr{gamma_v G_a} / d c_b in the coordinates of
-    pbasis; symmetric and negative definite on the traceless space.
+def _rotated(block: HopTable, vectors: np.ndarray) -> np.ndarray:
+    """Q_ij = V+ lift(a+_i a_j) V = V[rows]+ (amps V[cols]) for each pair of
+    the block, flattened to one row per pair: only the configurations that
+    a+_i a_j reaches enter the product."""
+    rows = vectors.conj().take(block.rows, axis=0).swapaxes(1, 2)
+    return np.matmul(rows, block.amps[..., None] * vectors.take(block.cols, axis=0)).reshape(len(block.rows), -1)
 
-    Daleckii-Krein form in the eigenbasis V of H_v: the pair block
-    M_pq = sum_mn conj(Q_p)_mn (Q_q)_mn phi_mn over the rotated hops
-    Q_p = V+ lift(a+_i a_j) V is projected to J = conj(P) M P^T.
+
+def _jacobian(
+    state: _Thermal, basis: ConfigurationBasis, params: EnsembleParams, pbasis: PotentialBasis, gamma_coeffs: np.ndarray
+) -> np.ndarray:
+    """Response matrix J_ab = d tr{gamma_v G_a} / d c_b in the coordinates of
+    pbasis, given gamma_coeffs = pbasis.coefficients(state.gamma); symmetric
+    and negative definite on the traceless space.
+
+    Daleckii-Krein form (Higham, Functions of Matrices, ch. 3) in the
+    eigenbasis V of H_v, on the Hermitian generators h_r of the orbital
+    pairs: Q_ii, Q_ij + Q_ij+ and -i(Q_ij - Q_ij+) for i < j, with
+    Q_ij = V+ lift(a+_i a_j) V.  Then J_h,rs = sum_mn phi_mn conj(h_r)_mn
+    (h_s)_mn is real, and phi <= 0, so with x_r = sqrt(-phi) h_r on the
+    upper triangle m <= n (off-diagonal entries weighted twice) J_h = -X X^T
+    for the real view X, and J = T J_h T^T + beta g g^T with
+    T = pbasis.generator_map.
     """
     gibbs = state.gibbs
     shifted = gibbs.energies - gibbs.energies[0]
     boltzmann = gibbs.weights * gibbs.z_shifted
-    phi = _divided_differences(shifted, boltzmann, params.beta) / gibbs.z_shifted
-    # lift(a+_i a_j) V scatters rows of V, one pair per slab of the stack
-    table, pairs = basis.hop_terms, basis.nb * basis.nb
-    stack = np.zeros((pairs, basis.dim, basis.dim), dtype=complex)
-    stack[table.pair, table.rows] = table.amps[:, None] * gibbs.vectors[table.cols]
-    rotated = (gibbs.vectors.conj().T @ stack).reshape(pairs, -1)
-    del stack
-    weighted = rotated.conj()
-    weighted *= phi.ravel()
-    elements = pbasis.element_matrix
-    j = (elements.conj() @ (weighted @ rotated.T) @ elements.T).real
-    gamma_coeffs = pbasis.coefficients(state.gamma)
-    j += params.beta * np.outer(gamma_coeffs, gamma_coeffs)
+    blocks = basis.hop_blocks
+    minus_phi = _divided_differences(shifted, boltzmann, params.beta).take(blocks.triangle) / -gibbs.z_shifted
+    # -phi >= 0 because e^-bx decreases; the clamp only absorbs round-off
+    weight = np.sqrt(np.maximum(minus_phi, 0.0))
+    weight[basis.dim :] *= sqrt(2)
+    diagonal = _rotated(blocks.diagonal, gibbs.vectors).take(blocks.triangle, axis=1)
+    upper = _rotated(blocks.upper, gibbs.vectors)
+    q_adjoint = np.conj(upper.take(blocks.mirror, axis=1))
+    q = upper.take(blocks.triangle, axis=1)
+    # the full products are the largest arrays here: free them before x
+    del upper
+    nd, nu = len(diagonal), len(q)
+    # rows in the column order of T: diagonal, symmetric, antisymmetric
+    x = np.empty((nd + 2 * nu, blocks.triangle.size), dtype=complex)
+    x[:nd] = diagonal
+    np.add(q, q_adjoint, out=x[nd : nd + nu])
+    np.subtract(q, q_adjoint, out=x[nd + nu :])
+    x[nd + nu :] *= -1j
+    x *= weight
+    real = x.view(float)
+    t = pbasis.generator_map
+    j = params.beta * np.outer(gamma_coeffs, gamma_coeffs) - t @ (real @ real.T) @ t.T
     return (j + j.T) / 2
 
 
@@ -281,7 +318,7 @@ def response_jacobian(
     if v.nb != system.basis.nb:
         raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
     state = _thermal(v.matrix.ravel(), system, params)
-    return _jacobian(state, system.basis, params, pb)
+    return _jacobian(state, system.basis, params, pb, pb.coefficients(state.gamma))
 
 
 def invert_potential(
@@ -336,7 +373,8 @@ def invert_potential(
     for iteration in range(1, opts.max_iter + 1):
         iterations = iteration
         g_value = dual_value(state, c)
-        grad = pbasis.coefficients(state.gamma) - target_coeffs
+        gamma_coeffs = pbasis.coefficients(state.gamma)
+        grad = gamma_coeffs - target_coeffs
         # both 1RDMs carry trace n, so the coefficient-space norm equals
         # the Frobenius distance of the matrices
         residual = float(np.linalg.norm(grad))
@@ -357,7 +395,7 @@ def invert_potential(
             verdict = InversionVerdict.NON_REPRESENTABLE if not interior else InversionVerdict.MAX_ITERATIONS
             break
 
-        jac = _jacobian(state, basis, params, pbasis)
+        jac = _jacobian(state, basis, params, pbasis, gamma_coeffs)
         try:
             step = np.linalg.solve(jac, -grad)
         except np.linalg.LinAlgError:

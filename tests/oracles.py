@@ -196,3 +196,33 @@ def random_two_body_tensor(rng: np.random.Generator, nb: int) -> np.ndarray:
     pair = random_hermitian(rng, nb * nb)
     w = pair.reshape(nb, nb, nb, nb)
     return (w + w.transpose(1, 0, 3, 2)) / 2
+
+
+def hop_stack(nb: int, n: int, fermion: bool) -> np.ndarray:
+    """(nb*nb, dim, dim) stack of the brute-force lifts of a+_i a_j, pair i*nb + j."""
+    units = np.eye(nb * nb).reshape(nb * nb, nb, nb)
+    return np.array([one_body_matrix(unit, nb, n, fermion) for unit in units])
+
+
+def dense_response_jacobian(h: np.ndarray, hops: np.ndarray, beta: float, elements: np.ndarray) -> np.ndarray:
+    """J_ab = d tr{gamma G_a} / d c_b for the Gibbs state of h + sum_b c_b
+    lift(G_b) at c = 0, from the dense rotated stack Q_p = V+ hops[p] V of
+    every orbital pair: J = Re(conj(P) M P^T) + beta g g^T with
+    M_pq = sum_mn phi_mn conj(Q_p)_mn (Q_q)_mn, phi the divided differences
+    of e^-bx / Z (confluent below a relative gap of 1e-9), P the flattened
+    elements and g_a = tr{rho lift(G_a)}."""
+    energies, vectors = np.linalg.eigh(h)
+    shifted = energies - energies[0]
+    boltzmann = np.exp(-beta * shifted)
+    z = float(np.sum(boltzmann))
+    x, y = shifted[:, None], shifted[None, :]
+    near = np.abs(x - y) <= 1e-9 * max(1.0, float(shifted[-1]))
+    quotient = (boltzmann[:, None] - boltzmann[None, :]) / np.where(near, 1.0, x - y)
+    phi = np.where(near, -beta * np.exp(-beta * (x + y) / 2), quotient) / z
+    rotated = (vectors.conj().T @ hops @ vectors).reshape(len(hops), -1)
+    pair_block = (rotated.conj() * phi.ravel()) @ rotated.T
+    p = elements.reshape(len(elements), -1)
+    rho = (vectors * (boltzmann / z)) @ vectors.conj().T
+    g = (p @ np.einsum("mn,pnm->p", rho, hops)).real
+    j = (p.conj() @ pair_block @ p.T).real + beta * np.outer(g, g)
+    return (j + j.T) / 2

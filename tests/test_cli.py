@@ -292,6 +292,24 @@ MALFORMED = {
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": ["a", "b", "c"]}},
         "'a'",
     ),
+    # misspelled top-level keys, which every command used to skip
+    "verify_unknown_key": ("verify", {**TestVerify.TINY, "trails": 2}, "trails"),
+    "gibbs_unknown_key": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potential": {"count": 2}}, "potential"),
+    "invert_unknown_key": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}, "option": {"tol": 1.0}},
+        "option",
+    ),
+    "functional_unknown_key": (
+        "functional",
+        {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": 1, "seed": 2}, "segments": {}},
+        "segments",
+    ),
+    "polytope_unknown_key": (
+        "polytope",
+        {"statistics": "fermion", "n": 2, "occupations": [1.0, 0.5, 0.5], "gama": []},
+        "gama",
+    ),
 }
 
 
@@ -357,6 +375,33 @@ class TestDeterminism:
         meta_a.pop("generated_at")
         meta_b.pop("generated_at")
         assert meta_a == meta_b
+
+
+# a null seed must read as an absent one, so that the derived seed is used
+NULL_SEEDS = {
+    "verify_model": ("verify", {**TestVerify.TINY, "models": [{"kind": "random_full", "seed": None}]}, "theorem_reports.json"),
+    "gibbs_model": (
+        "gibbs",
+        {"model": {**ZERO_MODEL, "kind": "random_full", "seed": None}, "beta": 1.0, "seed": 3},
+        "gibbs_summary.csv",
+    ),
+    "invert_sample": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": None}}, "seed": 3},
+        "inversion_report.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,cfg,report", NULL_SEEDS.values(), ids=NULL_SEEDS.keys())
+def test_null_seed_reproduces_reports(tmp_path, command, cfg, report):
+    outputs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        code, out = run(tmp_path / name, command, cfg)
+        assert code == 0
+        outputs.append((out / report).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestTopLevel:

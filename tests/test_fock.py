@@ -226,6 +226,28 @@ def test_first_quantized_triangulation(nb, n, stat):
         )
 
 
+@pytest.mark.parametrize("nb,n,stat", [(2, 1, F), (4, 2, F), (5, 3, F), (3, 3, B), (2, 3, B)])
+def test_hop_blocks_cover_hop_terms_once(nb, n, stat):
+    """The diagonal and upper blocks, plus the upper entries transposed
+    (a+_j a_i is the adjoint of a+_i a_j), are the hop table once each."""
+    basis = build_basis(nb, n, stat)
+    diagonal, upper, triangle, mirror = basis.hop_blocks
+    i, j = np.divmod(upper.pair, nb)
+    blocks = [
+        diagonal,
+        upper,
+        (j * nb + i, upper.cols, upper.rows, upper.amps),
+    ]
+    # one (pair, row, col, amp) line per entry
+    entries = np.concatenate([np.stack([np.ravel(field) for field in block], axis=1) for block in blocks])
+    assert sorted(map(tuple, entries)) == sorted(zip(*basis.hop_terms))
+    # triangle and mirror: every position of a dim x dim matrix, the diagonal twice
+    dim = basis.dim
+    counts = np.bincount(np.concatenate([triangle, mirror]), minlength=dim * dim)
+    npt.assert_array_equal(counts, 1 + np.eye(dim, dtype=int).ravel())
+    npt.assert_array_equal(triangle[:dim], np.arange(dim) * (dim + 1))
+
+
 class TestSlaterState:
     def test_fermion_index_set(self):
         basis = build_basis(3, 2, F)

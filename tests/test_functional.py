@@ -1,5 +1,6 @@
 """Dual evaluation of the universal functional and the Newton inversion."""
 
+import itertools
 from math import log
 
 import numpy as np
@@ -176,6 +177,25 @@ class TestResponseJacobian:
                     _, gamma = omega_of_v(pb.potential(cb), system, params)
                     fd[:, b] += sign * pb.coefficients(gamma.matrix) / (2 * step)
             assert np.linalg.norm(fd - jac) / np.linalg.norm(jac) <= 1e-6
+
+    @pytest.mark.parametrize("nb,n,stat", [(5, 2, F), (6, 3, F), (4, 3, B), (3, 3, B)])
+    def test_matches_dense_stack_oracle(self, nb, n, stat):
+        hops = orc.hop_stack(nb, n, stat is F)
+        gell_mann = potential_basis(nb)
+        mix = np.linalg.qr(np.random.default_rng(nb * 10 + n).normal(size=(gell_mann.size,) * 2))[0]
+        mixed = PotentialBasis(nb=nb, elements=np.tensordot(mix, gell_mann.elements, axes=1))
+        cases = [
+            (interacting_system(nb, n, stat), random_potential(nb, seed=nb + n)),
+            # fully degenerate spectrum: every pair takes the confluent branch
+            (zero_system(nb, n, stat), TracelessPotential(np.zeros((nb, nb)))),
+        ]
+        # at beta = 1000 the excited weights underflow to 0
+        for beta, (system, v), pb in itertools.product([0.5, 5.0, 50.0, 1000.0], cases, [gell_mann, mixed]):
+            params = EnsembleParams(beta=beta)
+            h = system.h0.matrix + np.tensordot(v.matrix.ravel(), hops, axes=1)
+            expected = orc.dense_response_jacobian(h, hops, beta, pb.elements)
+            jac = response_jacobian(v, system, params, pb)
+            assert np.linalg.norm(jac - expected) <= 1e-12 * np.linalg.norm(expected), (beta, system.h0.basis_tag)
 
     def test_degenerate_spectrum_handled(self):
         # zero Hamiltonian: fully degenerate, runs through the limit branch
