@@ -22,6 +22,7 @@ from .ensemble import (
     EnsembleParams,
     OneRdm,
     entropy,
+    face_distances,
     gibbs_state,
     natural_spectrum,
     one_rdm,
@@ -37,6 +38,7 @@ from .functional import (
     InversionOptions,
     InversionVerdict,
     TracelessPotential,
+    converged_inversion,
     invert_potential,
     universal_functional,
 )
@@ -209,7 +211,6 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
     betas = _betas_from(cfg)
     potentials = _potentials_from(cfg, system, seed)
     meta = {"command": "gibbs", "config_hash": config_hash(cfg)}
-    fermion = basis.statistics is Statistics.FERMION
     summary_rows, occupation_rows = [], []
     for run_id, (beta, (v_id, v)) in enumerate(product(betas, enumerate(potentials))):
         params = EnsembleParams(beta)
@@ -220,9 +221,9 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
         gamma = one_rdm(solution.rho, basis)
         occupations = natural_spectrum(gamma).occupations
         summary_rows.append((run_id, beta, v_id, v.norm, solution.omega, s, energy, solution.log_z))
+        distances = face_distances(occupations, basis.statistics)
         occupation_rows.extend(
-            (run_id, beta, orbital, float(x), float(min(x, 1 - x) if fermion else x))
-            for orbital, x in enumerate(occupations)
+            (run_id, beta, orbital, float(x), float(d)) for orbital, (x, d) in enumerate(zip(occupations, distances))
         )
         dump_json(out / f"rdm_{run_id:03d}.json", {**rdm_to_json(gamma), "beta": beta, "run_id": run_id})
     write_csv(
@@ -301,11 +302,10 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         raise ConfigError("functional config needs 'segment', 'targets', or 'samples'")
     rows, gradients = [], []
     for index, gamma in enumerate(targets):
-        report = invert_potential(gamma, system, params)
-        if report.verdict is InversionVerdict.NON_REPRESENTABLE:
-            raise NotRepresentableError(f"target {index} is not an interior 1RDM")
-        if report.verdict is not InversionVerdict.CONVERGED:
-            raise RdmftError(f"inversion of target {index} stopped at residual {report.residual:.3e}")
+        try:
+            report = converged_inversion(gamma, system, params)
+        except RdmftError as exc:
+            raise type(exc)(f"target {index}: {exc}") from exc
         rows.append((index, report.f_value, report.v_star.norm, report.iterations, report.residual))
         gradients.append(potential_to_json(report.gradient))
     write_csv(

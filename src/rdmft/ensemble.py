@@ -191,24 +191,22 @@ def natural_spectrum(gamma: OneRdm) -> NaturalSpectrum:
     return NaturalSpectrum(occupations=occ[::-1].copy(), orbitals=orbitals[:, ::-1].copy())
 
 
-def classify_rdm(gamma, statistics: Statistics, tol: float = CLASSIFY_DEFAULT_TOL) -> RdmClass:
-    """Locate a 1RDM relative to the representable set.
+def face_distances(occupations: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """Signed distance of each natural occupation from its nearest face of
+    the representable set: n_i for bosons, min(n_i, 1 - n_i) for fermions.
+    Negative past the face."""
+    return np.minimum(occupations, 1.0 - occupations) if statistics is Statistics.FERMION else occupations
 
-    Interior: every natural occupation clears the active constraints by
-    more than tol (n_i > tol, and for fermions n_i < 1 - tol).  Boundary:
-    within tol of a constraint but not beyond it.  Outside: any occupation
-    violates a constraint by more than tol.
+
+def classify_rdm(gamma, statistics: Statistics, tol: float = CLASSIFY_DEFAULT_TOL) -> RdmClass:
+    """Locate a 1RDM relative to the representable set by the smallest face
+    distance d of its natural occupations.
+
+    Interior: d > tol, every occupation clears its faces.  Boundary:
+    |d| <= tol.  Outside: d < -tol, an occupation lies past a face.
     """
     g = gamma if isinstance(gamma, OneRdm) else OneRdm(np.asarray(gamma, dtype=complex))
-    occ = np.linalg.eigvalsh(g.matrix)
-    low = float(np.min(occ))
-    if low < -tol:
+    d = float(np.min(face_distances(np.linalg.eigvalsh(g.matrix), statistics)))
+    if d < -tol:
         return RdmClass.OUTSIDE
-    if statistics is Statistics.FERMION:
-        high = float(np.max(occ))
-        if high > 1.0 + tol:
-            return RdmClass.OUTSIDE
-        if low <= tol or high >= 1.0 - tol:
-            return RdmClass.BOUNDARY
-        return RdmClass.INTERIOR
-    return RdmClass.BOUNDARY if low <= tol else RdmClass.INTERIOR
+    return RdmClass.BOUNDARY if d <= tol else RdmClass.INTERIOR

@@ -8,9 +8,10 @@ an orthonormal traceless Hermitian basis, so the maximization runs in
 R^(nb^2 - 1) where the objective's Hessian is the (negative definite)
 linear-response matrix and damped Newton steps converge quadratically.
 
-Targets at or beyond the boundary of the representable set admit no
-maximizer; the solver detects this through a potential-norm cap combined
-with residual stagnation and reports NonRepresentable instead of a value.
+A maximizer exists exactly for interior targets: every 1RDM with purely
+fractional occupations is uniquely v-representable, and a Gibbs 1RDM never
+has an occupation on a face.  So the target's classification decides
+NonRepresentable before the first Newton step.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .ensemble import (
     _gibbs,
     _Gibbs,
     classify_rdm,
+    face_distances,
 )
 from .errors import (
     BasisMismatch,
@@ -183,15 +185,13 @@ class InversionVerdict(Enum):
 class InversionOptions:
     """Knobs of the dual Newton solver.
 
-    norm_cap defaults to 1e6/beta when left as None.  initial optionally
+    tol bounds the residual of a converged inversion, classify_tol the face
+    distance below which a target is not interior, and initial optionally
     seeds the potential coefficients (zeros by default).
     """
 
     tol: float = 1e-10
     max_iter: int = 200
-    norm_cap: float | None = None
-    stagnation_window: int = 10
-    stagnation_rtol: float = 1e-2
     classify_tol: float = CLASSIFY_DEFAULT_TOL
     initial: np.ndarray | None = None
 
@@ -329,13 +329,12 @@ def invert_potential(
 ) -> InversionReport:
     """Maximize g(v) = Omega[v] - tr{v gamma} by damped Newton ascent.
 
-    Interior targets converge to the unique maximizer.  Boundary and
-    outside targets have none: for them the iterates drift off to infinity
-    while the residual bottoms out, which the norm cap and the stagnation
-    window turn into a NonRepresentable verdict.  Convergence is only
-    claimed for targets classified Interior, because a finite residual can
-    dip below tolerance near the boundary even though no maximizer exists
-    there.
+    The target is classified first.  An interior target has a unique
+    maximizer; the solver stops CONVERGED once the residual is at most tol,
+    else MAX_ITERATIONS.  Any other target has none and is NON_REPRESENTABLE
+    at iteration 0: the report holds the starting potential, the dual value
+    there (a lower bound on F by weak duality), the residual there and an
+    empty trace.
     """
     target = gamma if isinstance(gamma, OneRdm) else OneRdm(np.asarray(gamma, dtype=complex))
     basis = system.basis
@@ -344,12 +343,10 @@ def invert_potential(
     if abs(target.trace - basis.n) > 1e-10:
         raise InvalidArguments(f"target trace {target.trace} differs from n={basis.n} beyond 1e-10")
     classification = classify_rdm(target, basis.statistics, opts.classify_tol)
-    interior = classification is RdmClass.INTERIOR
 
     pbasis = system.pbasis
     elements = pbasis.element_matrix
     target_coeffs = pbasis.coefficients(target.matrix)
-    norm_cap = opts.norm_cap if opts.norm_cap is not None else 1e6 / params.beta
 
     if opts.initial is not None:
         c = np.array(opts.initial, dtype=float)
@@ -361,38 +358,26 @@ def invert_potential(
     def dual_value(state: _Thermal, coeffs: np.ndarray) -> float:
         return state.omega - float(np.dot(coeffs, target_coeffs))
 
-    state = _thermal(c @ elements, system, params)
-    records: list[IterationRecord] = []
-    best_residual = float("inf")
-    stalled = 0
-    verdict = InversionVerdict.MAX_ITERATIONS
-    residual = float("inf")
-    iterations = 0
-    step_norm = 0.0
-
-    for iteration in range(1, opts.max_iter + 1):
-        iterations = iteration
-        g_value = dual_value(state, c)
+    # gamma_v's coefficients, the gradient gamma_v - gamma and its norm, the
+    # Frobenius distance of the matrices since both carry trace n
+    def offset(state: _Thermal) -> tuple[np.ndarray, np.ndarray, float]:
         gamma_coeffs = pbasis.coefficients(state.gamma)
         grad = gamma_coeffs - target_coeffs
-        # both 1RDMs carry trace n, so the coefficient-space norm equals
-        # the Frobenius distance of the matrices
-        residual = float(np.linalg.norm(grad))
-        records.append(IterationRecord(iteration, g_value, residual, step_norm))
+        return gamma_coeffs, grad, float(np.linalg.norm(grad))
 
-        if residual <= opts.tol and interior:
+    state = _thermal(c @ elements, system, params)
+    gamma_coeffs, grad, residual = offset(state)
+    records: list[IterationRecord] = []
+    interior = classification is RdmClass.INTERIOR
+    verdict = InversionVerdict.MAX_ITERATIONS if interior else InversionVerdict.NON_REPRESENTABLE
+    step_norm = 0.0
+
+    # off the interior no maximizer exists, so that verdict is final here
+    while interior and len(records) < opts.max_iter:
+        g_value = dual_value(state, c)
+        records.append(IterationRecord(len(records) + 1, g_value, residual, step_norm))
+        if residual <= opts.tol:
             verdict = InversionVerdict.CONVERGED
-            break
-        if float(np.linalg.norm(c)) > norm_cap:
-            verdict = InversionVerdict.NON_REPRESENTABLE
-            break
-        if residual < best_residual * (1.0 - opts.stagnation_rtol):
-            best_residual = residual
-            stalled = 0
-        else:
-            stalled += 1
-        if stalled >= opts.stagnation_window:
-            verdict = InversionVerdict.NON_REPRESENTABLE if not interior else InversionVerdict.MAX_ITERATIONS
             break
 
         jac = _jacobian(state, basis, params, pbasis, gamma_coeffs)
@@ -406,9 +391,6 @@ def invert_potential(
             # to steepest ascent to keep the dual value monotone
             step = grad / max(params.beta, 1.0)
             slope = float(np.dot(grad, step))
-            if slope <= 0.0:
-                verdict = InversionVerdict.NON_REPRESENTABLE if not interior else InversionVerdict.MAX_ITERATIONS
-                break
 
         g_scale = max(1.0, abs(g_value))
         t = 1.0
@@ -422,21 +404,16 @@ def invert_potential(
                 break
             # once the required gain falls below float resolution of g the
             # Armijo test is meaningless; accept on residual contraction
-            if required <= 1e-12 * g_scale:
-                trial_residual = float(np.linalg.norm(pbasis.coefficients(trial.gamma) - target_coeffs))
-                if trial_residual <= residual * (1.0 - ARMIJO_SLOPE * t):
-                    accepted = (trial_c, trial)
-                    break
+            if required <= 1e-12 * g_scale and offset(trial)[2] <= residual * (1.0 - ARMIJO_SLOPE * t):
+                accepted = (trial_c, trial)
+                break
             t *= BACKTRACK_FACTOR
         if accepted is None:
-            # no admissible step left: the objective is flat at float
-            # resolution, which near the boundary signals divergence
-            verdict = InversionVerdict.NON_REPRESENTABLE if not interior else InversionVerdict.MAX_ITERATIONS
+            # no admissible step: the dual is flat at float resolution
             break
         c, state = accepted
         step_norm = float(np.linalg.norm(t * step))
-    else:
-        verdict = InversionVerdict.MAX_ITERATIONS if interior else InversionVerdict.NON_REPRESENTABLE
+        gamma_coeffs, grad, residual = offset(state)
 
     v_star = pbasis.potential(c)
     # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
@@ -447,10 +424,36 @@ def invert_potential(
         f_value=dual_value(state, c),
         gradient=TracelessPotential(0.0 - v_star.matrix),
         residual=residual,
-        iterations=iterations,
+        iterations=len(records),
         classification=classification,
         trace=tuple(records),
     )
+
+
+def converged_inversion(
+    gamma: OneRdm,
+    system: System,
+    params: EnsembleParams,
+    opts: InversionOptions = InversionOptions(),
+) -> InversionReport:
+    """invert_potential for callers that need the maximizer.  Raises
+    NotRepresentableError off the interior, naming the natural occupation
+    nearest to (or furthest past) a face and its signed distance from it,
+    and ConvergenceFailure if the solver stops short on an interior target."""
+    report = invert_potential(gamma, system, params, opts)
+    if report.verdict is InversionVerdict.NON_REPRESENTABLE:
+        occ = np.linalg.eigvalsh(np.asarray(getattr(gamma, "matrix", gamma)))
+        d = face_distances(occ, system.basis.statistics)
+        k = int(np.argmin(d))
+        raise NotRepresentableError(
+            f"target classified {report.classification.value}: natural occupation {occ[k]:.12g} is at signed "
+            f"distance {d[k]:+.3e} from the face n = {int(d[k] != occ[k])}; no potential attains the dual maximum"
+        )
+    if report.verdict is not InversionVerdict.CONVERGED:
+        raise ConvergenceFailure(
+            f"dual Newton stopped after {report.iterations} iterations at residual {report.residual:.3e}"
+        )
+    return report
 
 
 def universal_functional(
@@ -465,13 +468,5 @@ def universal_functional(
     maximizing potential.  Raises NotRepresentableError off the interior
     and ConvergenceFailure if the solver gives up on a valid target.
     """
-    report = invert_potential(gamma, system, params, opts)
-    if report.verdict is InversionVerdict.NON_REPRESENTABLE:
-        raise NotRepresentableError(
-            f"target classified {report.classification.value}; the dual maximum is not attained"
-        )
-    if report.verdict is not InversionVerdict.CONVERGED:
-        raise ConvergenceFailure(
-            f"dual Newton stopped after {report.iterations} iterations at residual {report.residual:.3e}"
-        )
+    report = converged_inversion(gamma, system, params, opts)
     return report.f_value, report.gradient

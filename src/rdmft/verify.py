@@ -28,10 +28,9 @@ from .errors import ConfigError, RdmftError
 from .fock import ManyBodyOperator, Statistics, build_basis, lift_one_body
 from .functional import (
     InversionOptions,
-    InversionVerdict,
     PotentialBasis,
     System,
-    invert_potential,
+    converged_inversion,
     omega_of_v,
     universal_functional,
 )
@@ -69,7 +68,7 @@ class CheckConfig:
     v_scale: float = 1.0
     separation: float = 0.1
     midpoint: bool = False
-    fd_step: float = 1e-4
+    fd_step: float = 1e-5
     gradient_tol: float = 1e-5
     convexity_slack: float = 1e-8
     coleman_tol: float = 1e-10
@@ -263,9 +262,7 @@ def check_gradient(config: CheckConfig) -> TheoremReport:
 
     def trial(rng, k, record):
         gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-        report = invert_potential(gamma, system, params)
-        if report.verdict is not InversionVerdict.CONVERGED:
-            raise RdmftError(f"inversion {report.verdict.value}")
+        report = converged_inversion(gamma, system, params)
         cv = pbasis.coefficients(report.v_star)
         warm = InversionOptions(initial=cv)
         directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T

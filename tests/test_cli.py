@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from rdmft.cli import main
-from rdmft.ensemble import EnsembleParams
+from rdmft.ensemble import EnsembleParams, OneRdm
+from rdmft.errors import NotRepresentableError
 from rdmft.fock import Statistics
-from rdmft.functional import omega_of_v, potential_basis
+from rdmft.functional import omega_of_v, potential_basis, universal_functional
 from rdmft.models import ModelSpec, build_system
 from rdmft.serialize import matrix_to_json, rdm_from_json
 
@@ -125,6 +126,11 @@ class TestInvert:
         assert code == 3
         report = json.loads((out / "inversion_report.json").read_text())
         assert report["verdict"] == "non_representable"
+        # decided by the classification, before any Newton step
+        assert report["iterations"] == 0
+        header, trace_rows = read_csv(out / "newton_trace.csv")
+        assert header == ["iteration", "g_value", "residual", "step_norm"]
+        assert trace_rows == []
 
     def test_malformed_matrix_exits_2(self, tmp_path):
         cfg = {
@@ -201,7 +207,7 @@ class TestFunctional:
         assert len(rows) == 3
         assert all(int(r[3]) <= 30 for r in rows)
 
-    def test_boundary_target_exits_3(self, tmp_path):
+    def test_boundary_target_exits_3(self, tmp_path, capsys):
         cfg = {
             "model": ZERO_MODEL,
             "beta": 1.0,
@@ -209,6 +215,11 @@ class TestFunctional:
         }
         code, _ = run(tmp_path, "functional", cfg)
         assert code == 3
+        # the same reason as the library's, located by the target index
+        system = build_system(ModelSpec(kind="zero", nb=3, n=2, statistics=Statistics.FERMION))
+        with pytest.raises(NotRepresentableError) as exc:
+            universal_functional(OneRdm(np.diag([1.0, 1.0, 0.0])), system, EnsembleParams(1.0))
+        assert capsys.readouterr().err == f"not representable: target 0: {exc.value}\n"
 
     def test_needs_some_target_stanza(self, tmp_path):
         code, _ = run(tmp_path, "functional", {"model": ZERO_MODEL, "beta": 1.0})
@@ -287,6 +298,17 @@ MALFORMED = {
     "polytope_n": ("polytope", {"statistics": "fermion", "n": "two", "occupations": [1.0, 0.5]}, "'two'"),
     "polytope_occupations": ("polytope", {"statistics": "fermion", "n": 2, "occupations": "abc"}, "occupations"),
     "invert_sample": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": 3}}, "sample"),
+    # options deleted along with the norm cap and the stagnation window
+    "invert_norm_cap": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": 1}}, "options": {"norm_cap": 5.0}},
+        "norm_cap",
+    ),
+    "invert_stagnation_window": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": 1}}, "options": {"stagnation_window": 3}},
+        "stagnation_window",
+    ),
     "invert_occupations": (
         "invert",
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": ["a", "b", "c"]}},

@@ -47,6 +47,12 @@ def interacting_system(nb, n, stat, seed=11):
     )
 
 
+def hubbard_system(nb, n, stat):
+    return build_system(
+        ModelSpec(kind="hubbard_ring", nb=nb, n=n, statistics=stat, u=4.0, t_hop=0.5)
+    )
+
+
 def random_potential(nb, seed, norm=1.0):
     rng = np.random.default_rng(seed)
     v = orc.random_hermitian(rng, nb)
@@ -245,12 +251,69 @@ class TestInvertPotential:
         report = invert_potential(gamma, system, EnsembleParams(beta=1.0))
         assert report.verdict is InversionVerdict.NON_REPRESENTABLE
         assert report.classification is RdmClass.BOUNDARY
+        # the verdict is the classification's: no Newton step is taken
+        assert report.iterations == 0
+        assert report.trace == ()
+        assert not np.any(report.v_star.matrix)
 
     def test_outside_target_is_non_representable(self):
         system = zero_system(3, 2, F)
         gamma = OneRdm(np.diag([1.3, 0.5, 0.2]))
         report = invert_potential(gamma, system, EnsembleParams(beta=1.0))
         assert report.verdict is InversionVerdict.NON_REPRESENTABLE
+        assert report.iterations == 0
+        assert report.trace == ()
+        assert not np.any(report.v_star.matrix)
+
+    @pytest.mark.parametrize("beta", [5.0, 1e6])
+    @pytest.mark.parametrize("nb,n,stat", [(3, 2, F), (4, 2, F), (3, 2, B)])
+    def test_non_representable_iff_not_interior(self, nb, n, stat, beta):
+        """Targets at signed distances from a face straddling classify_tol:
+        the verdict is NON_REPRESENTABLE exactly off the interior."""
+        system = hubbard_system(nb, n, stat)
+        params = EnsembleParams(beta)
+        rng = np.random.default_rng(nb + n)
+        seen = set()
+        for distance in [-0.05, -1e-3, -2e-9, -5e-10, 0.0, 5e-10, 2e-9, 1e-6, 1e-3, 0.05] * 2:
+            # walk from the uniform point n/nb along a random traceless ray
+            # until the nearest face is at the signed distance
+            w = rng.normal(size=nb)
+            w -= w.mean()
+            u = n / nb
+            reach = np.where(w < 0, (u - distance) / -w, np.inf)
+            if stat is F:
+                reach = np.minimum(reach, np.where(w > 0, (1 - u - distance) / w, np.inf))
+            occ = u + reach.min() * w
+            q = np.linalg.eigh(orc.random_hermitian(rng, nb))[1]
+            report = invert_potential(OneRdm((q * occ) @ q.conj().T), system, params)
+            seen.add(report.classification)
+            not_interior = report.classification is not RdmClass.INTERIOR
+            assert (report.verdict is InversionVerdict.NON_REPRESENTABLE) == not_interior
+        assert seen == set(RdmClass)
+
+    def test_interior_target_at_huge_beta_is_representable(self):
+        """Warm-started up a beta ladder to 1e6, where v* has a finite limit
+        far above 1/beta: no norm bound may call it non-representable."""
+        system = hubbard_system(4, 2, F)
+        gamma = random_rdm(4, 2, F, interior=True, seed=0)
+        c = None
+        for beta in [4.0**k for k in range(9)] + [1e6]:
+            report = invert_potential(gamma, system, EnsembleParams(beta), InversionOptions(initial=c))
+            c = system.pbasis.coefficients(report.v_star)
+        assert report.classification is RdmClass.INTERIOR
+        # the residual sits near tol at this beta, so only the verdict is pinned
+        assert report.verdict is not InversionVerdict.NON_REPRESENTABLE
+
+    @pytest.mark.parametrize("beta", [200.0, 1000.0])
+    def test_cold_boson_target_converges(self, beta):
+        """A residual that shrinks slowly for a while is not a stall."""
+        system = hubbard_system(3, 2, B)
+        params = EnsembleParams(beta)
+        gamma = random_rdm(3, 2, B, interior=True, seed=0)
+        report = invert_potential(gamma, system, params)
+        assert report.verdict is InversionVerdict.CONVERGED
+        _, gamma_v = omega_of_v(report.v_star, system, params)
+        assert np.linalg.norm(gamma_v.matrix - gamma.matrix) <= 1e-8
 
     def test_trace_mismatch_rejected(self):
         system = zero_system(3, 2, F)
@@ -340,7 +403,8 @@ class TestUniversalFunctional:
     def test_boundary_input_raises(self):
         system = zero_system(3, 2, F)
         gamma = OneRdm(np.diag([1.0, 0.5, 0.5]))
-        with pytest.raises(NotRepresentableError):
+        reason = "classified boundary: natural occupation 1 is at signed distance [+-]0.000e\\+00 from the face n = 1"
+        with pytest.raises(NotRepresentableError, match=reason):
             universal_functional(gamma, system, EnsembleParams(beta=1.0))
 
     @pytest.mark.parametrize("seed", range(3))

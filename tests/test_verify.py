@@ -79,6 +79,22 @@ class TestIndividualChecks:
         assert report.failures == 2 and report.worst_margin is None
         assert [(row["margin"], row["error"]) for row in report.details] == [(None, "no maximum")] * 2
 
+    def test_gradient_deviation_is_stencil_error(self):
+        """The trial that failed at the old step 1e-4: suite seed 12, (4,2,F)
+        hubbard_ring at beta = 5, trial 13.  Its deviation is the O(eps^2)
+        truncation error of the central difference, not solver error."""
+        # the campaign seed run_suite derives for that grid point
+        seed = 881046002
+        model = ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, seed=seed, u=4.0, t_hop=0.5)
+        config = CheckConfig(model=model, beta=5.0, seed=seed, trials=14)
+        deviation = {
+            eps: CHECK_REGISTRY["gradient"](dataclasses.replace(config, fd_step=eps)).details[13]["max_rel_dev"]
+            for eps in (1e-4, 1e-5)
+        }
+        assert 80 < deviation[1e-4] / deviation[1e-5] < 120
+        assert deviation[1e-5] < config.gradient_tol < deviation[1e-4]
+        assert CHECK_REGISTRY["gradient"](config).failures == 0
+
 
 class TestDeterminism:
     def test_identical_config_identical_report(self):
