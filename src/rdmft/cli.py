@@ -143,6 +143,14 @@ def _betas_from(cfg) -> list[float]:
     return list(betas)
 
 
+def _params_from(cfg) -> EnsembleParams:
+    """The one temperature of a command that runs at a single beta."""
+    betas = _betas_from(cfg)
+    if len(betas) != 1:
+        raise ConfigError(f"this command runs at one beta, got betas {betas}")
+    return EnsembleParams(betas[0])
+
+
 def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     spec_obj = cfg.get("potentials")
     nb = system.basis.nb
@@ -201,7 +209,10 @@ def _target_rdm(obj, model: ModelSpec, seed) -> OneRdm:
 
 
 def _options_from(cfg) -> InversionOptions:
-    return InversionOptions(**_fields_from(InversionOptions, cfg.get("options", {}), "inversion option"))
+    try:
+        return InversionOptions(**_fields_from(InversionOptions, cfg.get("options", {}), "inversion option"))
+    except RdmftError as exc:
+        raise ConfigError(f"bad inversion options: {exc}") from exc
 
 
 def cmd_gibbs(cfg, out: Path, seed) -> int:
@@ -245,7 +256,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
 def cmd_invert(cfg, out: Path, seed) -> int:
     model = _model_from(cfg.get("model"), fallback_seed=seed)
     system = _build_system_checked(model)
-    params = EnsembleParams(_betas_from(cfg)[0])
+    params = _params_from(cfg)
     target = _target_rdm(cfg.get("target"), model, seed)
     opts = _options_from(cfg)
     report = invert_potential(target, system, params, opts)
@@ -270,7 +281,7 @@ def cmd_invert(cfg, out: Path, seed) -> int:
 def cmd_functional(cfg, out: Path, seed) -> int:
     model = _model_from(cfg.get("model"), fallback_seed=seed)
     system = _build_system_checked(model)
-    params = EnsembleParams(_betas_from(cfg)[0])
+    params = _params_from(cfg)
     meta = {"command": "functional", "config_hash": config_hash(cfg)}
     if "segment" in cfg:
         seg = _convert(dict, cfg["segment"], "segment")

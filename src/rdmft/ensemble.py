@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import exp, log
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,16 +51,23 @@ class EnsembleParams:
 class GibbsSolution:
     """Gibbs state of a many-body Hamiltonian together with its spectral data.
 
-    weights holds the populations exp(-beta*(E_m - E_min))/Z~ matching the
-    eigenvector columns; omega is the grand potential -log(Z)/beta.
+    energies ascend with the matching eigenvector columns, weights holds the
+    normalised populations exp(-beta*E_m)/Z, density the matrix of the state
+    and omega the grand potential -log(Z)/beta.  rho, the validated
+    DensityOperator on the basis tagged basis_tag, is built on first use.
     """
 
-    rho: DensityOperator
+    density: np.ndarray
+    basis_tag: str
     log_z: float
     omega: float
     energies: np.ndarray
     eigenvectors: np.ndarray
     weights: np.ndarray
+
+    @cached_property
+    def rho(self) -> DensityOperator:
+        return DensityOperator(self.density, self.basis_tag)
 
     @property
     def z(self) -> float:
@@ -108,41 +115,21 @@ class RdmClass(Enum):
     OUTSIDE = "outside"
 
 
-class _Gibbs(NamedTuple):
-    energies: np.ndarray
-    vectors: np.ndarray
-    weights: np.ndarray
-    z_shifted: float
-    log_z: float
-    rho: np.ndarray
-
-
-def _gibbs(h: np.ndarray, beta: float) -> _Gibbs:
+def _gibbs(h: np.ndarray, beta: float, tag: str) -> GibbsSolution:
     """The log-space Gibbs kernel: eigenpairs of H, the populations
-    exp(-beta*(E_m - E_min))/Z~, the shifted sum Z~, log Z, and rho."""
+    exp(-beta*(E_m - E_min)) normalised by their sum, log Z and the state."""
     energies, vectors = np.linalg.eigh(h)
     boltzmann = np.exp(-beta * (energies - energies[0]))
-    z_shifted = float(np.sum(boltzmann))
-    weights = boltzmann / z_shifted
+    total = float(np.sum(boltzmann))
+    weights = boltzmann / total
     rho = (vectors * weights) @ vectors.conj().T
-    log_z = -beta * float(energies[0]) + log(z_shifted)
-    return _Gibbs(energies, vectors, weights, z_shifted, log_z, (rho + rho.conj().T) / 2)
+    log_z = -beta * float(energies[0]) + log(total)
+    return GibbsSolution((rho + rho.conj().T) / 2, tag, log_z, -log_z / beta, energies, vectors, weights)
 
 
 def gibbs_state(hamiltonian: ManyBodyOperator, params: EnsembleParams) -> GibbsSolution:
     """Diagonalize H and assemble exp(-beta*H)/Z in log space."""
-    h = hamiltonian.matrix
-    if _hermiticity_defect(h) > LIFTED_HERMITICITY_TOL:
-        raise NonHermitianInput("Hamiltonian is not Hermitian within 1e-12")
-    g = _gibbs(h, params.beta)
-    return GibbsSolution(
-        rho=DensityOperator(g.rho, hamiltonian.basis_tag),
-        log_z=g.log_z,
-        omega=-g.log_z / params.beta,
-        energies=g.energies,
-        eigenvectors=g.vectors,
-        weights=g.weights,
-    )
+    return _gibbs(hamiltonian.matrix, params.beta, hamiltonian.basis_tag)
 
 
 def entropy(rho: DensityOperator) -> float:

@@ -194,11 +194,6 @@ class ConfigurationBasis:
         return {state: k for k, state in enumerate(self.states)}
 
     @cached_property
-    def occupations(self) -> np.ndarray:
-        """(dim, nb) float array of the occupation vectors, basis order."""
-        return np.array(self.states, dtype=float)
-
-    @cached_property
     def hop_terms(self) -> HopTable:
         """Every nonzero matrix element of a+_i a_j, ordered by pair = i*nb + j."""
         pair, rows, cols, amps = [], [], [], []

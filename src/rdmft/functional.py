@@ -26,10 +26,10 @@ import numpy as np
 from .ensemble import (
     CLASSIFY_DEFAULT_TOL,
     EnsembleParams,
+    GibbsSolution,
     OneRdm,
     RdmClass,
     _gibbs,
-    _Gibbs,
     classify_rdm,
     face_distances,
 )
@@ -52,7 +52,6 @@ from .fock import (
 )
 
 TRACE_TOL = 1e-12
-DEGENERACY_REL_TOL = 1e-9
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 MIN_STEP = 1e-14
@@ -195,6 +194,14 @@ class InversionOptions:
     classify_tol: float = CLASSIFY_DEFAULT_TOL
     initial: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.tol < float("inf"):
+            raise InvalidArguments(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise InvalidArguments(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0.0 <= self.classify_tol < float("inf"):
+            raise InvalidArguments(f"classify_tol must be nonnegative and finite, got {self.classify_tol}")
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -218,19 +225,9 @@ class InversionReport:
     trace: tuple[IterationRecord, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class _Thermal:
-    """Gibbs state of H0 + lift(v) and its 1RDM inside the Newton loop."""
-
-    gibbs: _Gibbs
-    omega: float
-    gamma: np.ndarray
-
-
-def _thermal(v: np.ndarray, system: System, params: EnsembleParams) -> _Thermal:
-    """Lift, kernel, pair traces for a potential flattened to (nb*nb,)."""
-    gibbs = _gibbs(system.h0.matrix + _lift(v, system.basis), params.beta)
-    return _Thermal(gibbs=gibbs, omega=-gibbs.log_z / params.beta, gamma=_rdm_matrix(gibbs.rho, system.basis))
+def _thermal(v: np.ndarray, system: System, params: EnsembleParams) -> GibbsSolution:
+    """Gibbs state of H0 + lift(v) for a potential flattened to (nb*nb,)."""
+    return _gibbs(system.h0.matrix + _lift(v, system.basis), params.beta, system.basis.tag)
 
 
 def omega_of_v(v: TracelessPotential, system: System, params: EnsembleParams) -> tuple[float, OneRdm]:
@@ -238,21 +235,21 @@ def omega_of_v(v: TracelessPotential, system: System, params: EnsembleParams) ->
     if v.nb != system.basis.nb:
         raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
     state = _thermal(v.matrix.ravel(), system, params)
-    return state.omega, OneRdm(state.gamma)
+    return state.omega, OneRdm(_rdm_matrix(state.density, system.basis))
 
 
-def _divided_differences(shifted: np.ndarray, boltzmann: np.ndarray, beta: float) -> np.ndarray:
-    """Matrix of (e^-bx - e^-by)/(x - y) on the shifted spectrum, with the
-    confluent limit -beta*e^-bx applied below the degeneracy threshold."""
-    x = shifted[:, None]
-    y = shifted[None, :]
-    diff = x - y
-    scale = max(1.0, float(shifted[-1]))
-    near = np.abs(diff) <= DEGENERACY_REL_TOL * scale
-    safe = np.where(near, 1.0, diff)
-    quotient = (boltzmann[:, None] - boltzmann[None, :]) / safe
-    midpoint = -beta * np.exp(-beta * (x + y) / 2)
-    return np.where(near, midpoint, quotient)
+def _divided_differences(energies: np.ndarray, weights: np.ndarray, beta: float) -> np.ndarray:
+    """Matrix of (w_m - w_n)/(E_m - E_n) for the populations w = exp(-beta*E)/Z
+    at fixed Z, and its confluent limit -beta*w_m on equal energies.
+
+    With d = |E_m - E_n| the lower level's population is max(w_m, w_n) and
+    the other one is that times exp(-beta*d), so the quotient is
+    max(w_m, w_n)*expm1(-beta*d)/d: no difference of populations is taken,
+    and the entries are <= 0 exactly.
+    """
+    d = np.abs(energies[:, None] - energies[None, :])
+    quotient = np.divide(np.expm1(-beta * d), d, out=np.full_like(d, -beta), where=d > 0)
+    return np.maximum(weights[:, None], weights[None, :]) * quotient
 
 
 def _rotated(block: HopTable, vectors: np.ndarray) -> np.ndarray:
@@ -264,31 +261,28 @@ def _rotated(block: HopTable, vectors: np.ndarray) -> np.ndarray:
 
 
 def _jacobian(
-    state: _Thermal, basis: ConfigurationBasis, params: EnsembleParams, pbasis: PotentialBasis, gamma_coeffs: np.ndarray
+    state: GibbsSolution, basis: ConfigurationBasis, params: EnsembleParams, pbasis: PotentialBasis
 ) -> np.ndarray:
     """Response matrix J_ab = d tr{gamma_v G_a} / d c_b in the coordinates of
-    pbasis, given gamma_coeffs = pbasis.coefficients(state.gamma); symmetric
-    and negative definite on the traceless space.
+    pbasis; symmetric and negative definite on the traceless space.
 
     Daleckii-Krein form (Higham, Functions of Matrices, ch. 3) in the
     eigenbasis V of H_v, on the Hermitian generators h_r of the orbital
     pairs: Q_ii, Q_ij + Q_ij+ and -i(Q_ij - Q_ij+) for i < j, with
-    Q_ij = V+ lift(a+_i a_j) V.  Then J_h,rs = sum_mn phi_mn conj(h_r)_mn
-    (h_s)_mn is real, and phi <= 0, so with x_r = sqrt(-phi) h_r on the
-    upper triangle m <= n (off-diagonal entries weighted twice) J_h = -X X^T
-    for the real view X, and J = T J_h T^T + beta g g^T with
-    T = pbasis.generator_map.
+    Q_ij = V+ lift(a+_i a_j) V.  With phi the divided differences of the
+    populations, J_h,rs = sum_mn phi_mn conj(h_r)_mn (h_s)_mn plus the
+    normalisation term beta g_r g_s, g_r = sum_m w_m (h_r)_mm.  That term
+    only centres the diagonal: the m = n part becomes the covariance
+    -beta sum_m w_m ((h_r)_mm - g_r)((h_s)_mm - g_s).  So with x_r the
+    centred h_r times sqrt(-phi) on the upper triangle m <= n (off-diagonal
+    entries weighted twice), J_h = -X X^T for the real view X, and
+    J = T J_h T^T with T = pbasis.generator_map.
     """
-    gibbs = state.gibbs
-    shifted = gibbs.energies - gibbs.energies[0]
-    boltzmann = gibbs.weights * gibbs.z_shifted
     blocks = basis.hop_blocks
-    minus_phi = _divided_differences(shifted, boltzmann, params.beta).take(blocks.triangle) / -gibbs.z_shifted
-    # -phi >= 0 because e^-bx decreases; the clamp only absorbs round-off
-    weight = np.sqrt(np.maximum(minus_phi, 0.0))
+    weight = np.sqrt(-_divided_differences(state.energies, state.weights, params.beta).take(blocks.triangle))
     weight[basis.dim :] *= sqrt(2)
-    diagonal = _rotated(blocks.diagonal, gibbs.vectors).take(blocks.triangle, axis=1)
-    upper = _rotated(blocks.upper, gibbs.vectors)
+    diagonal = _rotated(blocks.diagonal, state.eigenvectors).take(blocks.triangle, axis=1)
+    upper = _rotated(blocks.upper, state.eigenvectors)
     q_adjoint = np.conj(upper.take(blocks.mirror, axis=1))
     q = upper.take(blocks.triangle, axis=1)
     # the full products are the largest arrays here: free them before x
@@ -300,10 +294,11 @@ def _jacobian(
     np.add(q, q_adjoint, out=x[nd : nd + nu])
     np.subtract(q, q_adjoint, out=x[nd + nu :])
     x[nd + nu :] *= -1j
+    x[:, : basis.dim] -= (x[:, : basis.dim] @ state.weights)[:, None]
     x *= weight
     real = x.view(float)
     t = pbasis.generator_map
-    j = params.beta * np.outer(gamma_coeffs, gamma_coeffs) - t @ (real @ real.T) @ t.T
+    j = -(t @ (real @ real.T) @ t.T)
     return (j + j.T) / 2
 
 
@@ -317,8 +312,7 @@ def response_jacobian(
         raise DimensionMismatch(f"potential basis for {pb.nb} orbitals, system has {system.basis.nb}")
     if v.nb != system.basis.nb:
         raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
-    state = _thermal(v.matrix.ravel(), system, params)
-    return _jacobian(state, system.basis, params, pb, pb.coefficients(state.gamma))
+    return _jacobian(_thermal(v.matrix.ravel(), system, params), system.basis, params, pb)
 
 
 def invert_potential(
@@ -355,18 +349,17 @@ def invert_potential(
     else:
         c = np.zeros(pbasis.size)
 
-    def dual_value(state: _Thermal, coeffs: np.ndarray) -> float:
+    def dual_value(state: GibbsSolution, coeffs: np.ndarray) -> float:
         return state.omega - float(np.dot(coeffs, target_coeffs))
 
-    # gamma_v's coefficients, the gradient gamma_v - gamma and its norm, the
-    # Frobenius distance of the matrices since both carry trace n
-    def offset(state: _Thermal) -> tuple[np.ndarray, np.ndarray, float]:
-        gamma_coeffs = pbasis.coefficients(state.gamma)
-        grad = gamma_coeffs - target_coeffs
-        return gamma_coeffs, grad, float(np.linalg.norm(grad))
+    # the gradient gamma_v - gamma and its norm, the Frobenius distance of
+    # the matrices since both carry trace n
+    def offset(state: GibbsSolution) -> tuple[np.ndarray, float]:
+        grad = pbasis.coefficients(_rdm_matrix(state.density, basis)) - target_coeffs
+        return grad, float(np.linalg.norm(grad))
 
     state = _thermal(c @ elements, system, params)
-    gamma_coeffs, grad, residual = offset(state)
+    grad, residual = offset(state)
     records: list[IterationRecord] = []
     interior = classification is RdmClass.INTERIOR
     verdict = InversionVerdict.MAX_ITERATIONS if interior else InversionVerdict.NON_REPRESENTABLE
@@ -380,7 +373,7 @@ def invert_potential(
             verdict = InversionVerdict.CONVERGED
             break
 
-        jac = _jacobian(state, basis, params, pbasis, gamma_coeffs)
+        jac = _jacobian(state, basis, params, pbasis)
         try:
             step = np.linalg.solve(jac, -grad)
         except np.linalg.LinAlgError:
@@ -404,7 +397,7 @@ def invert_potential(
                 break
             # once the required gain falls below float resolution of g the
             # Armijo test is meaningless; accept on residual contraction
-            if required <= 1e-12 * g_scale and offset(trial)[2] <= residual * (1.0 - ARMIJO_SLOPE * t):
+            if required <= 1e-12 * g_scale and offset(trial)[1] <= residual * (1.0 - ARMIJO_SLOPE * t):
                 accepted = (trial_c, trial)
                 break
             t *= BACKTRACK_FACTOR
@@ -413,7 +406,7 @@ def invert_potential(
             break
         c, state = accepted
         step_norm = float(np.linalg.norm(t * step))
-        gamma_coeffs, grad, residual = offset(state)
+        grad, residual = offset(state)
 
     v_star = pbasis.potential(c)
     # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the

@@ -19,7 +19,6 @@ import numpy as np
 
 from .ensemble import OneRdm
 from .errors import ConfigError
-from .fock import ConfigurationBasis
 from .functional import InversionReport, TracelessPotential
 from .verify import TheoremReport
 
@@ -43,21 +42,6 @@ def matrix_from_json(obj) -> np.ndarray:
     if data.size != 2 * int(np.prod(shape)):
         raise ConfigError(f"matrix data length {data.size} does not match shape {shape}")
     return (data[0::2] + 1j * data[1::2]).reshape(shape)
-
-
-def basis_to_json(basis: ConfigurationBasis) -> dict:
-    return {
-        "nb": basis.nb,
-        "n": basis.n,
-        "statistics": basis.statistics.value,
-        "states": [list(map(int, state)) for state in basis.states],
-    }
-
-
-def operator_to_json(matrix, basis: ConfigurationBasis) -> dict:
-    out = basis_to_json(basis)
-    out["matrix"] = matrix_to_json(matrix)
-    return out
 
 
 def rdm_to_json(gamma: OneRdm) -> dict:

@@ -309,6 +309,37 @@ MALFORMED = {
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": 1}}, "options": {"stagnation_window": 3}},
         "stagnation_window",
     ),
+    # solver options out of range, each on the README's interior target
+    **{
+        f"invert_{name}": (
+            "invert",
+            {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}, "options": options},
+            reason,
+        )
+        for name, options, reason in [
+            ("classify_tol_negative", {"classify_tol": -1.0}, "classify_tol"),
+            ("max_iter_negative", {"max_iter": -3}, "max_iter"),
+            ("max_iter_zero", {"max_iter": 0}, "max_iter"),
+            ("tol_negative", {"tol": -1.0}, "tol"),
+            ("tol_nan", {"tol": float("nan")}, "tol"),
+        ]
+    },
+    # invert and functional run at one temperature
+    "invert_betas": (
+        "invert",
+        {"model": ZERO_MODEL, "betas": [1.0, 50.0], "target": {"occupations": [0.9, 0.6, 0.5]}},
+        "one beta",
+    ),
+    "invert_betas_empty": (
+        "invert",
+        {"model": ZERO_MODEL, "betas": [], "target": {"occupations": [0.9, 0.6, 0.5]}},
+        "one beta",
+    ),
+    "functional_betas": (
+        "functional",
+        {"model": ZERO_MODEL, "betas": [1.0, 50.0], "targets": [{"occupations": [0.9, 0.6, 0.5]}]},
+        "one beta",
+    ),
     "invert_occupations": (
         "invert",
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": ["a", "b", "c"]}},

@@ -203,6 +203,21 @@ class TestResponseJacobian:
             jac = response_jacobian(v, system, params, pb)
             assert np.linalg.norm(jac - expected) <= 1e-12 * np.linalg.norm(expected), (beta, system.h0.basis_tag)
 
+    @pytest.mark.parametrize("stat", [F, B])
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 30.0, 100.0])
+    def test_two_level_closed_form(self, stat, beta):
+        # one particle on two orbitals in v = c*G3 with G3 = diag(1, -1)/sqrt(2)
+        # and c = 1/sqrt(2): levels -1/2 and 1/2, so d<G3>/dc is
+        # -(beta/2)/cosh^2(beta/2) and the two pair directions respond by the
+        # divided difference (w_0 - w_1)/(E_0 - E_1) = -tanh(beta/2), to full
+        # relative precision however small these are
+        pb = potential_basis(2)
+        v = TracelessPotential(np.diag([0.5, -0.5]))
+        jac = response_jacobian(v, zero_system(2, 1, stat), EnsembleParams(beta=beta), pb)
+        expected = np.diag([-np.tanh(beta / 2)] * 2 + [-(beta / 2) / np.cosh(beta / 2) ** 2])
+        npt.assert_allclose(np.diag(jac), np.diag(expected), rtol=1e-14, atol=0)
+        npt.assert_array_equal(jac - np.diag(np.diag(jac)), 0.0)
+
     def test_degenerate_spectrum_handled(self):
         # zero Hamiltonian: fully degenerate, runs through the limit branch
         system = zero_system(3, 2, F)
@@ -319,6 +334,14 @@ class TestInvertPotential:
         system = zero_system(3, 2, F)
         with pytest.raises(InvalidArguments):
             invert_potential(OneRdm(np.eye(3)), system, EnsembleParams(beta=1.0))
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"tol": 0.0}, {"tol": float("inf")}, {"max_iter": 0}, {"classify_tol": -1e-9}, {"classify_tol": float("nan")}],
+    )
+    def test_options_out_of_range_rejected(self, options):
+        with pytest.raises(InvalidArguments):
+            InversionOptions(**options)
 
     def test_monotone_dual_ascent(self):
         system = interacting_system(4, 2, F, seed=2)
