@@ -135,6 +135,8 @@ def _betas_from(cfg) -> list[float]:
         betas = (_convert(float, cfg["beta"], "beta"),)
     else:
         raise ConfigError("config needs 'beta' or 'betas'")
+    if not betas:
+        raise ConfigError("betas needs at least one beta")
     try:
         for b in betas:
             EnsembleParams(b)
@@ -159,6 +161,8 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     if isinstance(spec_obj, dict):
         count = _get(spec_obj, "count", int, 1)
         norm = _get(spec_obj, "norm", float, 1.0)
+        if count < 1:
+            raise ConfigError(f"potentials count must be at least 1, got {count}")
         if nb < 2:
             raise ConfigError("random potentials need nb >= 2")
         pbasis = system.pbasis
@@ -170,6 +174,8 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
             out.append(pbasis.potential(c))
         return out
     if isinstance(spec_obj, list):
+        if not spec_obj:
+            raise ConfigError("'potentials' list is empty")
         try:
             return [TracelessPotential(matrix_from_json(x)) for x in spec_obj]
         except RdmftError as exc:
@@ -300,10 +306,14 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         return 0
     if "targets" in cfg:
         entries = _convert(tuple[dict, ...], cfg["targets"], "targets")
+        if not entries:
+            raise ConfigError("'targets' list is empty")
         targets = [_target_rdm(t, model, seed) for t in entries]
     elif "samples" in cfg:
         sample = _convert(dict, cfg["samples"], "samples")
         count = _get(sample, "count", int, 10)
+        if count < 1:
+            raise ConfigError(f"samples count must be at least 1, got {count}")
         rng = np.random.default_rng(_get(sample, "seed", int | None, seed))
         targets = [
             random_rdm(model.nb, model.n, model.statistics, interior=True, seed=rng)

@@ -192,7 +192,7 @@ def classify_rdm(gamma, statistics: Statistics, tol: float = CLASSIFY_DEFAULT_TO
     Interior: d > tol, every occupation clears its faces.  Boundary:
     |d| <= tol.  Outside: d < -tol, an occupation lies past a face.
     """
-    g = gamma if isinstance(gamma, OneRdm) else OneRdm(np.asarray(gamma, dtype=complex))
+    g = OneRdm(gamma)
     d = float(np.min(face_distances(np.linalg.eigvalsh(g.matrix), statistics)))
     if d < -tol:
         return RdmClass.OUTSIDE

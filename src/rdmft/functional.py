@@ -16,7 +16,7 @@ NonRepresentable before the first Newton step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from math import sqrt
@@ -54,6 +54,7 @@ from .fock import (
 TRACE_TOL = 1e-12
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
+BETA_RUNG = 4.0
 MIN_STEP = 1e-14
 
 
@@ -315,22 +316,14 @@ def response_jacobian(
     return _jacobian(_thermal(v.matrix.ravel(), system, params), system.basis, params, pb)
 
 
-def invert_potential(
-    gamma: OneRdm,
-    system: System,
-    params: EnsembleParams,
-    opts: InversionOptions = InversionOptions(),
-) -> InversionReport:
-    """Maximize g(v) = Omega[v] - tr{v gamma} by damped Newton ascent.
-
-    The target is classified first.  An interior target has a unique
-    maximizer; the solver stops CONVERGED once the residual is at most tol,
-    else MAX_ITERATIONS.  Any other target has none and is NON_REPRESENTABLE
-    at iteration 0: the report holds the starting potential, the dual value
-    there (a lower bound on F by weak duality), the residual there and an
-    empty trace.
-    """
-    target = gamma if isinstance(gamma, OneRdm) else OneRdm(np.asarray(gamma, dtype=complex))
+def _dual_newton(
+    gamma: OneRdm, system: System, params: EnsembleParams, opts: InversionOptions
+) -> tuple[InversionReport, float]:
+    """invert_potential at one beta from opts.initial, with every step along
+    solve(J, -grad); a singular J, a direction that does not ascend or a
+    step halved below MIN_STEP ends the attempt.  Also returns the spread
+    E_max - E_min of H at the starting potential."""
+    target = OneRdm(gamma)
     basis = system.basis
     if target.nb != basis.nb:
         raise DimensionMismatch(f"target on {target.nb} orbitals, basis has {basis.nb}")
@@ -359,6 +352,7 @@ def invert_potential(
         return grad, float(np.linalg.norm(grad))
 
     state = _thermal(c @ elements, system, params)
+    spread = float(state.energies[-1] - state.energies[0])
     grad, residual = offset(state)
     records: list[IterationRecord] = []
     interior = classification is RdmClass.INTERIOR
@@ -377,13 +371,10 @@ def invert_potential(
         try:
             step = np.linalg.solve(jac, -grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -grad, rcond=None)[0]
+            break
         slope = float(np.dot(grad, step))
         if not np.isfinite(slope) or slope <= 0.0:
-            # Newton direction unusable (J numerically singular); fall back
-            # to steepest ascent to keep the dual value monotone
-            step = grad / max(params.beta, 1.0)
-            slope = float(np.dot(grad, step))
+            break
 
         g_scale = max(1.0, abs(g_value))
         t = 1.0
@@ -402,7 +393,6 @@ def invert_potential(
                 break
             t *= BACKTRACK_FACTOR
         if accepted is None:
-            # no admissible step: the dual is flat at float resolution
             break
         c, state = accepted
         step_norm = float(np.linalg.norm(t * step))
@@ -420,7 +410,39 @@ def invert_potential(
         iterations=len(records),
         classification=classification,
         trace=tuple(records),
-    )
+    ), spread
+
+
+def invert_potential(
+    gamma: OneRdm,
+    system: System,
+    params: EnsembleParams,
+    opts: InversionOptions = InversionOptions(),
+) -> InversionReport:
+    """Maximize g(v) = Omega[v] - tr{v gamma} by damped Newton ascent,
+    globalized by continuation in beta.
+
+    The target is classified first.  An interior target has a unique
+    maximizer; the solver stops CONVERGED once the residual is at most tol,
+    else MAX_ITERATIONS.  Any other target has none and is NON_REPRESENTABLE
+    at iteration 0: the report holds the starting potential, the dual value
+    there (a lower bound on F by weak duality), the residual there and an
+    empty trace.
+
+    A solve that stops short at a beta where the starting Hamiltonian's
+    spread E_max - E_min exceeds 1/beta is repeated from the maximizer at
+    beta/BETA_RUNG, found the same way, so the ladder ends where every
+    population is within a factor e of the ground state's.  The report,
+    its iterations and its trace belong to the last solve at the requested
+    beta; if no colder rung converges, that is the first one.
+    """
+    report, spread = _dual_newton(gamma, system, params, opts)
+    if report.verdict is InversionVerdict.MAX_ITERATIONS and params.beta * spread > 1.0:
+        colder = invert_potential(gamma, system, EnsembleParams(params.beta / BETA_RUNG), opts)
+        if colder.verdict is InversionVerdict.CONVERGED:
+            warm = replace(opts, initial=system.pbasis.coefficients(colder.v_star))
+            report, _ = _dual_newton(gamma, system, params, warm)
+    return report
 
 
 def converged_inversion(

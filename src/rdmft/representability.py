@@ -135,10 +135,6 @@ def simplex_decompose(occupations, n_particles: int) -> PolytopeDecomposition:
     return PolytopeDecomposition(terms=terms, residual=err)
 
 
-def _as_rdm(gamma) -> OneRdm:
-    return gamma if isinstance(gamma, OneRdm) else OneRdm(np.asarray(gamma, dtype=complex))
-
-
 def _check_target(gamma: OneRdm, basis: ConfigurationBasis, statistics: Statistics, tol: float) -> None:
     if basis.statistics is not statistics:
         raise InvalidArguments(f"basis holds {basis.statistics.value}s, construction is for {statistics.value}s")
@@ -159,7 +155,7 @@ def coleman_fermionic(
     the Slater determinant of the corresponding natural orbitals, whose
     configuration amplitudes are N x N minors of the orbital matrix.
     """
-    target = _as_rdm(gamma)
+    target = OneRdm(gamma)
     _check_target(target, basis, Statistics.FERMION, tol)
     spectrum = natural_spectrum(target)
     decomp = polytope_decompose(np.clip(spectrum.occupations, 0.0, 1.0), basis.n)
@@ -200,7 +196,7 @@ def coleman_bosonic(
     superposition of natural-orbital condensates suffices: the cross
     terms between different condensates carry no one-body weight.
     """
-    target = _as_rdm(gamma)
+    target = OneRdm(gamma)
     _check_target(target, basis, Statistics.BOSON, tol)
     if basis.n == 1:
         # descending-lex single-particle configurations align with orbitals

@@ -24,7 +24,7 @@ from .ensemble import (
     natural_spectrum,
     one_rdm,
 )
-from .errors import ConfigError, RdmftError
+from .errors import ConfigError, InvalidArguments, RdmftError
 from .fock import ManyBodyOperator, Statistics, build_basis, lift_one_body
 from .functional import (
     InversionOptions,
@@ -76,6 +76,12 @@ class CheckConfig:
     fractional_floor: float = 1e-12
     fractional_betas: tuple[float, ...] = (0.1, 1.0, 10.0)
     fractional_v_scale: float = 0.3
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidArguments(f"trials must be at least 1, got {self.trials}")
+        if not self.fractional_betas:
+            raise InvalidArguments("fractional_betas needs at least one beta")
 
     def describe(self) -> dict:
         m = self.model
@@ -407,7 +413,7 @@ DEFAULT_SYSTEMS = (
     (3, 2, Statistics.BOSON),
     (2, 3, Statistics.BOSON),
 )
-DEFAULT_BETAS = (0.5, 1.0, 5.0)
+DEFAULT_BETAS = (0.5, 1.0, 5.0, 50.0)
 DEFAULT_MODELS = (
     ("zero", {}),
     ("random_full", {"seed": 11, "h_scale": 1.0, "w_norm": 1.0}),
@@ -437,8 +443,9 @@ def run_suite(config: SuiteConfig) -> list[TheoremReport]:
     runs: each system needs a configuration basis and nb >= 2, so that it
     has a potential space.
     """
-    if not config.checks:
-        raise ConfigError("no checks selected")
+    for axis in ("checks", "systems", "betas", "models"):
+        if not getattr(config, axis):
+            raise ConfigError(f"no {axis} selected")
     unknown = [c for c in config.checks if c not in CHECK_REGISTRY]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}; available: {sorted(CHECK_REGISTRY)}")

@@ -340,6 +340,23 @@ MALFORMED = {
         {"model": ZERO_MODEL, "betas": [1.0, 50.0], "targets": [{"occupations": [0.9, 0.6, 0.5]}]},
         "one beta",
     ),
+    # empty grids and non-positive counts, which used to run no work and exit 0
+    "gibbs_betas_empty": ("gibbs", {"model": ZERO_MODEL, "betas": []}, "one beta"),
+    "gibbs_count_zero": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": 0}}, "count"),
+    "gibbs_count_negative": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": -1}}, "count"),
+    "gibbs_potentials_empty": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": []}, "potentials"),
+    "verify_betas_empty": ("verify", {**TestVerify.TINY, "beta": None, "betas": []}, "one beta"),
+    "verify_systems_empty": ("verify", {**TestVerify.TINY, "systems": []}, "systems"),
+    "verify_models_empty": ("verify", {**TestVerify.TINY, "models": []}, "models"),
+    "verify_trials_zero": ("verify", {**TestVerify.TINY, "trials": 0}, "trials"),
+    "verify_trials_negative": ("verify", {**TestVerify.TINY, "trials": -2}, "trials"),
+    "verify_fractional_betas_empty": (
+        "verify",
+        {**TestVerify.TINY, "tolerances": {"fractional_betas": []}},
+        "fractional_betas",
+    ),
+    "functional_count_zero": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": 0}}, "count"),
+    "functional_targets_empty": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "targets": []}, "targets"),
     "invert_occupations": (
         "invert",
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": ["a", "b", "c"]}},

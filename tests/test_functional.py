@@ -30,7 +30,7 @@ from rdmft.functional import (
     response_jacobian,
     universal_functional,
 )
-from rdmft.models import ModelSpec, build_system
+from rdmft.models import ModelSpec, build_operators, build_system
 from rdmft.representability import random_rdm
 
 F = Statistics.FERMION
@@ -318,6 +318,37 @@ class TestInvertPotential:
         assert report.classification is RdmClass.INTERIOR
         # the residual sits near tol at this beta, so only the verdict is pinned
         assert report.verdict is not InversionVerdict.NON_REPRESENTABLE
+        # from a cold start the solver climbs its own ladder
+        report = invert_potential(gamma, system, EnsembleParams(1e4))
+        assert report.verdict is InversionVerdict.CONVERGED
+        report = invert_potential(gamma, system, EnsembleParams(1e6))
+        assert report.verdict is not InversionVerdict.NON_REPRESENTABLE
+
+    @pytest.mark.parametrize("beta", [1.0, 100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("stat", [F, B])
+    def test_one_particle_closed_form(self, stat, beta):
+        """For n = 1 the 1RDM is the Gibbs state of h + v on the orbitals, so
+        v* is the traceless part of -(1/beta) log gamma - h at any beta."""
+        spec = ModelSpec(kind="random_full", nb=4, n=1, statistics=stat, seed=3)
+        h = build_operators(spec)[0].matrix
+        gamma = random_rdm(4, 1, stat, seed=3)
+        report = invert_potential(gamma, build_system(spec), EnsembleParams(beta))
+        assert report.verdict is InversionVerdict.CONVERGED
+        occ, orbitals = np.linalg.eigh(gamma.matrix)
+        exact = -(orbitals * np.log(occ)) @ orbitals.conj().T / beta - h
+        exact -= np.trace(exact) / 4 * np.eye(4)
+        npt.assert_allclose(report.v_star.matrix, exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [200.0, 1000.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_hubbard_target_converges(self, seed, beta):
+        system = hubbard_system(4, 2, F)
+        params = EnsembleParams(beta)
+        gamma = random_rdm(4, 2, F, interior=True, seed=seed)
+        report = invert_potential(gamma, system, params)
+        assert report.verdict is InversionVerdict.CONVERGED
+        _, gamma_v = omega_of_v(report.v_star, system, params)
+        assert np.linalg.norm(gamma_v.matrix - gamma.matrix) <= 1e-8
 
     @pytest.mark.parametrize("beta", [200.0, 1000.0])
     def test_cold_boson_target_converges(self, beta):

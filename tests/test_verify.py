@@ -170,6 +170,14 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(checks=()))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [{"systems": ()}, {"betas": ()}, {"models": ()}, {"trials": 0}, {"overrides": {"fractional_betas": ()}}],
+    )
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ConfigError):
+            run_suite(SuiteConfig(**grid))
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             run_suite(SuiteConfig(checks=("omega_concavity", "bogus")))
