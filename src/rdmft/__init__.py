@@ -54,6 +54,7 @@ from .functional import (
     System,
     TracelessPotential,
     invert_potential,
+    invert_potentials,
     omega_of_v,
     potential_basis,
     response_jacobian,

@@ -38,9 +38,9 @@ from .functional import (
     InversionOptions,
     InversionVerdict,
     TracelessPotential,
-    converged_inversion,
     invert_potential,
-    universal_functional,
+    invert_potentials,
+    require_converged,
 )
 from .models import ModelSpec, build_system
 from .representability import polytope_decompose, random_rdm, simplex_decompose
@@ -296,11 +296,12 @@ def cmd_functional(cfg, out: Path, seed) -> int:
             raise ConfigError("segment needs at least 2 points")
         start = _target_rdm(seg.get("from"), model, seed)
         stop = _target_rdm(seg.get("to"), model, None if seed is None else seed + 1)
+        lambdas = np.linspace(0.0, 1.0, points)
+        gammas = [OneRdm((1 - lam) * start.matrix + lam * stop.matrix) for lam in lambdas]
         rows = []
-        for lam in np.linspace(0.0, 1.0, points):
-            gamma = OneRdm((1 - lam) * start.matrix + lam * stop.matrix)
-            f_value, gradient = universal_functional(gamma, system, params)
-            rows.append((float(lam), f_value, float(np.linalg.norm(gradient.matrix))))
+        for lam, gamma, report in zip(lambdas, gammas, invert_potentials(gammas, system, params)):
+            report = require_converged(report, gamma, system)
+            rows.append((float(lam), report.f_value, float(np.linalg.norm(report.gradient.matrix))))
         write_csv(out / "segment.csv", ["lambda", "f_value", "gradient_norm"], rows, meta)
         print(f"functional: segment scan of {points} points written to {out}")
         return 0
@@ -322,9 +323,9 @@ def cmd_functional(cfg, out: Path, seed) -> int:
     else:
         raise ConfigError("functional config needs 'segment', 'targets', or 'samples'")
     rows, gradients = [], []
-    for index, gamma in enumerate(targets):
+    for index, (gamma, report) in enumerate(zip(targets, invert_potentials(targets, system, params))):
         try:
-            report = converged_inversion(gamma, system, params)
+            require_converged(report, gamma, system)
         except RdmftError as exc:
             raise type(exc)(f"target {index}: {exc}") from exc
         rows.append((index, report.f_value, report.v_star.norm, report.iterations, report.residual))
@@ -401,8 +402,12 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
     if "n" not in cfg:
         raise ConfigError("polytope config needs 'n'")
     n_particles = _convert(int, cfg["n"], "n")
+    if n_particles < 1:
+        raise ConfigError(f"n must be at least 1, got {n_particles}")
     if "occupations" in cfg:
         occupations = np.array(_convert(tuple[float, ...], cfg["occupations"], "occupations"))
+        if not occupations.size:
+            raise ConfigError("occupations is empty")
     elif "gamma" in cfg:
         try:
             gamma = OneRdm(matrix_from_json(cfg["gamma"]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import exp, log
+from math import exp
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class GibbsSolution:
     normalised populations exp(-beta*E_m)/Z, density the matrix of the state
     and omega the grand potential -log(Z)/beta.  rho, the validated
     DensityOperator on the basis tagged basis_tag, is built on first use.
+    The solver's batched kernel gives every field a leading batch axis (log_z
+    and omega become arrays); rho and z then do not apply.
     """
 
     density: np.ndarray
@@ -117,14 +119,16 @@ class RdmClass(Enum):
 
 def _gibbs(h: np.ndarray, beta: float, tag: str) -> GibbsSolution:
     """The log-space Gibbs kernel: eigenpairs of H, the populations
-    exp(-beta*(E_m - E_min)) normalised by their sum, log Z and the state."""
+    exp(-beta*(E_m - E_min)) normalised by their sum, log Z and the state.
+    Leading axes of h index a batch of Hamiltonians at one beta."""
     energies, vectors = np.linalg.eigh(h)
-    boltzmann = np.exp(-beta * (energies - energies[0]))
-    total = float(np.sum(boltzmann))
-    weights = boltzmann / total
-    rho = (vectors * weights) @ vectors.conj().T
-    log_z = -beta * float(energies[0]) + log(total)
-    return GibbsSolution((rho + rho.conj().T) / 2, tag, log_z, -log_z / beta, energies, vectors, weights)
+    boltzmann = np.exp(-beta * (energies - energies[..., :1]))
+    total = np.sum(boltzmann, axis=-1)
+    weights = boltzmann / total[..., None]
+    rho = (vectors * weights[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    log_z = -beta * energies[..., 0] + np.log(total)
+    density = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    return GibbsSolution(density, tag, log_z, -log_z / beta, energies, vectors, weights)
 
 
 def gibbs_state(hamiltonian: ManyBodyOperator, params: EnsembleParams) -> GibbsSolution:
@@ -193,7 +197,11 @@ def classify_rdm(gamma, statistics: Statistics, tol: float = CLASSIFY_DEFAULT_TO
     |d| <= tol.  Outside: d < -tol, an occupation lies past a face.
     """
     g = OneRdm(gamma)
-    d = float(np.min(face_distances(np.linalg.eigvalsh(g.matrix), statistics)))
-    if d < -tol:
+    return _rdm_class(float(np.min(face_distances(np.linalg.eigvalsh(g.matrix), statistics))), tol)
+
+
+def _rdm_class(distance: float, tol: float) -> RdmClass:
+    """classify_rdm from the smallest face distance of the occupations."""
+    if distance < -tol:
         return RdmClass.OUTSIDE
-    return RdmClass.BOUNDARY if d <= tol else RdmClass.INTERIOR
+    return RdmClass.BOUNDARY if distance <= tol else RdmClass.INTERIOR

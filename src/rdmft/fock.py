@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import comb, sqrt
+from math import comb, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -288,24 +288,35 @@ def build_basis(nb: int, n: int, statistics: Statistics) -> ConfigurationBasis:
     return ConfigurationBasis(nb=nb, n=n, statistics=statistics, states=tuple(states))
 
 
+def _scatter_sum(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[..., i] = sum of values[..., k] over the k with index[k] = i, for
+    i < size and each entry of the leading batch axes of values.  One
+    bincount over the whole batch: entry b's bins are offset by b*size, so
+    each bin still sums its terms in table order."""
+    batch = values.shape[:-1]
+    count = prod(batch)
+    flat = (np.arange(0, count * size, size)[:, None] + index).ravel() if count > 1 else index
+    values = values.reshape(count * len(index))
+    out = np.bincount(flat, values.real, count * size) + 1j * np.bincount(flat, values.imag, count * size)
+    return out.reshape(*batch, size)
+
+
 def _lift(coeffs: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
-    """Dense sum_ij coeffs[i*nb + j] a+_i a_j on the basis, unchecked."""
+    """Dense sum_ij coeffs[..., i*nb + j] a+_i a_j on the basis, unchecked;
+    leading axes of coeffs index a batch of operators."""
     table = basis.hop_terms
-    values = np.asarray(coeffs)[table.pair] * table.amps
-    flat = table.rows * basis.dim + table.cols
-    size = basis.dim * basis.dim
-    out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
-    return out.reshape(basis.dim, basis.dim)
+    values = np.asarray(coeffs)[..., table.pair] * table.amps
+    out = _scatter_sum(table.rows * basis.dim + table.cols, values, basis.dim * basis.dim)
+    return out.reshape(*out.shape[:-1], basis.dim, basis.dim)
 
 
 def _rdm_matrix(rho: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
-    """gamma_ij = Tr{rho a+_j a_i} from one contraction with the hop table."""
+    """gamma_ij = Tr{rho a+_j a_i} from one contraction with the hop table;
+    leading axes of rho index a batch of states."""
     table = basis.hop_terms
-    values = table.amps * rho[table.cols, table.rows]
-    size = basis.nb * basis.nb
-    traces = np.bincount(table.pair, values.real, size) + 1j * np.bincount(table.pair, values.imag, size)
-    gamma = traces.reshape(basis.nb, basis.nb).T
-    return (gamma + gamma.conj().T) / 2
+    traces = _scatter_sum(table.pair, table.amps * rho[..., table.cols, table.rows], basis.nb * basis.nb)
+    gamma = traces.reshape(*traces.shape[:-1], basis.nb, basis.nb).swapaxes(-1, -2)
+    return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
 
 
 def lift_one_body(h, basis: ConfigurationBasis) -> ManyBodyOperator:

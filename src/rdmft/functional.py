@@ -30,7 +30,7 @@ from .ensemble import (
     OneRdm,
     RdmClass,
     _gibbs,
-    classify_rdm,
+    _rdm_class,
     face_distances,
 )
 from .errors import (
@@ -56,6 +56,8 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BETA_RUNG = 4.0
 MIN_STEP = 1e-14
+# bytes of Jacobian workspace one lockstep batch may hold (64 MiB)
+BATCH_WORKSPACE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +113,10 @@ class PotentialBasis:
         return self.elements.reshape(self.size, -1)
 
     def coefficients(self, matrix) -> np.ndarray:
+        """Coordinates of a traceless Hermitian matrix, or of each one of a
+        (..., nb, nb) stack."""
         m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
-        return (self.element_matrix @ m.T.ravel()).real
+        return (m.swapaxes(-1, -2).reshape(*m.shape[:-2], self.nb * self.nb) @ self.element_matrix.T).real
 
     @cached_property
     def generator_map(self) -> np.ndarray:
@@ -187,7 +191,8 @@ class InversionOptions:
 
     tol bounds the residual of a converged inversion, classify_tol the face
     distance below which a target is not interior, and initial optionally
-    seeds the potential coefficients (zeros by default).
+    seeds the potential coefficients (zeros by default): shape (K,), or
+    (B, K) with one row per target of an invert_potentials batch.
     """
 
     tol: float = 1e-10
@@ -227,7 +232,8 @@ class InversionReport:
 
 
 def _thermal(v: np.ndarray, system: System, params: EnsembleParams) -> GibbsSolution:
-    """Gibbs state of H0 + lift(v) for a potential flattened to (nb*nb,)."""
+    """Gibbs state of H0 + lift(v) for a potential flattened to (nb*nb,), or
+    the batch of them for a (B, nb*nb) stack."""
     return _gibbs(system.h0.matrix + _lift(v, system.basis), params.beta, system.basis.tag)
 
 
@@ -236,36 +242,46 @@ def omega_of_v(v: TracelessPotential, system: System, params: EnsembleParams) ->
     if v.nb != system.basis.nb:
         raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
     state = _thermal(v.matrix.ravel(), system, params)
-    return state.omega, OneRdm(_rdm_matrix(state.density, system.basis))
+    return float(state.omega), OneRdm(_rdm_matrix(state.density, system.basis))
 
 
 def _divided_differences(energies: np.ndarray, weights: np.ndarray, beta: float) -> np.ndarray:
     """Matrix of (w_m - w_n)/(E_m - E_n) for the populations w = exp(-beta*E)/Z
-    at fixed Z, and its confluent limit -beta*w_m on equal energies.
+    at fixed Z, and its confluent limit -beta*w_m on equal energies; leading
+    axes index a batch.
 
     With d = |E_m - E_n| the lower level's population is max(w_m, w_n) and
     the other one is that times exp(-beta*d), so the quotient is
     max(w_m, w_n)*expm1(-beta*d)/d: no difference of populations is taken,
     and the entries are <= 0 exactly.
     """
-    d = np.abs(energies[:, None] - energies[None, :])
+    d = np.abs(energies[..., :, None] - energies[..., None, :])
     quotient = np.divide(np.expm1(-beta * d), d, out=np.full_like(d, -beta), where=d > 0)
-    return np.maximum(weights[:, None], weights[None, :]) * quotient
+    return np.maximum(weights[..., :, None], weights[..., None, :]) * quotient
 
 
 def _rotated(block: HopTable, vectors: np.ndarray) -> np.ndarray:
     """Q_ij = V+ lift(a+_i a_j) V = V[rows]+ (amps V[cols]) for each pair of
     the block, flattened to one row per pair: only the configurations that
-    a+_i a_j reaches enter the product."""
-    rows = vectors.conj().take(block.rows, axis=0).swapaxes(1, 2)
-    return np.matmul(rows, block.amps[..., None] * vectors.take(block.cols, axis=0)).reshape(len(block.rows), -1)
+    a+_i a_j reaches enter the product.  Leading axes of vectors index a
+    batch."""
+    rows = vectors.conj().take(block.rows, axis=-2).swapaxes(-1, -2)
+    cols = block.amps[..., None] * vectors.take(block.cols, axis=-2)
+    return np.matmul(rows, cols).reshape(*vectors.shape[:-2], len(block.rows), -1)
 
 
 def _jacobian(
-    state: GibbsSolution, basis: ConfigurationBasis, params: EnsembleParams, pbasis: PotentialBasis
+    energies: np.ndarray,
+    vectors: np.ndarray,
+    weights: np.ndarray,
+    basis: ConfigurationBasis,
+    params: EnsembleParams,
+    pbasis: PotentialBasis,
 ) -> np.ndarray:
     """Response matrix J_ab = d tr{gamma_v G_a} / d c_b in the coordinates of
-    pbasis; symmetric and negative definite on the traceless space.
+    pbasis, from the energies, eigenvectors and populations of the Gibbs
+    state; symmetric and negative definite on the traceless space.  Leading
+    axes of the state's arrays give a (..., K, K) stack.
 
     Daleckii-Krein form (Higham, Functions of Matrices, ch. 3) in the
     eigenbasis V of H_v, on the Hermitian generators h_r of the orbital
@@ -279,28 +295,29 @@ def _jacobian(
     entries weighted twice), J_h = -X X^T for the real view X, and
     J = T J_h T^T with T = pbasis.generator_map.
     """
-    blocks = basis.hop_blocks
-    weight = np.sqrt(-_divided_differences(state.energies, state.weights, params.beta).take(blocks.triangle))
-    weight[basis.dim :] *= sqrt(2)
-    diagonal = _rotated(blocks.diagonal, state.eigenvectors).take(blocks.triangle, axis=1)
-    upper = _rotated(blocks.upper, state.eigenvectors)
-    q_adjoint = np.conj(upper.take(blocks.mirror, axis=1))
-    q = upper.take(blocks.triangle, axis=1)
+    blocks, dim = basis.hop_blocks, basis.dim
+    phi = _divided_differences(energies, weights, params.beta)
+    weight = np.sqrt(-phi.reshape(*phi.shape[:-2], -1).take(blocks.triangle, axis=-1))
+    weight[..., dim:] *= sqrt(2)
+    diagonal = _rotated(blocks.diagonal, vectors).take(blocks.triangle, axis=-1)
+    upper = _rotated(blocks.upper, vectors)
+    q_adjoint = np.conj(upper.take(blocks.mirror, axis=-1))
+    q = upper.take(blocks.triangle, axis=-1)
     # the full products are the largest arrays here: free them before x
     del upper
-    nd, nu = len(diagonal), len(q)
+    nd, nu = diagonal.shape[-2], q.shape[-2]
     # rows in the column order of T: diagonal, symmetric, antisymmetric
-    x = np.empty((nd + 2 * nu, blocks.triangle.size), dtype=complex)
-    x[:nd] = diagonal
-    np.add(q, q_adjoint, out=x[nd : nd + nu])
-    np.subtract(q, q_adjoint, out=x[nd + nu :])
-    x[nd + nu :] *= -1j
-    x[:, : basis.dim] -= (x[:, : basis.dim] @ state.weights)[:, None]
-    x *= weight
+    x = np.empty((*q.shape[:-2], nd + 2 * nu, blocks.triangle.size), dtype=complex)
+    x[..., :nd, :] = diagonal
+    np.add(q, q_adjoint, out=x[..., nd : nd + nu, :])
+    np.subtract(q, q_adjoint, out=x[..., nd + nu :, :])
+    x[..., nd + nu :, :] *= -1j
+    x[..., :dim] -= x[..., :dim] @ weights[..., None]
+    x *= weight[..., None, :]
     real = x.view(float)
     t = pbasis.generator_map
-    j = -(t @ (real @ real.T) @ t.T)
-    return (j + j.T) / 2
+    j = -(t @ (real @ real.swapaxes(-1, -2)) @ t.T)
+    return (j + j.swapaxes(-1, -2)) / 2
 
 
 def response_jacobian(
@@ -313,104 +330,208 @@ def response_jacobian(
         raise DimensionMismatch(f"potential basis for {pb.nb} orbitals, system has {system.basis.nb}")
     if v.nb != system.basis.nb:
         raise DimensionMismatch(f"potential on {v.nb} orbitals, basis has {system.basis.nb}")
-    return _jacobian(_thermal(v.matrix.ravel(), system, params), system.basis, params, pb)
+    state = _thermal(v.matrix.ravel(), system, params)
+    return _jacobian(state.energies, state.eigenvectors, state.weights, system.basis, params, pb)
+
+
+def _newton_steps(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """solve(J, -grad) for each (J, grad) of a batch; the step of a singular
+    J reads NaN.  The right-hand sides go in as (B, K, 1) columns: numpy 2
+    reads a (B, K) one as a single matrix."""
+    try:
+        return np.linalg.solve(jac, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(grad, np.nan)
+        for b in range(len(grad)):
+            try:
+                steps[b] = np.linalg.solve(jac[b], -grad[b])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def _dual_newton(
-    gamma: OneRdm, system: System, params: EnsembleParams, opts: InversionOptions
-) -> tuple[InversionReport, float]:
-    """invert_potential at one beta from opts.initial, with every step along
-    solve(J, -grad); a singular J, a direction that does not ascend or a
-    step halved below MIN_STEP ends the attempt.  Also returns the spread
-    E_max - E_min of H at the starting potential."""
-    target = OneRdm(gamma)
-    basis = system.basis
-    if target.nb != basis.nb:
-        raise DimensionMismatch(f"target on {target.nb} orbitals, basis has {basis.nb}")
-    if abs(target.trace - basis.n) > 1e-10:
-        raise InvalidArguments(f"target trace {target.trace} differs from n={basis.n} beyond 1e-10")
-    classification = classify_rdm(target, basis.statistics, opts.classify_tol)
+    targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
+) -> tuple[list[InversionReport], np.ndarray]:
+    """invert_potentials at one beta, each target from its row of starts.
 
-    pbasis = system.pbasis
+    The targets run in lockstep, each with its own Newton steps along
+    solve(J, -grad), line search, trace and verdict; one that has stopped
+    drops out of later rounds.  A singular J, a direction that does not
+    ascend or a step halved below MIN_STEP ends a target's attempt.  Also
+    returns each target's spread E_max - E_min of H at its start."""
+    basis, pbasis = system.basis, system.pbasis
     elements = pbasis.element_matrix
-    target_coeffs = pbasis.coefficients(target.matrix)
+    matrices = np.stack([target.matrix for target in targets])
+    distance = face_distances(np.linalg.eigvalsh(matrices), basis.statistics).min(-1)
+    classes = [_rdm_class(d, opts.classify_tol) for d in distance]
+    target_coeffs = pbasis.coefficients(matrices)
+    c = np.array(starts, dtype=float)
 
-    if opts.initial is not None:
-        c = np.array(opts.initial, dtype=float)
-        if c.shape != (pbasis.size,):
-            raise InvalidArguments(f"initial coefficients must have shape ({pbasis.size},)")
-    else:
-        c = np.zeros(pbasis.size)
-
-    def dual_value(state: GibbsSolution, coeffs: np.ndarray) -> float:
-        return state.omega - float(np.dot(coeffs, target_coeffs))
+    def dual_value(state: GibbsSolution, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return state.omega - (coeffs * target_coeffs[rows]).sum(-1)
 
     # the gradient gamma_v - gamma and its norm, the Frobenius distance of
     # the matrices since both carry trace n
-    def offset(state: GibbsSolution) -> tuple[np.ndarray, float]:
-        grad = pbasis.coefficients(_rdm_matrix(state.density, basis)) - target_coeffs
-        return grad, float(np.linalg.norm(grad))
+    def offset(density: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target_coeffs[rows]
+        return grad, np.linalg.norm(grad, axis=-1)
 
     state = _thermal(c @ elements, system, params)
-    spread = float(state.energies[-1] - state.energies[0])
-    grad, residual = offset(state)
-    records: list[IterationRecord] = []
-    interior = classification is RdmClass.INTERIOR
-    verdict = InversionVerdict.MAX_ITERATIONS if interior else InversionVerdict.NON_REPRESENTABLE
-    step_norm = 0.0
-
+    spread = state.energies[:, -1] - state.energies[:, 0]
+    grad, residual = offset(state.density, np.arange(len(targets)))
+    value = dual_value(state, c, np.arange(len(targets)))
+    # what the Jacobian reads of each target's current state; the densities
+    # are dropped, since at large dim they would sit beside its workspace
+    spectrum = (state.energies, state.eigenvectors, state.weights)
+    del state
+    step_norm = np.zeros(len(targets))
+    records: list[list[IterationRecord]] = [[] for _ in targets]
+    interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
     # off the interior no maximizer exists, so that verdict is final here
-    while interior and len(records) < opts.max_iter:
-        g_value = dual_value(state, c)
-        records.append(IterationRecord(len(records) + 1, g_value, residual, step_norm))
-        if residual <= opts.tol:
-            verdict = InversionVerdict.CONVERGED
+    verdicts = [InversionVerdict.MAX_ITERATIONS if inside else InversionVerdict.NON_REPRESENTABLE for inside in interior]
+    live = np.flatnonzero(interior)
+
+    # every running target has taken the same number of iterations
+    for iteration in range(1, opts.max_iter + 1):
+        for b in live:
+            records[b].append(IterationRecord(iteration, float(value[b]), float(residual[b]), float(step_norm[b])))
+        done = residual[live] <= opts.tol
+        for b in live[done]:
+            verdicts[b] = InversionVerdict.CONVERGED
+        live = live[~done]
+        if not live.size:
             break
 
-        jac = _jacobian(state, basis, params, pbasis)
-        try:
-            step = np.linalg.solve(jac, -grad)
-        except np.linalg.LinAlgError:
-            break
-        slope = float(np.dot(grad, step))
-        if not np.isfinite(slope) or slope <= 0.0:
-            break
+        live_grad = grad[live]
+        step = _newton_steps(_jacobian(*(a[live] for a in spectrum), basis, params, pbasis), live_grad)
+        slope = (live_grad * step).sum(-1)
+        ascends = np.isfinite(slope) & (slope > 0.0)
+        live, step, slope = live[ascends], step[ascends], slope[ascends]
+        length = np.linalg.norm(step, axis=-1)
 
-        g_scale = max(1.0, abs(g_value))
+        # every target still searching has halved its step as often
         t = 1.0
-        accepted = None
-        while t >= MIN_STEP:
-            trial_c = c + t * step
+        search = np.arange(live.size)
+        while search.size and t >= MIN_STEP:
+            rows = live[search]
+            trial_c = c[rows] + t * step[search]
             trial = _thermal(trial_c @ elements, system, params)
-            required = ARMIJO_SLOPE * t * slope
-            if dual_value(trial, trial_c) >= g_value + required:
-                accepted = (trial_c, trial)
-                break
+            trial_value = dual_value(trial, trial_c, rows)
+            required = ARMIJO_SLOPE * t * slope[search]
+            ok = trial_value >= value[rows] + required
             # once the required gain falls below float resolution of g the
             # Armijo test is meaningless; accept on residual contraction
-            if required <= 1e-12 * g_scale and offset(trial)[1] <= residual * (1.0 - ARMIJO_SLOPE * t):
-                accepted = (trial_c, trial)
-                break
+            flat = ~ok & (required <= 1e-12 * np.maximum(1.0, np.abs(value[rows])))
+            if flat.any():
+                contracted = residual[rows[flat]] * (1.0 - ARMIJO_SLOPE * t)
+                ok[flat] = offset(trial.density[flat], rows[flat])[1] <= contracted
+            if ok.any():
+                accept = rows[ok]
+                c[accept] = trial_c[ok]
+                value[accept] = trial_value[ok]
+                # t is a power of 2, so this is the norm of the step taken
+                step_norm[accept] = t * length[search[ok]]
+                grad[accept], residual[accept] = offset(trial.density[ok], accept)
+                for held, new in zip(spectrum, (trial.energies, trial.eigenvectors, trial.weights)):
+                    held[accept] = new[ok]
+                search = search[~ok]
             t *= BACKTRACK_FACTOR
-        if accepted is None:
-            break
-        c, state = accepted
-        step_norm = float(np.linalg.norm(t * step))
-        grad, residual = offset(state)
+            del trial
+        # the targets still searching found no admissible step
+        live = np.delete(live, search)
 
-    v_star = pbasis.potential(c)
-    # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
-    # JSON reports would then print
-    return InversionReport(
-        verdict=verdict,
-        v_star=v_star,
-        f_value=dual_value(state, c),
-        gradient=TracelessPotential(0.0 - v_star.matrix),
-        residual=residual,
-        iterations=len(records),
-        classification=classification,
-        trace=tuple(records),
-    ), spread
+    reports = []
+    for b, classification in enumerate(classes):
+        v_star = pbasis.potential(c[b])
+        # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
+        # JSON reports would then print
+        reports.append(
+            InversionReport(
+                verdict=verdicts[b],
+                v_star=v_star,
+                f_value=float(value[b]),
+                gradient=TracelessPotential(0.0 - v_star.matrix),
+                residual=float(residual[b]),
+                iterations=len(records[b]),
+                classification=classification,
+                trace=tuple(records[b]),
+            )
+        )
+    return reports, spread
+
+
+def _continuation(
+    targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
+) -> list[InversionReport]:
+    """_dual_newton with the beta ladder of invert_potential, which recurses
+    on the targets that stalled."""
+    reports, spread = _dual_newton(targets, system, params, opts, starts)
+    stalled = [
+        b
+        for b, report in enumerate(reports)
+        if report.verdict is InversionVerdict.MAX_ITERATIONS and params.beta * spread[b] > 1.0
+    ]
+    if stalled:
+        colder = _continuation(
+            [targets[b] for b in stalled], system, EnsembleParams(params.beta / BETA_RUNG), opts, starts[stalled]
+        )
+        warm = [(b, report) for b, report in zip(stalled, colder) if report.verdict is InversionVerdict.CONVERGED]
+        if warm:
+            v_star = np.stack([report.v_star.matrix for _, report in warm])
+            again, _ = _dual_newton(
+                [targets[b] for b, _ in warm], system, params, opts, system.pbasis.coefficients(v_star)
+            )
+            for (b, _), report in zip(warm, again):
+                reports[b] = report
+    return reports
+
+
+def _workspace_bytes(basis: ConfigurationBasis) -> int:
+    """The largest arrays of one target's Jacobian: the rotated products of
+    the nb(nb-1)/2 upper orbital pairs and the nb^2 complex generator rows
+    on the upper triangle of the dim x dim matrices."""
+    nb, dim = basis.nb, basis.dim
+    return 16 * (nb * (nb - 1) // 2 * dim * dim + nb * nb * dim * (dim + 1) // 2)
+
+
+def invert_potentials(
+    targets,
+    system: System,
+    params: EnsembleParams,
+    opts: InversionOptions = InversionOptions(),
+) -> list[InversionReport]:
+    """invert_potential for each of a list of targets, as one stacked solve.
+
+    The targets run in lockstep through one Newton path: the lift, the
+    Gibbs kernel, the Jacobian, the linear solve and the line search each
+    work on the stack of those still running.  Every target keeps its own
+    step lengths, backtracks, verdict, trace and beta ladder, so its report
+    is the one invert_potential gives it alone, up to float round-off.
+    opts.initial is None (each target starts from v = 0), one coefficient
+    vector of shape (K,) for every target, or a (B, K) array with one row
+    per target.
+
+    Batches whose Jacobians would hold more than BATCH_WORKSPACE_BYTES are
+    split; a target whose own Jacobian needs more runs alone.
+    """
+    targets = [gamma if isinstance(gamma, OneRdm) else OneRdm(gamma) for gamma in targets]
+    basis, size = system.basis, system.pbasis.size
+    for target in targets:
+        if target.nb != basis.nb:
+            raise DimensionMismatch(f"target on {target.nb} orbitals, basis has {basis.nb}")
+        if abs(target.trace - basis.n) > 1e-10:
+            raise InvalidArguments(f"target trace {target.trace} differs from n={basis.n} beyond 1e-10")
+    starts = np.zeros(size) if opts.initial is None else np.array(opts.initial, dtype=float)
+    if starts.shape not in ((size,), (len(targets), size)):
+        raise InvalidArguments(f"initial coefficients must have shape ({size},) or ({len(targets)}, {size})")
+    starts = np.broadcast_to(starts, (len(targets), size))
+    chunk = max(1, BATCH_WORKSPACE_BYTES // _workspace_bytes(basis))
+    reports = []
+    for first in range(0, len(targets), chunk):
+        batch = slice(first, first + chunk)
+        reports += _continuation(targets[batch], system, params, opts, starts[batch])
+    return reports
 
 
 def invert_potential(
@@ -435,27 +556,17 @@ def invert_potential(
     population is within a factor e of the ground state's.  The report,
     its iterations and its trace belong to the last solve at the requested
     beta; if no colder rung converges, that is the first one.
+
+    This is invert_potentials on a batch of one: the same engine.
     """
-    report, spread = _dual_newton(gamma, system, params, opts)
-    if report.verdict is InversionVerdict.MAX_ITERATIONS and params.beta * spread > 1.0:
-        colder = invert_potential(gamma, system, EnsembleParams(params.beta / BETA_RUNG), opts)
-        if colder.verdict is InversionVerdict.CONVERGED:
-            warm = replace(opts, initial=system.pbasis.coefficients(colder.v_star))
-            report, _ = _dual_newton(gamma, system, params, warm)
-    return report
+    return invert_potentials([gamma], system, params, opts)[0]
 
 
-def converged_inversion(
-    gamma: OneRdm,
-    system: System,
-    params: EnsembleParams,
-    opts: InversionOptions = InversionOptions(),
-) -> InversionReport:
-    """invert_potential for callers that need the maximizer.  Raises
-    NotRepresentableError off the interior, naming the natural occupation
-    nearest to (or furthest past) a face and its signed distance from it,
-    and ConvergenceFailure if the solver stops short on an interior target."""
-    report = invert_potential(gamma, system, params, opts)
+def require_converged(report: InversionReport, gamma: OneRdm, system: System) -> InversionReport:
+    """report, if its verdict is CONVERGED.  Raises NotRepresentableError off
+    the interior, naming the natural occupation of gamma nearest to (or
+    furthest past) a face and its signed distance from it, and
+    ConvergenceFailure if the solver stopped short on an interior target."""
     if report.verdict is InversionVerdict.NON_REPRESENTABLE:
         occ = np.linalg.eigvalsh(np.asarray(getattr(gamma, "matrix", gamma)))
         d = face_distances(occ, system.basis.statistics)
@@ -469,6 +580,17 @@ def converged_inversion(
             f"dual Newton stopped after {report.iterations} iterations at residual {report.residual:.3e}"
         )
     return report
+
+
+def converged_inversion(
+    gamma: OneRdm,
+    system: System,
+    params: EnsembleParams,
+    opts: InversionOptions = InversionOptions(),
+) -> InversionReport:
+    """invert_potential for callers that need the maximizer; raises as
+    require_converged does."""
+    return require_converged(invert_potential(gamma, system, params, opts), gamma, system)
 
 
 def universal_functional(

@@ -9,6 +9,7 @@ identical report.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -31,8 +32,9 @@ from .functional import (
     PotentialBasis,
     System,
     converged_inversion,
+    invert_potentials,
     omega_of_v,
-    universal_functional,
+    require_converged,
 )
 from .models import ModelSpec, build_system
 from .representability import (
@@ -80,8 +82,17 @@ class CheckConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArguments(f"trials must be at least 1, got {self.trials}")
+        for name in ("fd_step", "v_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < float("inf"):
+                raise InvalidArguments(f"{name} must be positive and finite, got {value}")
         if not self.fractional_betas:
             raise InvalidArguments("fractional_betas needs at least one beta")
+        try:
+            for beta in self.fractional_betas:
+                EnsembleParams(beta)
+        except InvalidArguments as exc:
+            raise InvalidArguments(f"fractional_betas: {exc}") from None
 
     def describe(self) -> dict:
         m = self.model
@@ -142,28 +153,63 @@ def _mix_parameter(rng: np.random.Generator, config: CheckConfig) -> float:
     return 0.5 if config.midpoint else float(rng.uniform(0.1, 0.9))
 
 
-def _campaign(check: str, config: CheckConfig, trial, fails=lambda m: m <= 0, notes="") -> TheoremReport:
+@dataclass(frozen=True)
+class _Inversions:
+    """What a trial hands back when its margin needs the functional at some
+    targets: each target is inverted from the matching row of starts, and
+    finish maps their F values, in target order, to the margin."""
+
+    targets: list[OneRdm]
+    starts: np.ndarray
+    finish: Callable[[list[float]], float]
+
+
+def _campaign(
+    check: str, config: CheckConfig, trial, fails=lambda m: m <= 0, notes="", system: System | None = None
+) -> TheoremReport:
     """Run config.trials trials of one check on its own substream.
 
     trial(rng, k, record) fills in the fields of record, which starts as
-    {"trial": k}, and returns the signed margin; fails(margin) says whether
-    the claim broke.  A trial whose computation raises RdmftError fails
-    with no margin and the error's text.
+    {"trial": k}, and returns the signed margin, or _Inversions for it.
+    The targets of every trial's _Inversions are inverted on system at
+    config.beta in one invert_potentials call, after all trials have drawn
+    their inputs in trial order.  fails(margin) says whether the claim
+    broke.  A trial whose computation raises RdmftError, or one of whose
+    targets does not converge, fails with no margin and the error's text.
     """
     rng = _rng(config, check)
-    records, margins, failures = [], [], 0
-    for k in range(config.trials):
-        record = {"trial": k}
-        records.append(record)
+    records = [{"trial": k} for k in range(config.trials)]
+    outcomes = []
+    for k, record in enumerate(records):
         try:
-            margin = trial(rng, k, record)
+            outcomes.append(trial(rng, k, record))
         except RdmftError as exc:
-            record.update(margin=None, error=str(exc))
+            outcomes.append(exc)
+    requests = [outcome for outcome in outcomes if isinstance(outcome, _Inversions)]
+    if requests:
+        reports = invert_potentials(
+            [target for request in requests for target in request.targets],
+            system,
+            EnsembleParams(config.beta),
+            InversionOptions(initial=np.concatenate([request.starts for request in requests])),
+        )
+    margins, failures = [], 0
+    for record, outcome in zip(records, outcomes):
+        if isinstance(outcome, _Inversions):
+            mine, reports = reports[: len(outcome.targets)], reports[len(outcome.targets) :]
+            try:
+                outcome = outcome.finish(
+                    [require_converged(report, target, system).f_value for report, target in zip(mine, outcome.targets)]
+                )
+            except RdmftError as exc:
+                outcome = exc
+        if isinstance(outcome, RdmftError):
+            record.update(margin=None, error=str(outcome))
             failures += 1
             continue
-        record["margin"] = float(margin)
-        margins.append(margin)
-        if fails(margin):
+        record["margin"] = float(outcome)
+        margins.append(outcome)
+        if fails(outcome):
             failures += 1
     return TheoremReport(
         theorem_id=check,
@@ -242,19 +288,18 @@ def check_f_convexity(config: CheckConfig) -> TheoremReport:
     segments, with slack for the two inversion tolerances."""
     m = config.model
     system = build_system(m)
-    params = EnsembleParams(config.beta)
+    cold = np.zeros((3, system.pbasis.size))
 
     def trial(rng, k, record):
         gamma_0 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         t = record["t"] = _mix_parameter(rng, config)
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
-        f_0, _ = universal_functional(gamma_0, system, params)
-        f_1, _ = universal_functional(gamma_1, system, params)
-        f_mix, _ = universal_functional(mixed, system, params)
-        return t * f_0 + (1 - t) * f_1 - f_mix
+        return _Inversions([gamma_0, gamma_1, mixed], cold, lambda f: t * f[0] + (1 - t) * f[1] - f[2])
 
-    return _campaign("f_convexity", config, trial, fails=lambda margin: margin < -config.convexity_slack)
+    return _campaign(
+        "f_convexity", config, trial, fails=lambda margin: margin < -config.convexity_slack, system=system
+    )
 
 
 def check_gradient(config: CheckConfig) -> TheoremReport:
@@ -268,23 +313,24 @@ def check_gradient(config: CheckConfig) -> TheoremReport:
 
     def trial(rng, k, record):
         gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-        report = converged_inversion(gamma, system, params)
-        cv = pbasis.coefficients(report.v_star)
-        warm = InversionOptions(initial=cv)
+        cv = pbasis.coefficients(converged_inversion(gamma, system, params).v_star)
         directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
-        worst_dev = 0.0
-        for d in directions:
-            shift = eps * pbasis.assemble(d)
-            f_plus, _ = universal_functional(OneRdm(gamma.matrix + shift), system, params, warm)
-            f_minus, _ = universal_functional(OneRdm(gamma.matrix - shift), system, params, warm)
-            fd = (f_plus - f_minus) / (2 * eps)
-            exact = -float(np.dot(cv, d))
-            worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
-        record["max_rel_dev"] = float(worst_dev)
-        return config.gradient_tol - worst_dev
+        # the +eps and -eps neighbour of each direction, warm-started at v*
+        neighbours = [OneRdm(gamma.matrix + sign * eps * pbasis.assemble(d)) for d in directions for sign in (1, -1)]
+
+        def finish(f):
+            worst_dev = 0.0
+            for d, f_plus, f_minus in zip(directions, f[0::2], f[1::2]):
+                fd = (f_plus - f_minus) / (2 * eps)
+                exact = -float(np.dot(cv, d))
+                worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
+            record["max_rel_dev"] = float(worst_dev)
+            return config.gradient_tol - worst_dev
+
+        return _Inversions(neighbours, np.tile(cv, (len(neighbours), 1)), finish)
 
     notes = "a well-defined derivative also certifies that the subgradient set is a single element"
-    return _campaign("gradient", config, trial, fails=lambda margin: margin < 0, notes=notes)
+    return _campaign("gradient", config, trial, fails=lambda margin: margin < 0, notes=notes, system=system)
 
 
 def _boundary_occupations(rng, nb, n, statistics, variant):

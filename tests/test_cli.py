@@ -355,6 +355,20 @@ MALFORMED = {
         {**TestVerify.TINY, "tolerances": {"fractional_betas": []}},
         "fractional_betas",
     ),
+    # tolerances out of range, which crashed or failed every trial
+    **{
+        f"verify_{name}": ("verify", {**TestVerify.TINY, "tolerances": tolerances}, reason)
+        for name, tolerances, reason in [
+            ("fd_step_zero", {"fd_step": 0}, "fd_step"),
+            ("fd_step_infinite", {"fd_step": 1e400}, "fd_step"),
+            ("fractional_betas_negative", {"fractional_betas": [-1.0]}, "fractional_betas"),
+            ("v_scale_zero", {"v_scale": 0}, "v_scale"),
+        ]
+    },
+    # particle numbers and occupation vectors that used to exit 1
+    "polytope_n_zero": ("polytope", {"statistics": "fermion", "n": 0, "occupations": [0, 0, 0]}, "n must"),
+    "polytope_n_negative": ("polytope", {"statistics": "fermion", "n": -1, "occupations": [0, 0, 0]}, "n must"),
+    "polytope_occupations_empty": ("polytope", {"statistics": "fermion", "n": 2, "occupations": []}, "occupations"),
     "functional_count_zero": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": 0}}, "count"),
     "functional_targets_empty": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "targets": []}, "targets"),
     "invert_occupations": (

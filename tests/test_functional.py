@@ -18,6 +18,7 @@ from rdmft.errors import (
     NotRepresentableError,
 )
 from rdmft.fock import Statistics, build_basis, lift_one_body
+from rdmft import functional
 from rdmft.functional import (
     InversionOptions,
     InversionVerdict,
@@ -25,6 +26,7 @@ from rdmft.functional import (
     System,
     TracelessPotential,
     invert_potential,
+    invert_potentials,
     omega_of_v,
     potential_basis,
     response_jacobian,
@@ -423,6 +425,75 @@ class TestInvertPotential:
         report = invert_potential(gamma, system, EnsembleParams(beta=1.0))
         assert report.trace[0].iteration == 1
         assert all(rec.residual >= 0 for rec in report.trace)
+
+
+class TestInvertPotentials:
+    @staticmethod
+    def mixed_batch():
+        """Hubbard 4/2 F at beta = 200: interior targets, the cold seeds 0-2
+        that need the beta ladder, one boundary and one outside target, and
+        a Gibbs 1RDM started at its own potential."""
+        system = hubbard_system(4, 2, F)
+        params = EnsembleParams(200.0)
+        v = random_potential(4, seed=8, norm=0.5)
+        _, gibbs = omega_of_v(v, system, params)
+        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), 4))[1]
+        targets = [random_rdm(4, 2, F, interior=True, seed=seed) for seed in range(5)] + [
+            OneRdm((q * [1.0, 0.5, 0.3, 0.2]) @ q.conj().T),
+            OneRdm((q * [1.1, 0.5, 0.3, 0.1]) @ q.conj().T),
+            gibbs,
+        ]
+        starts = np.zeros((len(targets), system.pbasis.size))
+        starts[-1] = system.pbasis.coefficients(v)
+        return system, params, targets, starts
+
+    def test_batch_matches_one_at_a_time(self):
+        system, params, targets, starts = self.mixed_batch()
+        batch = invert_potentials(targets, system, params, InversionOptions(initial=starts))
+        single = [
+            invert_potential(target, system, params, InversionOptions(initial=start))
+            for target, start in zip(targets, starts)
+        ]
+        assert [r.classification for r in batch[5:7]] == [RdmClass.BOUNDARY, RdmClass.OUTSIDE]
+        assert [r.verdict for r in batch].count(InversionVerdict.CONVERGED) == 6
+        assert batch[-1].iterations == 1
+        for b, s in zip(batch, single):
+            assert (b.verdict, b.classification, b.iterations) == (s.verdict, s.classification, s.iterations)
+            assert np.max(np.abs(b.v_star.matrix - s.v_star.matrix)) <= 1e-10
+
+    def test_oversized_batch_is_split(self, monkeypatch):
+        system, params, targets, _ = self.mixed_batch()
+        calls = []
+        continuation = functional._continuation
+
+        def spy(batch, system, rung, *args):
+            calls.append((len(batch), rung.beta))
+            return continuation(batch, system, rung, *args)
+
+        def sizes():
+            # the batches at the requested beta, not the ladder's
+            return [size for size, beta in calls if beta == params.beta]
+
+        monkeypatch.setattr(functional, "_continuation", spy)
+        monkeypatch.setattr(functional, "BATCH_WORKSPACE_BYTES", 3 * functional._workspace_bytes(system.basis))
+        split = invert_potentials(targets, system, params)
+        assert sizes() == [3, 3, 2]
+        monkeypatch.setattr(functional, "BATCH_WORKSPACE_BYTES", 1)
+        calls.clear()
+        alone = invert_potentials(targets, system, params)
+        assert sizes() == [1] * len(targets)
+        assert [r.iterations for r in split] == [r.iterations for r in alone]
+
+    def test_singular_jacobian_stops_only_its_target(self):
+        jac = np.stack([np.zeros((2, 2)), -np.eye(2)])
+        steps = functional._newton_steps(jac, np.array([[1.0, 2.0], [1.0, 2.0]]))
+        assert np.all(np.isnan(steps[0]))
+        npt.assert_array_equal(steps[1], [1.0, 2.0])
+
+    def test_initial_shape_checked(self):
+        system, params, targets, _ = self.mixed_batch()
+        with pytest.raises(InvalidArguments, match="initial"):
+            invert_potentials(targets, system, params, InversionOptions(initial=np.zeros((2, system.pbasis.size))))
 
 
 class TestUniversalFunctional:

@@ -8,6 +8,7 @@ import pytest
 from rdmft import verify
 from rdmft.errors import ConfigError, ConvergenceFailure
 from rdmft.fock import Statistics
+from rdmft.functional import InversionOptions, converged_inversion, invert_potential
 from rdmft.models import ModelSpec
 from rdmft.serialize import canonical_json, suite_report_json, theorem_report_to_json
 from rdmft.verify import (
@@ -78,6 +79,33 @@ class TestIndividualChecks:
         report = CHECK_REGISTRY["omega_concavity"](small_config(F, trials=2))
         assert report.failures == 2 and report.worst_margin is None
         assert [(row["margin"], row["error"]) for row in report.details] == [(None, "no maximum")] * 2
+
+    @pytest.mark.parametrize("check,per_trial", [("f_convexity", 3), ("gradient", 10)])
+    def test_target_that_stops_short_fails_only_its_trial(self, monkeypatch, check, per_trial):
+        """One target of a check's batched inversions ends MAX_ITERATIONS: its
+        trial fails with the text converged_inversion gives for that target
+        alone, and every other trial is untouched."""
+        config = small_config(F, trials=3)
+        clean = CHECK_REGISTRY[check](config)
+        failing = per_trial + 1
+        expected = {}
+        batched = verify.invert_potentials
+
+        def one_stops_short(targets, system, params, opts):
+            reports = batched(targets, system, params, opts)
+            short = InversionOptions(max_iter=1, initial=opts.initial[failing])
+            reports[failing] = invert_potential(targets[failing], system, params, short)
+            with pytest.raises(ConvergenceFailure) as alone:
+                converged_inversion(targets[failing], system, params, short)
+            expected["error"] = str(alone.value)
+            return reports
+
+        monkeypatch.setattr(verify, "invert_potentials", one_stops_short)
+        report = CHECK_REGISTRY[check](config)
+        assert report.failures == 1
+        assert (report.details[1]["margin"], report.details[1]["error"]) == (None, expected["error"])
+        assert expected["error"].startswith("dual Newton stopped after 1 iterations")
+        assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
 
     def test_gradient_deviation_is_stencil_error(self):
         """The trial that failed at the old step 1e-4: suite seed 12, (4,2,F)
