@@ -300,7 +300,7 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         gammas = [OneRdm((1 - lam) * start.matrix + lam * stop.matrix) for lam in lambdas]
         rows = []
         for lam, gamma, report in zip(lambdas, gammas, invert_potentials(gammas, system, params)):
-            report = require_converged(report, gamma, system)
+            require_converged(report, gamma, system)
             rows.append((float(lam), report.f_value, float(np.linalg.norm(report.gradient.matrix))))
         write_csv(out / "segment.csv", ["lambda", "f_value", "gradient_norm"], rows, meta)
         print(f"functional: segment scan of {points} points written to {out}")

@@ -438,8 +438,9 @@ def _dual_newton(
                 search = search[~ok]
             t *= BACKTRACK_FACTOR
             del trial
-        # the targets still searching found no admissible step
-        live = np.delete(live, search)
+        if search.size:
+            # the targets still searching found no admissible step
+            live = np.delete(live, search)
 
     reports = []
     for b, classification in enumerate(classes):
