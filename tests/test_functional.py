@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
+from rdmft import functional
 from rdmft.ensemble import EnsembleParams, OneRdm, RdmClass
 from rdmft.errors import (
     DimensionMismatch,
@@ -18,7 +19,6 @@ from rdmft.errors import (
     NotRepresentableError,
 )
 from rdmft.fock import Statistics, build_basis, lift_one_body
-from rdmft import functional
 from rdmft.functional import (
     InversionOptions,
     InversionVerdict,
