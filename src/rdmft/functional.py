@@ -16,7 +16,7 @@ NonRepresentable before the first Newton step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import sqrt
