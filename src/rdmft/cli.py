@@ -61,9 +61,10 @@ from .verify import CheckConfig, SuiteConfig, run_suite, suite_failures
 def _convert(hint, value, where: str):
     """A JSON value as the annotated type hint, or a ConfigError.
 
-    Reads int, float, bool, str, dict, Statistics, X | None and tuples
-    (tuple[X, ...] or fixed length) from JSON lists.  Integer fields take
-    JSON integers only; float fields also take integers.
+    Reads int, float, bool, str, dict, Statistics, X | None, tuples
+    (tuple[X, ...] or fixed length) from JSON lists, and a float ndarray
+    from a JSON list of numbers.  Integer fields take JSON integers only;
+    float fields also take integers.
     """
     if get_origin(hint) is UnionType:
         (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
@@ -73,6 +74,8 @@ def _convert(hint, value, where: str):
         items = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(items) == len(value):
             return tuple(_convert(item, x, where) for item, x in zip(items, value))
+    elif hint is np.ndarray and isinstance(value, list) and all(type(x) in (int, float) for x in value):
+        return np.array(value, dtype=float)
     elif hint is Statistics and value in ("fermion", "boson"):
         return Statistics(value)
     elif hint is float and type(value) in (int, float):
@@ -81,6 +84,8 @@ def _convert(hint, value, where: str):
         return value
     if hint is Statistics:
         expected = "'fermion' or 'boson'"
+    elif hint is np.ndarray:
+        expected = "a list of numbers"
     else:
         expected = hint.__name__ if get_origin(hint) is None else str(hint)
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
@@ -214,11 +219,17 @@ def _target_rdm(obj, model: ModelSpec, seed) -> OneRdm:
     return gamma
 
 
-def _options_from(cfg) -> InversionOptions:
+def _options_from(cfg, system) -> InversionOptions:
     try:
-        return InversionOptions(**_fields_from(InversionOptions, cfg.get("options", {}), "inversion option"))
+        opts = InversionOptions(**_fields_from(InversionOptions, cfg.get("options", {}), "inversion option"))
     except RdmftError as exc:
         raise ConfigError(f"bad inversion options: {exc}") from exc
+    size = system.pbasis.size
+    if opts.initial is not None and opts.initial.shape != (size,):
+        raise ConfigError(
+            f"inversion option initial must hold K = nb^2 - 1 = {size} coefficients, got {opts.initial.size}"
+        )
+    return opts
 
 
 def cmd_gibbs(cfg, out: Path, seed) -> int:
@@ -264,7 +275,7 @@ def cmd_invert(cfg, out: Path, seed) -> int:
     system = _build_system_checked(model)
     params = _params_from(cfg)
     target = _target_rdm(cfg.get("target"), model, seed)
-    opts = _options_from(cfg)
+    opts = _options_from(cfg, system)
     report = invert_potential(target, system, params, opts)
     dump_json(out / "inversion_report.json", inversion_report_to_json(report))
     write_csv(

@@ -48,7 +48,8 @@ class Statistics(Enum):
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """max |m - m+| over a matrix, or over every matrix of a (..., n, n) stack."""
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
 def _as_square(matrix, size: int | None = None) -> np.ndarray:

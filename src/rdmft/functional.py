@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +75,7 @@ class TracelessPotential:
         m = np.asarray(getattr(self.matrix, "matrix", self.matrix), dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
-            raise NonHermitianInput("potential is not Hermitian within 1e-13")
-        # relative to scale: a large potential cannot express an exactly
-        # zero trace below the ulp of its own diagonal entries
-        if abs(complex(np.trace(m))) > TRACE_TOL * max(1.0, float(np.linalg.norm(m))):
-            raise InvalidArguments(f"potential trace {np.trace(m)!r} exceeds 1e-12; remove the gauge part")
+        _check_traceless(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -89,6 +85,29 @@ class TracelessPotential:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
+
+
+def _check_traceless(m: np.ndarray) -> None:
+    """The rule of TracelessPotential for a complex matrix or a (..., nb, nb)
+    stack of them: each one Hermitian within 1e-13 and traceless within
+    1e-12 relative to its norm."""
+    if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
+        raise NonHermitianInput("potential is not Hermitian within 1e-13")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    # relative to scale: a large potential cannot express an exactly
+    # zero trace below the ulp of its own diagonal entries
+    traced = np.abs(trace) > TRACE_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if traced.any():
+        first = np.ravel(trace)[np.ravel(traced)][0]
+        raise InvalidArguments(f"potential trace {first!r} exceeds 1e-12; remove the gauge part")
+
+
+def _checked(matrix: np.ndarray) -> TracelessPotential:
+    """A TracelessPotential around a complex matrix that has already passed
+    _check_traceless, as a slice of a checked stack, say."""
+    potential = object.__new__(TracelessPotential)
+    object.__setattr__(potential, "matrix", matrix)
+    return potential
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +149,23 @@ class PotentialBasis:
         return np.concatenate([g[:, d, d].real, g[:, i, j].real, -g[:, i, j].imag], axis=1)
 
     def assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        return (np.asarray(coeffs, dtype=float) @ self.element_matrix).reshape(self.nb, self.nb)
+        """sum_a c_a G_a for a coefficient vector, or for each row of a
+        (..., K) stack.  Every row takes its own vector-matrix product, so
+        its matrix is the same bits in any stack."""
+        c = np.asarray(coeffs, dtype=float)
+        return (c[..., None, :] @ self.element_matrix).reshape(*c.shape[:-1], self.nb, self.nb)
+
+    def traceless(self, coeffs: np.ndarray) -> np.ndarray:
+        """assemble, with the summation round-off of each trace scrubbed so
+        that the check of TracelessPotential, run once on the whole stack,
+        never trips on it."""
+        m = self.assemble(coeffs)
+        m -= (np.trace(m, axis1=-2, axis2=-1) / self.nb)[..., None, None] * np.eye(self.nb)
+        _check_traceless(m)
+        return m
 
     def potential(self, coeffs: np.ndarray) -> TracelessPotential:
-        m = self.assemble(coeffs)
-        # scrub the summation round-off so construction never trips on it
-        m -= (np.trace(m) / self.nb) * np.eye(self.nb)
-        return TracelessPotential(m)
+        return _checked(self.traceless(coeffs))
 
 
 def potential_basis(nb: int) -> PotentialBasis:
@@ -191,8 +220,9 @@ class InversionOptions:
 
     tol bounds the residual of a converged inversion, classify_tol the face
     distance below which a target is not interior, and initial optionally
-    seeds the potential coefficients (zeros by default): shape (K,), or
-    (B, K) with one row per target of an invert_potentials batch.
+    seeds the potential coefficients (zeros by default) with finite values:
+    shape (K,), or (B, K) with one row per target of an invert_potentials
+    batch.
     """
 
     tol: float = 1e-10
@@ -207,6 +237,8 @@ class InversionOptions:
             raise InvalidArguments(f"max_iter must be at least 1, got {self.max_iter}")
         if not 0.0 <= self.classify_tol < float("inf"):
             raise InvalidArguments(f"classify_tol must be nonnegative and finite, got {self.classify_tol}")
+        if self.initial is not None and not np.all(np.isfinite(self.initial)):
+            raise InvalidArguments("initial coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -350,6 +382,33 @@ def _newton_steps(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return steps
 
 
+def _maximizers(pbasis: PotentialBasis, coeffs: np.ndarray) -> list[tuple[TracelessPotential, TracelessPotential]]:
+    """The potential v* and the derivative -v* of F for each row of a (B, K)
+    stack of coefficients, assembled and checked as one stack."""
+    v_star = pbasis.traceless(coeffs)
+    # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
+    # JSON reports would then print
+    return [(_checked(v), _checked(g)) for v, g in zip(v_star, 0.0 - v_star)]
+
+
+class _Running(NamedTuple):
+    """The state of the targets still running, one row each: ids maps a row
+    to its target, target holds the target's coefficients, and energies,
+    vectors and weights are the spectrum of its Gibbs state that the
+    Jacobian reads."""
+
+    ids: np.ndarray
+    c: np.ndarray
+    value: np.ndarray
+    grad: np.ndarray
+    residual: np.ndarray
+    step_norm: np.ndarray
+    target: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+
+
 def _dual_newton(
     targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
 ) -> tuple[list[InversionReport], np.ndarray]:
@@ -359,7 +418,11 @@ def _dual_newton(
     solve(J, -grad), line search, trace and verdict; one that has stopped
     drops out of later rounds.  A singular J, a direction that does not
     ascend or a step halved below MIN_STEP ends a target's attempt.  Also
-    returns each target's spread E_max - E_min of H at its start."""
+    returns each target's spread E_max - E_min of H at its start.
+
+    The running targets' state is held compacted, so a round in which no
+    target stops and every one takes its first trial step indexes no rows.
+    """
     basis, pbasis = system.basis, system.pbasis
     elements = pbasis.element_matrix
     matrices = np.stack([target.matrix for target in targets])
@@ -368,97 +431,141 @@ def _dual_newton(
     target_coeffs = pbasis.coefficients(matrices)
     c = np.array(starts, dtype=float)
 
-    def dual_value(state: GibbsSolution, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return state.omega - (coeffs * target_coeffs[rows]).sum(-1)
-
     # the gradient gamma_v - gamma and its norm, the Frobenius distance of
     # the matrices since both carry trace n
-    def offset(density: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target_coeffs[rows]
+    def offset(density: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target
         return grad, np.linalg.norm(grad, axis=-1)
 
     state = _thermal(c @ elements, system, params)
     spread = state.energies[:, -1] - state.energies[:, 0]
-    grad, residual = offset(state.density, np.arange(len(targets)))
-    value = dual_value(state, c, np.arange(len(targets)))
-    # what the Jacobian reads of each target's current state; the densities
-    # are dropped, since at large dim they would sit beside its workspace
-    spectrum = (state.energies, state.eigenvectors, state.weights)
+    grad, residual = offset(state.density, target_coeffs)
+    value = state.omega - (c * target_coeffs).sum(-1)
+    # the densities are dropped, since at large dim they would sit beside
+    # the Jacobian's workspace
+    run = _Running(
+        ids=np.arange(len(targets)),
+        c=c,
+        value=value,
+        grad=grad,
+        residual=residual,
+        step_norm=np.zeros(len(targets)),
+        target=target_coeffs,
+        energies=state.energies,
+        vectors=state.eigenvectors,
+        weights=state.weights,
+    )
     del state
-    step_norm = np.zeros(len(targets))
+    final_c, final_value, final_residual = np.empty_like(c), np.empty_like(value), np.empty_like(residual)
+
+    def stop(run: _Running, mask: np.ndarray) -> _Running:
+        """Write out the final state of the rows in mask and drop them."""
+        ids = run.ids[mask]
+        final_c[ids], final_value[ids], final_residual[ids] = run.c[mask], run.value[mask], run.residual[mask]
+        return run._make(a[~mask] for a in run)
+
     records: list[list[IterationRecord]] = [[] for _ in targets]
     interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
     # off the interior no maximizer exists, so that verdict is final here
     verdicts = [InversionVerdict.MAX_ITERATIONS if inside else InversionVerdict.NON_REPRESENTABLE for inside in interior]
-    live = np.flatnonzero(interior)
+    if not interior.all():
+        run = stop(run, ~interior)
 
     # every running target has taken the same number of iterations
     for iteration in range(1, opts.max_iter + 1):
-        for b in live:
-            records[b].append(IterationRecord(iteration, float(value[b]), float(residual[b]), float(step_norm[b])))
-        done = residual[live] <= opts.tol
-        for b in live[done]:
-            verdicts[b] = InversionVerdict.CONVERGED
-        live = live[~done]
-        if not live.size:
+        if not run.ids.size:
             break
+        for b, g, r, s in zip(run.ids.tolist(), run.value.tolist(), run.residual.tolist(), run.step_norm.tolist()):
+            records[b].append(IterationRecord(iteration, g, r, s))
+        done = run.residual <= opts.tol
+        if done.any():
+            for b in run.ids[done].tolist():
+                verdicts[b] = InversionVerdict.CONVERGED
+            run = stop(run, done)
+            if not run.ids.size:
+                break
 
-        live_grad = grad[live]
-        step = _newton_steps(_jacobian(*(a[live] for a in spectrum), basis, params, pbasis), live_grad)
-        slope = (live_grad * step).sum(-1)
+        step = _newton_steps(_jacobian(run.energies, run.vectors, run.weights, basis, params, pbasis), run.grad)
+        slope = (run.grad * step).sum(-1)
         ascends = np.isfinite(slope) & (slope > 0.0)
-        live, step, slope = live[ascends], step[ascends], slope[ascends]
+        if not ascends.all():
+            run, step, slope = stop(run, ~ascends), step[ascends], slope[ascends]
+            if not run.ids.size:
+                break
         length = np.linalg.norm(step, axis=-1)
 
-        # every target still searching has halved its step as often
-        t = 1.0
-        search = np.arange(live.size)
-        while search.size and t >= MIN_STEP:
-            rows = live[search]
-            trial_c = c[rows] + t * step[search]
+        # every row still searching has halved its step as often; searching
+        # is None while that is every row, so that nothing is gathered
+        t, searching = 1.0, None
+        while t >= MIN_STEP:
+            rows = (run.c, run.value, run.residual, run.target, step, slope)
+            if searching is not None:
+                rows = (a[searching] for a in rows)
+            c, value, residual, target, direction, gain = rows
+            trial_c = c + t * direction
             trial = _thermal(trial_c @ elements, system, params)
-            trial_value = dual_value(trial, trial_c, rows)
-            required = ARMIJO_SLOPE * t * slope[search]
-            ok = trial_value >= value[rows] + required
-            # once the required gain falls below float resolution of g the
-            # Armijo test is meaningless; accept on residual contraction
-            flat = ~ok & (required <= 1e-12 * np.maximum(1.0, np.abs(value[rows])))
-            if flat.any():
-                contracted = residual[rows[flat]] * (1.0 - ARMIJO_SLOPE * t)
-                ok[flat] = offset(trial.density[flat], rows[flat])[1] <= contracted
+            trial_value = trial.omega - (trial_c * target).sum(-1)
+            required = ARMIJO_SLOPE * t * gain
+            ok = trial_value >= value + required
+            all_ok = ok.all()
+            if not all_ok:
+                # once the required gain falls below float resolution of g
+                # the Armijo test is meaningless; accept on residual contraction
+                flat = ~ok & (required <= 1e-12 * np.maximum(1.0, np.abs(value)))
+                if flat.any():
+                    contracted = residual[flat] * (1.0 - ARMIJO_SLOPE * t)
+                    ok[flat] = offset(trial.density[flat], target[flat])[1] <= contracted
+                    all_ok = ok.all()
+            # t is a power of 2, so t * length is the norm of the step taken
+            if searching is None and all_ok:
+                grad, residual = offset(trial.density, target)
+                run = run._replace(
+                    c=trial_c,
+                    value=trial_value,
+                    grad=grad,
+                    residual=residual,
+                    step_norm=t * length,
+                    energies=trial.energies,
+                    vectors=trial.eigenvectors,
+                    weights=trial.weights,
+                )
+                break
             if ok.any():
-                accept = rows[ok]
-                c[accept] = trial_c[ok]
-                value[accept] = trial_value[ok]
-                # t is a power of 2, so this is the norm of the step taken
-                step_norm[accept] = t * length[search[ok]]
-                grad[accept], residual[accept] = offset(trial.density[ok], accept)
-                for held, new in zip(spectrum, (trial.energies, trial.eigenvectors, trial.weights)):
-                    held[accept] = new[ok]
-                search = search[~ok]
+                if searching is None:
+                    searching = np.ones(run.ids.size, dtype=bool)
+                accept = np.flatnonzero(searching)[ok]
+                run.c[accept], run.value[accept] = trial_c[ok], trial_value[ok]
+                run.step_norm[accept] = t * length[accept]
+                run.grad[accept], run.residual[accept] = offset(trial.density[ok], target[ok])
+                held = (run.energies, run.vectors, run.weights)
+                for mine, new in zip(held, (trial.energies, trial.eigenvectors, trial.weights)):
+                    mine[accept] = new[ok]
+                searching[accept] = False
+                if not searching.any():
+                    break
             t *= BACKTRACK_FACTOR
-            del trial
-        if search.size:
-            # the targets still searching found no admissible step
-            live = np.delete(live, search)
+        else:
+            # the rows still searching found no admissible step
+            run = stop(run, np.ones(run.ids.size, dtype=bool) if searching is None else searching)
+        del trial
+    if run.ids.size:
+        stop(run, np.ones(run.ids.size, dtype=bool))
 
-    reports = []
-    for b, classification in enumerate(classes):
-        v_star = pbasis.potential(c[b])
-        # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
-        # JSON reports would then print
-        reports.append(
-            InversionReport(
-                verdict=verdicts[b],
-                v_star=v_star,
-                f_value=float(value[b]),
-                gradient=TracelessPotential(0.0 - v_star.matrix),
-                residual=float(residual[b]),
-                iterations=len(records[b]),
-                classification=classification,
-                trace=tuple(records[b]),
-            )
+    reports = [
+        InversionReport(
+            verdict=verdict,
+            v_star=v_star,
+            f_value=f_value,
+            gradient=gradient,
+            residual=res,
+            iterations=len(trace),
+            classification=classification,
+            trace=tuple(trace),
         )
+        for verdict, (v_star, gradient), f_value, res, trace, classification in zip(
+            verdicts, _maximizers(pbasis, final_c), final_value.tolist(), final_residual.tolist(), records, classes
+        )
+    ]
     return reports, spread
 
 

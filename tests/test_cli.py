@@ -150,6 +150,16 @@ class TestInvert:
         code, _ = run(tmp_path, "invert", cfg)
         assert code == 2
 
+    def test_initial_zeros_start_where_the_default_does(self, tmp_path):
+        cfg = {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}}
+        reports = []
+        for name, options in (("default", {}), ("zeros", {"initial": [0] * 8})):
+            (tmp_path / name).mkdir()
+            code, out = run(tmp_path / name, "invert", {**cfg, "options": options})
+            assert code == 0
+            reports.append((out / "inversion_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_unknown_option_exits_2(self, tmp_path):
         cfg = {
             "model": ZERO_MODEL,
@@ -379,6 +389,27 @@ MALFORMED = {
     # misspelled top-level keys, which every command used to skip
     "verify_unknown_key": ("verify", {**TestVerify.TINY, "trails": 2}, "trails"),
     "gibbs_unknown_key": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potential": {"count": 2}}, "potential"),
+    "invert_initial_length": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}, "options": {"initial": [0] * 3}},
+        "K = nb^2 - 1 = 8",
+    ),
+    "invert_initial_not_list": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}, "options": {"initial": 0.0}},
+        "initial must be a list of numbers",
+    ),
+    "invert_initial_nan": (
+        "invert",
+        # json.dumps writes the float NaN as the literal NaN
+        {
+            "model": ZERO_MODEL,
+            "beta": 1.0,
+            "target": {"occupations": [0.9, 0.6, 0.5]},
+            "options": {"initial": [0.0] * 7 + [float("nan")]},
+        },
+        "finite",
+    ),
     "invert_unknown_key": (
         "invert",
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}, "option": {"tol": 1.0}},

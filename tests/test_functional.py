@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from rdmft import functional
+from rdmft import fock, functional
 from rdmft.ensemble import EnsembleParams, OneRdm, RdmClass
 from rdmft.errors import (
     DimensionMismatch,
@@ -113,6 +113,37 @@ class TestPotentialBasis:
         coeffs = 1e7 * np.arange(1.0, pb.size + 1)
         v = pb.potential(coeffs)
         assert abs(np.trace(v.matrix)) <= 1e-12 * max(1.0, v.norm)
+
+
+class TestMaximizers:
+    """The report pass of the solver: every v* and -v* of a batch assembled
+    and checked as one stack."""
+
+    @pytest.mark.parametrize("nb", [2, 3, 4, 10])
+    def test_stack_matches_one_row_at_a_time(self, nb):
+        pb = potential_basis(nb)
+        rng = np.random.default_rng(nb)
+        coeffs = rng.normal(size=(9, pb.size)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(9, 1))
+        for row, (v_star, gradient) in zip(coeffs, functional._maximizers(pb, coeffs)):
+            single = pb.potential(row)
+            # the scrubbed vector-matrix product of a one-target report
+            m = (row @ pb.element_matrix).reshape(nb, nb)
+            m -= (np.trace(m) / nb) * np.eye(nb)
+            assert v_star.matrix.tobytes() == single.matrix.tobytes() == m.tobytes()
+            assert gradient.matrix.tobytes() == TracelessPotential(0.0 - single.matrix).matrix.tobytes()
+
+    @pytest.mark.parametrize("defect,error", [("non_hermitian", NonHermitianInput), ("traced", InvalidArguments)])
+    def test_bad_row_raises_as_traceless_potential(self, defect, error):
+        pb = potential_basis(3)
+        stack = pb.traceless(np.random.default_rng(0).normal(size=(4, pb.size)))
+        if defect == "non_hermitian":
+            stack[2, 0, 1] += 1e-9
+        else:
+            stack[2] += 1e-6 * np.eye(3)
+        with pytest.raises(error):
+            TracelessPotential(stack[2])
+        with pytest.raises(error):
+            functional._check_traceless(stack)
 
 
 class TestOmegaOfV:
@@ -370,7 +401,15 @@ class TestInvertPotential:
 
     @pytest.mark.parametrize(
         "options",
-        [{"tol": 0.0}, {"tol": float("inf")}, {"max_iter": 0}, {"classify_tol": -1e-9}, {"classify_tol": float("nan")}],
+        [
+            {"tol": 0.0},
+            {"tol": float("inf")},
+            {"max_iter": 0},
+            {"classify_tol": -1e-9},
+            {"classify_tol": float("nan")},
+            {"initial": np.array([0.0, np.nan, 0.0])},
+            {"initial": np.array([[0.0, 0.0], [-np.inf, 0.0]])},
+        ],
     )
     def test_options_out_of_range_rejected(self, options):
         with pytest.raises(InvalidArguments):
@@ -460,6 +499,72 @@ class TestInvertPotentials:
         for b, s in zip(batch, single):
             assert (b.verdict, b.classification, b.iterations) == (s.verdict, s.classification, s.iterations)
             assert np.max(np.abs(b.v_star.matrix - s.v_star.matrix)) <= 1e-10
+            assert [r.iteration for r in b.trace] == [r.iteration for r in s.trace]
+            # a stacked product sums in another order than a single one; on
+            # the ladder at beta = 200 that round-off grows to 5e-10 in a
+            # residual of 0.18 before Newton contracts it again
+            for rb, rs in zip(b.trace, s.trace):
+                assert rb.residual == pytest.approx(rs.residual, rel=1e-8, abs=1e-10)
+                assert rb.step_norm == pytest.approx(rs.step_norm, rel=1e-8, abs=1e-10)
+
+    @pytest.fixture
+    def nonempty_kernels(self, monkeypatch):
+        """Fail on a Gibbs kernel or a hop-table scatter over an empty stack."""
+        thermal, scatter = functional._thermal, fock._scatter_sum
+
+        def thermal_spy(v, *args):
+            assert v.size, "_thermal on an empty stack"
+            return thermal(v, *args)
+
+        def scatter_spy(index, values, size):
+            assert values.size, "_scatter_sum on an empty stack"
+            return scatter(index, values, size)
+
+        monkeypatch.setattr(functional, "_thermal", thermal_spy)
+        monkeypatch.setattr(fock, "_scatter_sum", scatter_spy)
+
+    def test_every_target_stops_in_the_first_round(self, nonempty_kernels):
+        """Gibbs 1RDMs started at their own potentials all converge at once."""
+        system = hubbard_system(4, 2, F)
+        params = EnsembleParams(1.0)
+        potentials = [random_potential(4, seed=seed, norm=0.5) for seed in range(3)]
+        targets = [omega_of_v(v, system, params)[1] for v in potentials]
+        starts = system.pbasis.coefficients(np.stack([v.matrix for v in potentials]))
+        reports = invert_potentials(targets, system, params, InversionOptions(initial=starts))
+        for report, v in zip(reports, potentials):
+            assert report.verdict is InversionVerdict.CONVERGED
+            assert report.iterations == len(report.trace) == 1
+            assert report.residual <= 1e-10
+            assert np.max(np.abs(report.v_star.matrix - v.matrix)) <= 1e-12
+            assert report.gradient.matrix.tobytes() == (0.0 - report.v_star.matrix).tobytes()
+
+    def test_identical_targets_stop_together(self, nonempty_kernels):
+        system = hubbard_system(4, 2, F)
+        params = EnsembleParams(1.0)
+        gamma = random_rdm(4, 2, F, interior=True, seed=4)
+        alone = invert_potential(gamma, system, params)
+        assert alone.verdict is InversionVerdict.CONVERGED and alone.iterations > 2
+        for report in invert_potentials([gamma] * 3, system, params):
+            assert (report.verdict, report.iterations) == (alone.verdict, alone.iterations)
+            assert np.max(np.abs(report.v_star.matrix - alone.v_star.matrix)) <= 1e-10
+
+    def test_no_target_runs(self, nonempty_kernels):
+        """Off the interior every report is its start's, at iteration 0."""
+        system = hubbard_system(4, 2, F)
+        params = EnsembleParams(1.0)
+        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), 4))[1]
+        targets = [OneRdm((q * occ) @ q.conj().T) for occ in ([1.0, 0.5, 0.3, 0.2], [1.1, 0.5, 0.3, 0.1])]
+        start = np.random.default_rng(5).normal(size=system.pbasis.size)
+        reports = invert_potentials(targets, system, params, InversionOptions(initial=start))
+        v = system.pbasis.potential(start)
+        omega, gamma_v = omega_of_v(v, system, params)
+        assert [r.classification for r in reports] == [RdmClass.BOUNDARY, RdmClass.OUTSIDE]
+        for report, target in zip(reports, targets):
+            assert report.verdict is InversionVerdict.NON_REPRESENTABLE
+            assert (report.iterations, report.trace) == (0, ())
+            assert report.v_star.matrix.tobytes() == v.matrix.tobytes()
+            assert report.f_value == pytest.approx(omega - np.trace(v.matrix @ target.matrix).real, abs=1e-12)
+            assert report.residual == pytest.approx(np.linalg.norm(gamma_v.matrix - target.matrix), abs=1e-12)
 
     def test_oversized_batch_is_split(self, monkeypatch):
         system, params, targets, _ = self.mixed_batch()
