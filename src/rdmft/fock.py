@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, prod, sqrt
 from typing import NamedTuple
 
@@ -162,15 +162,21 @@ class HopBlocks(NamedTuple):
     i < j (in np.triu_indices order), one row per pair; all diagonal pairs
     have the same number of entries, and so do all off-diagonal ones.  The
     pairs i > j are left out because a+_j a_i is the adjoint of a+_i a_j.
-    triangle holds the flat indices m*dim + n of the upper triangle m <= n
-    of a dim x dim matrix, its dim diagonal entries first, and mirror the
-    transposed positions n*dim + m.
     """
 
     diagonal: HopTable
     upper: HopTable
-    triangle: np.ndarray
-    mirror: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def triangle_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices m*size + n of the upper triangle m <= n of a size x
+    size matrix, its diagonal first, and the transposed positions n*size + m;
+    read-only, as every caller shares them."""
+    m, n = np.concatenate([np.diag_indices(size), np.triu_indices(size, 1)], axis=1)
+    flat = np.stack([m * size + n, n * size + m])
+    flat.flags.writeable = False
+    return flat[0], flat[1]
 
 
 @dataclass(frozen=True)
@@ -226,10 +232,7 @@ class ConfigurationBasis:
             assert np.all(counts == k)
             entries = starts[:, None] + np.arange(k)
             blocks.append(HopTable(*(field[entries] for field in table)))
-        m, n = np.diag_indices(self.dim)
-        upper_m, upper_n = np.triu_indices(self.dim, 1)
-        m, n = np.concatenate([m, upper_m]), np.concatenate([n, upper_n])
-        return HopBlocks(*blocks, triangle=m * self.dim + n, mirror=n * self.dim + m)
+        return HopBlocks(*blocks)
 
 
 def _apply_hop(state: tuple[int, ...], i: int, j: int, statistics: Statistics):

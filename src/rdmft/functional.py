@@ -45,11 +45,12 @@ from .errors import (
 from .fock import (
     ONE_BODY_HERMITICITY_TOL,
     ConfigurationBasis,
-    HopTable,
+    HopBlocks,
     ManyBodyOperator,
     _hermiticity_defect,
     _lift,
     _rdm_matrix,
+    triangle_indices,
 )
 
 TRACE_TOL = 1e-12
@@ -57,8 +58,8 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BETA_RUNG = 4.0
 MIN_STEP = 1e-14
-# bytes of Jacobian workspace one lockstep batch may hold (64 MiB)
-BATCH_WORKSPACE_BYTES = 1 << 26
+# bytes of Jacobian workspace a batch may hold, and one block of one target
+JACOBIAN_WORKSPACE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +134,9 @@ class PotentialBasis:
 
     def coefficients(self, matrix) -> np.ndarray:
         """Coordinates of a traceless Hermitian matrix, or of each one of a
-        (..., nb, nb) stack."""
+        (..., nb, nb) stack by its own vector-matrix product."""
         m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
-        return (m.swapaxes(-1, -2).reshape(*m.shape[:-2], self.nb * self.nb) @ self.element_matrix.T).real
+        return (m.swapaxes(-1, -2).reshape(*m.shape[:-2], 1, self.nb * self.nb) @ self.element_matrix.T)[..., 0, :].real
 
     @cached_property
     def generator_map(self) -> np.ndarray:
@@ -292,14 +293,12 @@ def _divided_differences(energies: np.ndarray, weights: np.ndarray, beta: float)
     return np.maximum(weights[..., :, None], weights[..., None, :]) * quotient
 
 
-def _rotated(block: HopTable, vectors: np.ndarray) -> np.ndarray:
-    """Q_ij = V+ lift(a+_i a_j) V = V[rows]+ (amps V[cols]) for each pair of
-    the block, flattened to one row per pair: only the configurations that
-    a+_i a_j reaches enter the product.  Leading axes of vectors index a
-    batch."""
-    rows = vectors.conj().take(block.rows, axis=-2).swapaxes(-1, -2)
-    cols = block.amps[..., None] * vectors.take(block.cols, axis=-2)
-    return np.matmul(rows, cols).reshape(*vectors.shape[:-2], len(block.rows), -1)
+def _hermitian_parts(x: np.ndarray, nd: int, q: np.ndarray, adjoint: np.ndarray) -> None:
+    """Q_ij + Q_ij+ into rows nd:nd+nu of x, -i(Q_ij - Q_ij+) after them; q may be those rows."""
+    nu = q.shape[-2]
+    antisymmetric = np.subtract(q, adjoint, out=x[..., nd + nu :, :])
+    antisymmetric *= -1j
+    np.add(q, adjoint, out=x[..., nd : nd + nu, :])
 
 
 def _jacobian(
@@ -326,30 +325,57 @@ def _jacobian(
     centred h_r times sqrt(-phi) on the upper triangle m <= n (off-diagonal
     entries weighted twice), J_h = -X X^T for the real view X, and
     J = T J_h T^T with T = pbasis.generator_map.
+
+    X X^T is summed over blocks of _block_width eigenbasis rows [a, b): the
+    upper triangle of the square Q[a:b, a:b], which holds its mirror, and the
+    rectangle Q[a:b, b:], whose mirror is the product Q[b:, a:b].
     """
-    blocks, dim = basis.hop_blocks, basis.dim
-    phi = _divided_differences(energies, weights, params.beta)
-    weight = np.sqrt(-phi.reshape(*phi.shape[:-2], -1).take(blocks.triangle, axis=-1))
-    weight[..., dim:] *= sqrt(2)
-    diagonal = _rotated(blocks.diagonal, vectors).take(blocks.triangle, axis=-1)
-    upper = _rotated(blocks.upper, vectors)
-    q_adjoint = np.conj(upper.take(blocks.mirror, axis=-1))
-    q = upper.take(blocks.triangle, axis=-1)
-    # the full products are the largest arrays here: free them before x
-    del upper
-    nd, nu = diagonal.shape[-2], q.shape[-2]
-    # rows in the column order of T: diagonal, symmetric, antisymmetric
-    x = np.empty((*q.shape[:-2], nd + 2 * nu, blocks.triangle.size), dtype=complex)
-    x[..., :nd, :] = diagonal
-    np.add(q, q_adjoint, out=x[..., nd : nd + nu, :])
-    np.subtract(q, q_adjoint, out=x[..., nd + nu :, :])
-    x[..., nd + nu :, :] *= -1j
-    x[..., :dim] -= x[..., :dim] @ weights[..., None]
-    x *= weight[..., None, :]
-    real = x.view(float)
+    dim, lead, conj = basis.dim, energies.shape[:-1], vectors.conj()
+    # Q_ij = conj(V[rows])^T (amps V[cols]) over the configurations a+_i a_j
+    # reaches; amps scales in place, as a copy would raise the peak by a third
+    (rows_d, cols_d), (rows_u, cols_u) = (
+        (conj.take(t.rows, axis=-2).swapaxes(-1, -2), vectors.take(t.cols, axis=-2)) for t in basis.hop_blocks
+    )
+    cols_d *= basis.hop_blocks.diagonal.amps[..., None]
+    cols_u *= basis.hop_blocks.upper.amps[..., None]
+    nd, nu = rows_d.shape[-3], rows_u.shape[-3]
+    root = np.sqrt(-_divided_differences(energies, weights, params.beta))
+    # held: the diagonal entries of the blocks before the last
+    held, gram, width = [], 0, _block_width(basis)
+    for a in range(0, dim, width):
+        b = min(a + width, dim)
+        triangle, mirror = triangle_indices(b - a)
+        x = np.empty((*lead, nd + 2 * nu, triangle.size), dtype=complex)
+        x[..., :nd, :] = (rows_d[..., a:b, :] @ cols_d[..., a:b]).reshape(*lead, nd, -1).take(triangle, axis=-1)
+        q = (rows_u[..., a:b, :] @ cols_u[..., a:b]).reshape(*lead, nu, -1)
+        q, adjoint = q.take(triangle, axis=-1), q.take(mirror, axis=-1)
+        _hermitian_parts(x, nd, q, np.conjugate(adjoint, out=adjoint))
+        weight = root[..., a:b, a:b].reshape(*lead, -1).take(triangle, axis=-1)
+        weight[..., b - a :] *= sqrt(2)
+        if b < dim:
+            held.append(x[..., : b - a].copy())
+            x, weight = x[..., b - a :], weight[..., b - a :]
+        else:
+            if held:
+                x = np.concatenate([*held, x], axis=-1)
+                weight = np.concatenate([np.diagonal(root, axis1=-2, axis2=-1)[..., :a], weight], axis=-1)
+            x[..., :dim] -= x[..., :dim] @ weights[..., None]
+        x *= weight[..., None, :]
+        real = x.view(float)
+        gram = gram + real @ real.swapaxes(-1, -2)
+        if b < dim:
+            x = np.empty((*lead, nd + 2 * nu, b - a, dim - b), dtype=complex)
+            np.matmul(rows_d[..., a:b, :], cols_d[..., b:], out=x[..., :nd, :, :])
+            np.matmul(rows_u[..., a:b, :], cols_u[..., b:], out=x[..., nd : nd + nu, :, :])
+            adjoint = cols_u[..., a:b].swapaxes(-1, -2) @ rows_u[..., b:, :].swapaxes(-1, -2)
+            x = x.reshape(*lead, nd + 2 * nu, -1)
+            _hermitian_parts(x, nd, x[..., nd : nd + nu, :], np.conjugate(adjoint, out=adjoint).reshape(*lead, nu, -1))
+            x *= sqrt(2) * root[..., a:b, b:].reshape(*lead, 1, -1)
+            real = x.view(float)
+            gram = gram + real @ real.swapaxes(-1, -2)
     t = pbasis.generator_map
-    j = -(t @ (real @ real.swapaxes(-1, -2)) @ t.T)
-    return (j + j.swapaxes(-1, -2)) / 2
+    j = t @ gram @ t.T
+    return (j + j.swapaxes(-1, -2)) / -2
 
 
 def response_jacobian(
@@ -437,7 +463,7 @@ def _dual_newton(
         grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target
         return grad, np.linalg.norm(grad, axis=-1)
 
-    state = _thermal(c @ elements, system, params)
+    state = _thermal((c[:, None, :] @ elements)[:, 0], system, params)
     spread = state.energies[:, -1] - state.energies[:, 0]
     grad, residual = offset(state.density, target_coeffs)
     value = state.omega - (c * target_coeffs).sum(-1)
@@ -482,8 +508,9 @@ def _dual_newton(
             for b in run.ids[done].tolist():
                 verdicts[b] = InversionVerdict.CONVERGED
             run = stop(run, done)
-            if not run.ids.size:
-                break
+        # the rows left stop at the state their last record shows
+        if not run.ids.size or iteration == opts.max_iter:
+            break
 
         step = _newton_steps(_jacobian(run.energies, run.vectors, run.weights, basis, params, pbasis), run.grad)
         slope = (run.grad * step).sum(-1)
@@ -503,7 +530,7 @@ def _dual_newton(
                 rows = (a[searching] for a in rows)
             c, value, residual, target, direction, gain = rows
             trial_c = c + t * direction
-            trial = _thermal(trial_c @ elements, system, params)
+            trial = _thermal((trial_c[:, None, :] @ elements)[:, 0], system, params)
             trial_value = trial.omega - (trial_c * target).sum(-1)
             required = ARMIJO_SLOPE * t * gain
             ok = trial_value >= value + required
@@ -595,12 +622,22 @@ def _continuation(
     return reports
 
 
+def _column_bytes(basis: ConfigurationBasis) -> int:
+    """Workspace per eigenbasis row of a block: X and the pairs' mirror products."""
+    return 24 * basis.nb * basis.nb * basis.dim
+
+
+def _block_width(basis: ConfigurationBasis) -> int:
+    """Eigenbasis rows per block of _jacobian: a property of the basis alone,
+    so that a target's Jacobian sums in the same order in any batch."""
+    return max(1, JACOBIAN_WORKSPACE_BYTES // _column_bytes(basis))
+
+
 def _workspace_bytes(basis: ConfigurationBasis) -> int:
-    """The largest arrays of one target's Jacobian: the rotated products of
-    the nb(nb-1)/2 upper orbital pairs and the nb^2 complex generator rows
-    on the upper triangle of the dim x dim matrices."""
-    nb, dim = basis.nb, basis.dim
-    return 16 * (nb * (nb - 1) // 2 * dim * dim + nb * nb * dim * (dim + 1) // 2)
+    """The largest arrays of one target's Jacobian: the gathered rows and
+    columns of the nb(nb+1)/2 pairs i <= j, and one block."""
+    gathered = 32 * basis.dim * sum(table.rows.size for table in basis.hop_blocks)
+    return gathered + min(_block_width(basis), basis.dim) * _column_bytes(basis)
 
 
 def invert_potentials(
@@ -614,14 +651,14 @@ def invert_potentials(
     The targets run in lockstep through one Newton path: the lift, the
     Gibbs kernel, the Jacobian, the linear solve and the line search each
     work on the stack of those still running.  Every target keeps its own
-    step lengths, backtracks, verdict, trace and beta ladder, so its report
-    is the one invert_potential gives it alone, up to float round-off.
+    step lengths, backtracks, verdict, trace, beta ladder and products, so
+    its report is, bit for bit, the one invert_potential gives it alone.
     opts.initial is None (each target starts from v = 0), one coefficient
     vector of shape (K,) for every target, or a (B, K) array with one row
     per target.
 
-    Batches whose Jacobians would hold more than BATCH_WORKSPACE_BYTES are
-    split; a target whose own Jacobian needs more runs alone.
+    Batches whose Jacobians would hold more than JACOBIAN_WORKSPACE_BYTES
+    are split; a target whose own Jacobian needs more runs alone.
     """
     targets = [gamma if isinstance(gamma, OneRdm) else OneRdm(gamma) for gamma in targets]
     basis, size = system.basis, system.pbasis.size
@@ -634,7 +671,7 @@ def invert_potentials(
     if starts.shape not in ((size,), (len(targets), size)):
         raise InvalidArguments(f"initial coefficients must have shape ({size},) or ({len(targets)}, {size})")
     starts = np.broadcast_to(starts, (len(targets), size))
-    chunk = max(1, BATCH_WORKSPACE_BYTES // _workspace_bytes(basis))
+    chunk = max(1, JACOBIAN_WORKSPACE_BYTES // _workspace_bytes(basis))
     reports = []
     for first in range(0, len(targets), chunk):
         batch = slice(first, first + chunk)

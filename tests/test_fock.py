@@ -29,6 +29,7 @@ from rdmft.fock import (
     lift_one_body,
     lift_two_body,
     slater_state,
+    triangle_indices,
 )
 
 F = Statistics.FERMION
@@ -231,7 +232,7 @@ def test_hop_blocks_cover_hop_terms_once(nb, n, stat):
     """The diagonal and upper blocks, plus the upper entries transposed
     (a+_j a_i is the adjoint of a+_i a_j), are the hop table once each."""
     basis = build_basis(nb, n, stat)
-    diagonal, upper, triangle, mirror = basis.hop_blocks
+    diagonal, upper = basis.hop_blocks
     i, j = np.divmod(upper.pair, nb)
     blocks = [
         diagonal,
@@ -241,11 +242,19 @@ def test_hop_blocks_cover_hop_terms_once(nb, n, stat):
     # one (pair, row, col, amp) line per entry
     entries = np.concatenate([np.stack([np.ravel(field) for field in block], axis=1) for block in blocks])
     assert sorted(map(tuple, entries)) == sorted(zip(*basis.hop_terms))
-    # triangle and mirror: every position of a dim x dim matrix, the diagonal twice
-    dim = basis.dim
-    counts = np.bincount(np.concatenate([triangle, mirror]), minlength=dim * dim)
-    npt.assert_array_equal(counts, 1 + np.eye(dim, dtype=int).ravel())
-    npt.assert_array_equal(triangle[:dim], np.arange(dim) * (dim + 1))
+
+
+@pytest.mark.parametrize("size", [1, 2, 6, 20])
+def test_triangle_indices_cover_the_matrix(size):
+    """triangle and mirror: every position of a size x size matrix, the
+    diagonal twice and first."""
+    triangle, mirror = triangle_indices(size)
+    counts = np.bincount(np.concatenate([triangle, mirror]), minlength=size * size)
+    npt.assert_array_equal(counts, 1 + np.eye(size, dtype=int).ravel())
+    npt.assert_array_equal(triangle[:size], np.arange(size) * (size + 1))
+    m, n = np.divmod(triangle, size)
+    assert np.all(m <= n)
+    npt.assert_array_equal(mirror, n * size + m)
 
 
 class TestSlaterState:

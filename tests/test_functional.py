@@ -1,6 +1,7 @@
 """Dual evaluation of the universal functional and the Newton inversion."""
 
 import itertools
+import tracemalloc
 from math import log
 
 import numpy as np
@@ -251,6 +252,52 @@ class TestResponseJacobian:
         npt.assert_allclose(np.diag(jac), np.diag(expected), rtol=1e-14, atol=0)
         npt.assert_array_equal(jac - np.diag(np.diag(jac)), 0.0)
 
+    @pytest.mark.parametrize("nb,n,stat", [(6, 3, F), (4, 3, B)])
+    @pytest.mark.parametrize("width", [1, 3, 9])
+    def test_blocks_match_one_block(self, monkeypatch, nb, n, stat, width):
+        """A budget of width eigenbasis rows cuts the triangle at dim 20 into
+        blocks, down to one row each: their sum is the dense oracle's
+        Jacobian and the one-block one, and a stack's rows are the bits of
+        the one-target calls."""
+        system = interacting_system(nb, n, stat)
+        basis, pb = system.basis, potential_basis(nb)
+        potentials = [random_potential(nb, seed=nb + n + k) for k in range(2)]
+        hops = orc.hop_stack(nb, n, stat is F)
+        h = system.h0.matrix + np.tensordot(potentials[0].matrix.ravel(), hops, axes=1)
+        assert functional._block_width(basis) >= basis.dim
+        for beta in (0.5, 50.0, 1000.0):
+            params = EnsembleParams(beta=beta)
+            whole = response_jacobian(potentials[0], system, params, pb)
+            with monkeypatch.context() as patch:
+                patch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", width * functional._column_bytes(basis))
+                assert functional._block_width(basis) == width
+                blocked = response_jacobian(potentials[0], system, params, pb)
+                state = functional._thermal(np.stack([v.matrix.ravel() for v in potentials]), system, params)
+                stack = functional._jacobian(state.energies, state.eigenvectors, state.weights, basis, params, pb)
+                for row, v in zip(stack, potentials):
+                    assert row.tobytes() == response_jacobian(v, system, params, pb).tobytes()
+            expected = orc.dense_response_jacobian(h, hops, beta, pb.elements)
+            assert np.linalg.norm(blocked - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.linalg.norm(blocked - whole) <= 1e-13 * np.linalg.norm(whole)
+
+    def test_workspace_is_bounded(self):
+        """At nb=10/n=5 (dim 252) one Jacobian holds its gathered operands and
+        about one block of JACOBIAN_WORKSPACE_BYTES at a time, not the whole
+        (nb^2, dim(dim+1)/2) generator matrix."""
+        system = hubbard_system(10, 5, F)
+        blocks, dim = system.basis.hop_blocks, system.basis.dim
+        gathered = 32 * dim * (blocks.diagonal.rows.size + blocks.upper.rows.size)
+        v = random_potential(10, seed=1)
+        params = EnsembleParams(beta=1.0)
+        response_jacobian(v, system, params)
+        tracemalloc.start()
+        try:
+            response_jacobian(v, system, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gathered + 2 * functional.JACOBIAN_WORKSPACE_BYTES
+
     def test_degenerate_spectrum_handled(self):
         # zero Hamiltonian: fully degenerate, runs through the limit branch
         system = zero_system(3, 2, F)
@@ -496,16 +543,13 @@ class TestInvertPotentials:
         assert [r.classification for r in batch[5:7]] == [RdmClass.BOUNDARY, RdmClass.OUTSIDE]
         assert [r.verdict for r in batch].count(InversionVerdict.CONVERGED) == 6
         assert batch[-1].iterations == 1
+        # every row of a stack takes the products it would take alone, so a
+        # target's report is the same bits in a batch and alone
         for b, s in zip(batch, single):
             assert (b.verdict, b.classification, b.iterations) == (s.verdict, s.classification, s.iterations)
-            assert np.max(np.abs(b.v_star.matrix - s.v_star.matrix)) <= 1e-10
-            assert [r.iteration for r in b.trace] == [r.iteration for r in s.trace]
-            # a stacked product sums in another order than a single one; on
-            # the ladder at beta = 200 that round-off grows to 5e-10 in a
-            # residual of 0.18 before Newton contracts it again
-            for rb, rs in zip(b.trace, s.trace):
-                assert rb.residual == pytest.approx(rs.residual, rel=1e-8, abs=1e-10)
-                assert rb.step_norm == pytest.approx(rs.step_norm, rel=1e-8, abs=1e-10)
+            assert b.v_star.matrix.tobytes() == s.v_star.matrix.tobytes()
+            assert (b.f_value, b.residual) == (s.f_value, s.residual)
+            assert b.trace == s.trace
 
     @pytest.fixture
     def nonempty_kernels(self, monkeypatch):
@@ -566,6 +610,17 @@ class TestInvertPotentials:
             assert report.f_value == pytest.approx(omega - np.trace(v.matrix @ target.matrix).real, abs=1e-12)
             assert report.residual == pytest.approx(np.linalg.norm(gamma_v.matrix - target.matrix), abs=1e-12)
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_stop_at_max_iter_is_the_last_record(self, max_iter):
+        """A solve that runs out of iterations reports the state its last
+        trace record shows: no step is taken past it."""
+        system = hubbard_system(4, 2, F)
+        gamma = random_rdm(4, 2, F, seed=1)
+        report = invert_potential(gamma, system, EnsembleParams(1.0), InversionOptions(max_iter=max_iter))
+        assert report.verdict is InversionVerdict.MAX_ITERATIONS
+        assert report.iterations == len(report.trace) == max_iter
+        assert (report.residual, report.f_value) == (report.trace[-1].residual, report.trace[-1].g_value)
+
     def test_oversized_batch_is_split(self, monkeypatch):
         system, params, targets, _ = self.mixed_batch()
         calls = []
@@ -580,14 +635,20 @@ class TestInvertPotentials:
             return [size for size, beta in calls if beta == params.beta]
 
         monkeypatch.setattr(functional, "_continuation", spy)
-        monkeypatch.setattr(functional, "BATCH_WORKSPACE_BYTES", 3 * functional._workspace_bytes(system.basis))
+        whole = invert_potentials(targets, system, params)
+        assert sizes() == [len(targets)]
+        # both budgets leave the Jacobian one block, so only the batches change
+        monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", 3 * functional._workspace_bytes(system.basis))
+        calls.clear()
         split = invert_potentials(targets, system, params)
         assert sizes() == [3, 3, 2]
-        monkeypatch.setattr(functional, "BATCH_WORKSPACE_BYTES", 1)
+        monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", functional._workspace_bytes(system.basis))
         calls.clear()
         alone = invert_potentials(targets, system, params)
         assert sizes() == [1] * len(targets)
-        assert [r.iterations for r in split] == [r.iterations for r in alone]
+        for reports in (split, alone):
+            assert [r.trace for r in reports] == [r.trace for r in whole]
+            assert [r.v_star.matrix.tobytes() for r in reports] == [r.v_star.matrix.tobytes() for r in whole]
 
     def test_singular_jacobian_stops_only_its_target(self):
         jac = np.stack([np.zeros((2, 2)), -np.eye(2)])
