@@ -727,17 +727,6 @@ def require_converged(report: InversionReport, gamma: OneRdm, system: System) ->
     return report
 
 
-def converged_inversion(
-    gamma: OneRdm,
-    system: System,
-    params: EnsembleParams,
-    opts: InversionOptions = InversionOptions(),
-) -> InversionReport:
-    """invert_potential for callers that need the maximizer; raises as
-    require_converged does."""
-    return require_converged(invert_potential(gamma, system, params, opts), gamma, system)
-
-
 def universal_functional(
     gamma: OneRdm,
     system: System,
@@ -750,5 +739,5 @@ def universal_functional(
     maximizing potential.  Raises NotRepresentableError off the interior
     and ConvergenceFailure if the solver gives up on a valid target.
     """
-    report = converged_inversion(gamma, system, params, opts)
+    report = require_converged(invert_potential(gamma, system, params, opts), gamma, system)
     return report.f_value, report.gradient

@@ -29,9 +29,9 @@ from .errors import ConfigError, InvalidArguments, RdmftError
 from .fock import ManyBodyOperator, Statistics, build_basis, lift_one_body
 from .functional import (
     InversionOptions,
+    InversionReport,
     PotentialBasis,
     System,
-    converged_inversion,
     invert_potentials,
     omega_of_v,
     require_converged,
@@ -157,11 +157,12 @@ def _mix_parameter(rng: np.random.Generator, config: CheckConfig) -> float:
 class _Inversions:
     """What a trial hands back when its margin needs the functional at some
     targets: each target is inverted from the matching row of starts, and
-    finish maps their F values, in target order, to the margin."""
+    finish maps their converged reports, in target order, to the margin or
+    to a further _Inversions for the next round."""
 
     targets: list[OneRdm]
     starts: np.ndarray
-    finish: Callable[[list[float]], float]
+    finish: Callable[[list[InversionReport]], float | _Inversions]
 
 
 def _campaign(
@@ -171,11 +172,14 @@ def _campaign(
 
     trial(rng, k, record) fills in the fields of record, which starts as
     {"trial": k}, and returns the signed margin, or _Inversions for it.
-    The targets of every trial's _Inversions are inverted on system at
-    config.beta in one invert_potentials call, after all trials have drawn
-    their inputs in trial order.  fails(margin) says whether the claim
-    broke.  A trial whose computation raises RdmftError, or one of whose
-    targets does not converge, fails with no margin and the error's text.
+    Once all trials have drawn their inputs in trial order, the campaign
+    runs in rounds: each inverts the targets of every pending _Inversions
+    on system at config.beta in one invert_potentials call, and hands each
+    trial its reports.  A report is the same bits alone and in any batch,
+    so the rounds change only the batching.  fails(margin) says whether
+    the claim broke.  A trial whose computation raises RdmftError, or one
+    of whose targets does not converge, fails with no margin and the
+    error's text.
     """
     rng = _rng(config, check)
     records = [{"trial": k} for k in range(config.trials)]
@@ -185,24 +189,24 @@ def _campaign(
             outcomes.append(trial(rng, k, record))
         except RdmftError as exc:
             outcomes.append(exc)
-    requests = [outcome for outcome in outcomes if isinstance(outcome, _Inversions)]
-    if requests:
+    while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, _Inversions)]:
+        requests = [outcomes[k] for k in pending]
         reports = invert_potentials(
             [target for request in requests for target in request.targets],
             system,
             EnsembleParams(config.beta),
             InversionOptions(initial=np.concatenate([request.starts for request in requests])),
         )
-    margins, failures = [], 0
-    for record, outcome in zip(records, outcomes):
-        if isinstance(outcome, _Inversions):
-            mine, reports = reports[: len(outcome.targets)], reports[len(outcome.targets) :]
+        for k, request in zip(pending, requests):
+            mine, reports = reports[: len(request.targets)], reports[len(request.targets) :]
             try:
-                outcome = outcome.finish(
-                    [require_converged(report, target, system).f_value for report, target in zip(mine, outcome.targets)]
+                outcomes[k] = request.finish(
+                    [require_converged(report, target, system) for report, target in zip(mine, request.targets)]
                 )
             except RdmftError as exc:
-                outcome = exc
+                outcomes[k] = exc
+    margins, failures = [], 0
+    for record, outcome in zip(records, outcomes):
         if isinstance(outcome, RdmftError):
             record.update(margin=None, error=str(outcome))
             failures += 1
@@ -295,7 +299,7 @@ def check_f_convexity(config: CheckConfig) -> TheoremReport:
         gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         t = record["t"] = _mix_parameter(rng, config)
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
-        return _Inversions([gamma_0, gamma_1, mixed], cold, lambda f: t * f[0] + (1 - t) * f[1] - f[2])
+        return _Inversions([gamma_0, gamma_1, mixed], cold, lambda r: t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value)
 
     return _campaign(
         "f_convexity", config, trial, fails=lambda margin: margin < -config.convexity_slack, system=system
@@ -304,30 +308,36 @@ def check_f_convexity(config: CheckConfig) -> TheoremReport:
 
 def check_gradient(config: CheckConfig) -> TheoremReport:
     """Central differences of the functional along orthonormal traceless
-    directions against the recovered potential."""
+    directions against the recovered potential: round 1 inverts gamma from
+    v = 0, round 2 its +eps and -eps neighbours warm-started at its v*.  A
+    base that fails has drawn its directions all the same (neither the
+    default grid nor perfbench's pinned one has such a failure)."""
     m = config.model
     system = build_system(m)
-    params = EnsembleParams(config.beta)
     pbasis = system.pbasis
     eps = config.fd_step
+    cold = np.zeros((1, pbasis.size))
 
     def trial(rng, k, record):
         gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-        cv = pbasis.coefficients(converged_inversion(gamma, system, params).v_star)
         directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
-        # the +eps and -eps neighbour of each direction, warm-started at v*
         neighbours = [OneRdm(gamma.matrix + sign * eps * pbasis.assemble(d)) for d in directions for sign in (1, -1)]
 
-        def finish(f):
-            worst_dev = 0.0
-            for d, f_plus, f_minus in zip(directions, f[0::2], f[1::2]):
-                fd = (f_plus - f_minus) / (2 * eps)
-                exact = -float(np.dot(cv, d))
-                worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
-            record["max_rel_dev"] = float(worst_dev)
-            return config.gradient_tol - worst_dev
+        def differentiate(base):
+            cv = pbasis.coefficients(base[0].v_star)
 
-        return _Inversions(neighbours, np.tile(cv, (len(neighbours), 1)), finish)
+            def finish(reports):
+                worst_dev = 0.0
+                for d, plus, minus in zip(directions, reports[0::2], reports[1::2]):
+                    fd = (plus.f_value - minus.f_value) / (2 * eps)
+                    exact = -float(np.dot(cv, d))
+                    worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
+                record["max_rel_dev"] = float(worst_dev)
+                return config.gradient_tol - worst_dev
+
+            return _Inversions(neighbours, np.tile(cv, (len(neighbours), 1)), finish)
+
+        return _Inversions([gamma], cold, differentiate)
 
     notes = "a well-defined derivative also certifies that the subgradient set is a single element"
     return _campaign("gradient", config, trial, fails=lambda margin: margin < 0, notes=notes, system=system)

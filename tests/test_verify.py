@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from rdmft import verify
+from rdmft.ensemble import EnsembleParams, OneRdm
 from rdmft.errors import ConfigError, ConvergenceFailure
 from rdmft.fock import Statistics
-from rdmft.functional import InversionOptions, converged_inversion, invert_potential
-from rdmft.models import ModelSpec
+from rdmft.functional import InversionOptions, invert_potential, require_converged
+from rdmft.models import ModelSpec, build_system
+from rdmft.representability import random_rdm
 from rdmft.serialize import canonical_json, suite_report_json, theorem_report_to_json
 from rdmft.verify import (
     ALL_CHECKS,
@@ -83,8 +85,10 @@ class TestIndividualChecks:
     @pytest.mark.parametrize("check,per_trial", [("f_convexity", 3), ("gradient", 10)])
     def test_target_that_stops_short_fails_only_its_trial(self, monkeypatch, check, per_trial):
         """One target of a check's batched inversions ends MAX_ITERATIONS: its
-        trial fails with the text converged_inversion gives for that target
-        alone, and every other trial is untouched."""
+        trial fails with the text require_converged gives for that target
+        alone, and every other trial is untouched.  The target is trial 1's
+        second in the round that inverts per_trial targets for each trial:
+        f_convexity's only round, gradient's round of neighbours."""
         config = small_config(F, trials=3)
         clean = CHECK_REGISTRY[check](config)
         failing = per_trial + 1
@@ -93,17 +97,46 @@ class TestIndividualChecks:
 
         def one_stops_short(targets, system, params, opts):
             reports = batched(targets, system, params, opts)
-            short = InversionOptions(max_iter=1, initial=opts.initial[failing])
-            reports[failing] = invert_potential(targets[failing], system, params, short)
-            with pytest.raises(ConvergenceFailure) as alone:
-                converged_inversion(targets[failing], system, params, short)
-            expected["error"] = str(alone.value)
+            if len(targets) == per_trial * config.trials:
+                short = InversionOptions(max_iter=1, initial=opts.initial[failing])
+                reports[failing] = invert_potential(targets[failing], system, params, short)
+                with pytest.raises(ConvergenceFailure) as alone:
+                    require_converged(reports[failing], targets[failing], system)
+                expected["error"] = str(alone.value)
             return reports
 
         monkeypatch.setattr(verify, "invert_potentials", one_stops_short)
         report = CHECK_REGISTRY[check](config)
         assert report.failures == 1
         assert (report.details[1]["margin"], report.details[1]["error"]) == (None, expected["error"])
+        assert expected["error"].startswith("dual Newton stopped after 1 iterations")
+        assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
+
+    def test_gradient_base_that_stops_short_fails_only_its_trial(self, monkeypatch):
+        """Trial 1's base ends MAX_ITERATIONS in round 1: that trial fails with
+        the text require_converged gives for it, round 2 inverts only the
+        other two trials' 20 neighbours, and their details are a clean run's."""
+        config = small_config(F, trials=3)
+        clean = CHECK_REGISTRY["gradient"](config)
+        sizes, expected = [], {}
+        batched = verify.invert_potentials
+
+        def base_stops_short(targets, system, params, opts):
+            sizes.append(len(targets))
+            reports = batched(targets, system, params, opts)
+            if len(sizes) == 1:
+                short = InversionOptions(max_iter=1, initial=opts.initial[1])
+                reports[1] = invert_potential(targets[1], system, params, short)
+                with pytest.raises(ConvergenceFailure) as alone:
+                    require_converged(reports[1], targets[1], system)
+                expected["error"] = str(alone.value)
+            return reports
+
+        monkeypatch.setattr(verify, "invert_potentials", base_stops_short)
+        report = CHECK_REGISTRY["gradient"](config)
+        assert sizes == [3, 20]
+        assert report.failures == 1
+        assert report.details[1] == {"trial": 1, "margin": None, "error": expected["error"]}
         assert expected["error"].startswith("dual Newton stopped after 1 iterations")
         assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
 
@@ -122,6 +155,71 @@ class TestIndividualChecks:
         assert 80 < deviation[1e-4] / deviation[1e-5] < 120
         assert deviation[1e-5] < config.gradient_tol < deviation[1e-4]
         assert CHECK_REGISTRY["gradient"](config).failures == 0
+
+
+def _one_at_a_time(check, config):
+    """The details of a gradient or f_convexity campaign, rebuilt from the
+    check's draws with every target inverted alone by invert_potential."""
+    m = config.model
+    system = build_system(m)
+    params = EnsembleParams(config.beta)
+    pbasis = system.pbasis
+    rng = verify._rng(config, check)
+
+    def inverted(gamma, start=None):
+        return require_converged(invert_potential(gamma, system, params, InversionOptions(initial=start)), gamma, system)
+
+    details = []
+    for k in range(config.trials):
+        if check == "f_convexity":
+            gamma_0 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+            gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+            t = verify._mix_parameter(rng, config)
+            mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
+            f = [inverted(gamma).f_value for gamma in (gamma_0, gamma_1, mixed)]
+            details.append({"trial": k, "t": t, "margin": float(t * f[0] + (1 - t) * f[1] - f[2])})
+            continue
+        gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+        directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
+        cv = pbasis.coefficients(inverted(gamma).v_star)
+        eps, worst = config.fd_step, 0.0
+        for d in directions:
+            neighbours = [OneRdm(gamma.matrix + sign * eps * pbasis.assemble(d)) for sign in (1, -1)]
+            f_plus, f_minus = (inverted(neighbour, cv).f_value for neighbour in neighbours)
+            deviation = abs((f_plus - f_minus) / (2 * eps) + float(np.dot(cv, d)))
+            worst = max(worst, deviation / max(1.0, float(np.linalg.norm(cv))))
+        details.append({"trial": k, "max_rel_dev": worst, "margin": config.gradient_tol - worst})
+    return details
+
+
+class TestRounds:
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5),
+            ModelSpec(kind="random_full", nb=3, n=2, statistics=B, seed=11, h_scale=1.0, w_norm=1.0),
+        ],
+        ids=["hubbard_4_2_F", "random_full_3_2_B"],
+    )
+    @pytest.mark.parametrize("check,rounds", [("gradient", [1, 10]), ("f_convexity", [3])], ids=["gradient", "f_convexity"])
+    def test_rounds_change_only_the_batching(self, monkeypatch, check, rounds, model, beta):
+        """Each trial's details are, bit for bit, those of inverting its targets
+        one at a time, and each round is one invert_potentials call over every
+        trial's targets."""
+        config = CheckConfig(model=model, beta=beta, seed=2026, trials=4)
+        sizes = []
+        batched = verify.invert_potentials
+
+        def spy(targets, *args):
+            sizes.append(len(targets))
+            return batched(targets, *args)
+
+        monkeypatch.setattr(verify, "invert_potentials", spy)
+        report = CHECK_REGISTRY[check](config)
+        assert sizes == [per_trial * config.trials for per_trial in rounds]
+        assert report.failures == 0
+        assert list(report.details) == _one_at_a_time(check, config)
 
 
 class TestDeterminism:
