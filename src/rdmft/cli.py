@@ -285,7 +285,7 @@ def cmd_invert(cfg, out: Path, seed) -> int:
         {"command": "invert", "config_hash": config_hash(cfg), "verdict": report.verdict.value},
     )
     print(
-        f"invert: {report.verdict.value} after {report.iterations} iterations, "
+        f"invert: {report.verdict.value} after {report.iterations} iterations ({report.jacobians} Jacobians), "
         f"residual {report.residual:.3e}"
     )
     if report.verdict is InversionVerdict.CONVERGED:

@@ -6,7 +6,8 @@ potentials v.  The maximizer, when it exists, satisfies gamma_v = gamma
 and -v* is the derivative of F at gamma.  Potentials are parametrized by
 an orthonormal traceless Hermitian basis, so the maximization runs in
 R^(nb^2 - 1) where the objective's Hessian is the (negative definite)
-linear-response matrix and damped Newton steps converge quadratically.
+linear-response matrix J: damped Newton steps converge quadratically, and
+BFGS updates of J, used where it is costly, superlinearly.
 
 A maximizer exists exactly for interior targets: every 1RDM with purely
 fractional occupations is uniquely v-representable, and a Gibbs 1RDM never
@@ -60,6 +61,10 @@ BETA_RUNG = 4.0
 MIN_STEP = 1e-14
 # bytes of Jacobian workspace a batch may hold, and one block of one target
 JACOBIAN_WORKSPACE_BYTES = 1 << 24
+# Jacobians are reused where one costs this many Gibbs evaluations, and
+# taken fresh after a step that keeps more than REFRESH_RATIO of its residual
+REUSE_COST_RATIO = 5.0
+REFRESH_RATIO = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +257,8 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class InversionReport:
-    """Outcome of one dual maximization."""
+    """Outcome of one dual maximization; jacobians counts the fresh response
+    Jacobians its solve took."""
 
     verdict: InversionVerdict
     v_star: TracelessPotential
@@ -260,6 +266,7 @@ class InversionReport:
     gradient: TracelessPotential
     residual: float
     iterations: int
+    jacobians: int
     classification: RdmClass
     trace: tuple[IterationRecord, ...]
 
@@ -408,6 +415,14 @@ def _newton_steps(jac: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return steps
 
 
+def _bfgs(jac: np.ndarray, s: np.ndarray, y: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """BFGS update (Nocedal & Wright, ch. 6) J - (Js)(Js)^T/(s.Js) - yy^T/(y.s)
+    of each negative definite J of a batch, by per-row products."""
+    js = (jac @ s[..., None])[..., 0]
+    outer = js[..., :, None] * js[..., None, :] / (s * js).sum(-1)[..., None, None]
+    return jac - outer - y[..., :, None] * y[..., None, :] / curvature[..., None, None]
+
+
 def _maximizers(pbasis: PotentialBasis, coeffs: np.ndarray) -> list[tuple[TracelessPotential, TracelessPotential]]:
     """The potential v* and the derivative -v* of F for each row of a (B, K)
     stack of coefficients, assembled and checked as one stack."""
@@ -419,9 +434,10 @@ def _maximizers(pbasis: PotentialBasis, coeffs: np.ndarray) -> list[tuple[Tracel
 
 class _Running(NamedTuple):
     """The state of the targets still running, one row each: ids maps a row
-    to its target, target holds the target's coefficients, and energies,
+    to its target, target holds the target's coefficients, energies,
     vectors and weights are the spectrum of its Gibbs state that the
-    Jacobian reads."""
+    Jacobian reads, jac stands in for its J, and fresh flags the rows whose
+    next step takes a fresh Jacobian."""
 
     ids: np.ndarray
     c: np.ndarray
@@ -433,6 +449,8 @@ class _Running(NamedTuple):
     energies: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray
+    jac: np.ndarray
+    fresh: np.ndarray
 
 
 def _dual_newton(
@@ -446,11 +464,17 @@ def _dual_newton(
     ascend or a step halved below MIN_STEP ends a target's attempt.  Also
     returns each target's spread E_max - E_min of H at its start.
 
+    Where _reuses_jacobian holds, a row's J is the BFGS update of its last
+    one, taken fresh (as a subset of the rows) on the first step, after a
+    step accepted at t < 1 or keeping more than REFRESH_RATIO of its residual
+    (Kelley, Solving Nonlinear Equations with Newton's Method, ch. 2), or
+    when y.s <= 0; a reused J whose step fails is retaken, not given up.
+
     The running targets' state is held compacted, so a round in which no
     target stops and every one takes its first trial step indexes no rows.
     """
     basis, pbasis = system.basis, system.pbasis
-    elements = pbasis.element_matrix
+    elements, reuse = pbasis.element_matrix, _reuses_jacobian(basis)
     matrices = np.stack([target.matrix for target in targets])
     distance = face_distances(np.linalg.eigvalsh(matrices), basis.statistics).min(-1)
     classes = [_rdm_class(d, opts.classify_tol) for d in distance]
@@ -480,8 +504,11 @@ def _dual_newton(
         energies=state.energies,
         vectors=state.eigenvectors,
         weights=state.weights,
+        jac=np.empty((len(targets), pbasis.size, pbasis.size) if reuse else (len(targets), 0, 0)),
+        fresh=np.ones(len(targets), dtype=bool),
     )
     del state
+    jacobians = np.zeros(len(targets), dtype=int)
     final_c, final_value, final_residual = np.empty_like(c), np.empty_like(value), np.empty_like(residual)
 
     def stop(run: _Running, mask: np.ndarray) -> _Running:
@@ -512,19 +539,30 @@ def _dual_newton(
         if not run.ids.size or iteration == opts.max_iter:
             break
 
-        step = _newton_steps(_jacobian(run.energies, run.vectors, run.weights, basis, params, pbasis), run.grad)
+        fresh, jac = run.fresh, run.jac
+        if fresh.all():
+            jac = _jacobian(run.energies, run.vectors, run.weights, basis, params, pbasis)
+        elif fresh.any():
+            spectra = (run.energies[fresh], run.vectors[fresh], run.weights[fresh])
+            jac[fresh] = _jacobian(*spectra, basis, params, pbasis)
+        # a row keeps its J only where it may be reused
+        run = run._replace(jac=jac) if reuse else run
+        jacobians[run.ids[fresh]] += 1
+        step = _newton_steps(jac, run.grad)
         slope = (run.grad * step).sum(-1)
         ascends = np.isfinite(slope) & (slope > 0.0)
         if not ascends.all():
-            run, step, slope = stop(run, ~ascends), step[ascends], slope[ascends]
+            keep = ascends | ~fresh
+            run, step, slope, ascends = stop(run, ~keep), step[keep], slope[keep], ascends[keep]
             if not run.ids.size:
                 break
-        length = np.linalg.norm(step, axis=-1)
+        length, taken = np.linalg.norm(step, axis=-1), np.zeros(run.ids.size)
+        before = (run.c.copy(), run.grad.copy(), run.residual.copy()) if reuse else None
 
         # every row still searching has halved its step as often; searching
         # is None while that is every row, so that nothing is gathered
-        t, searching = 1.0, None
-        while t >= MIN_STEP:
+        t, searching, trial = 1.0, None if ascends.all() else ascends, None
+        while t >= MIN_STEP and (searching is None or searching.any()):
             rows = (run.c, run.value, run.residual, run.target, step, slope)
             if searching is not None:
                 rows = (a[searching] for a in rows)
@@ -556,28 +594,38 @@ def _dual_newton(
                     vectors=trial.eigenvectors,
                     weights=trial.weights,
                 )
+                taken[:] = t
                 break
             if ok.any():
                 if searching is None:
                     searching = np.ones(run.ids.size, dtype=bool)
                 accept = np.flatnonzero(searching)[ok]
                 run.c[accept], run.value[accept] = trial_c[ok], trial_value[ok]
-                run.step_norm[accept] = t * length[accept]
+                run.step_norm[accept], taken[accept] = t * length[accept], t
                 run.grad[accept], run.residual[accept] = offset(trial.density[ok], target[ok])
                 held = (run.energies, run.vectors, run.weights)
                 for mine, new in zip(held, (trial.energies, trial.eigenvectors, trial.weights)):
                     mine[accept] = new[ok]
                 searching[accept] = False
-                if not searching.any():
-                    break
             t *= BACKTRACK_FACTOR
-        else:
-            # the rows still searching found no admissible step
-            run = stop(run, np.ones(run.ids.size, dtype=bool) if searching is None else searching)
         del trial
+        # the rows that found no admissible step stop, or retake J if stale
+        stuck = taken == 0.0
+        if reuse:
+            c0, grad0, residual0 = before
+            s, y = run.c - c0, grad0 - run.grad
+            curvature = (y * s).sum(-1)
+            refresh = (taken < 1.0) | (run.residual > REFRESH_RATIO * residual0) | ~(curvature > 0.0)
+            update = ~refresh
+            run.jac[update] = _bfgs(run.jac[update], s[update], y[update], curvature[update])
+            run.step_norm[stuck] = 0.0
+            run, stuck = run._replace(fresh=refresh), stuck & run.fresh
+        if stuck.any():
+            run = stop(run, stuck)
     if run.ids.size:
         stop(run, np.ones(run.ids.size, dtype=bool))
 
+    finals = zip(_maximizers(pbasis, final_c), final_value.tolist(), final_residual.tolist(), jacobians.tolist())
     reports = [
         InversionReport(
             verdict=verdict,
@@ -586,12 +634,11 @@ def _dual_newton(
             gradient=gradient,
             residual=res,
             iterations=len(trace),
-            classification=classification,
+            jacobians=count,
+            classification=cls,
             trace=tuple(trace),
         )
-        for verdict, (v_star, gradient), f_value, res, trace, classification in zip(
-            verdicts, _maximizers(pbasis, final_c), final_value.tolist(), final_residual.tolist(), records, classes
-        )
+        for verdict, ((v_star, gradient), f_value, res, count), trace, cls in zip(verdicts, finals, records, classes)
     ]
     return reports, spread
 
@@ -640,6 +687,15 @@ def _workspace_bytes(basis: ConfigurationBasis) -> int:
     return gathered + min(_block_width(basis), basis.dim) * _column_bytes(basis)
 
 
+def _reuses_jacobian(basis: ConfigurationBasis) -> bool:
+    """Whether a Jacobian, dim^2 (8 sum_{i<j} k + 4 sum_i k + nb^4) operations
+    over the hop-table entries k of each pair, takes at least
+    REUSE_COST_RATIO times the 25 dim^3 of a Gibbs evaluation."""
+    diagonal, upper = basis.hop_blocks
+    cost = basis.dim**2 * (8 * upper.rows.size + 4 * diagonal.rows.size + basis.nb**4)
+    return cost >= REUSE_COST_RATIO * 25 * basis.dim**3
+
+
 def invert_potentials(
     targets,
     system: System,
@@ -651,8 +707,9 @@ def invert_potentials(
     The targets run in lockstep through one Newton path: the lift, the
     Gibbs kernel, the Jacobian, the linear solve and the line search each
     work on the stack of those still running.  Every target keeps its own
-    step lengths, backtracks, verdict, trace, beta ladder and products, so
-    its report is, bit for bit, the one invert_potential gives it alone.
+    step lengths, backtracks, Jacobian refreshes, verdict, trace, beta
+    ladder and products, so its report is, bit for bit, the one
+    invert_potential gives it alone.
     opts.initial is None (each target starts from v = 0), one coefficient
     vector of shape (K,) for every target, or a (B, K) array with one row
     per target.
@@ -686,7 +743,9 @@ def invert_potential(
     opts: InversionOptions = InversionOptions(),
 ) -> InversionReport:
     """Maximize g(v) = Omega[v] - tr{v gamma} by damped Newton ascent,
-    globalized by continuation in beta.
+    globalized by continuation in beta.  Where a response Jacobian costs
+    REUSE_COST_RATIO Gibbs evaluations or more, steps between fresh ones
+    take BFGS updates of it; report.jacobians counts the fresh ones.
 
     The target is classified first.  An interior target has a unique
     maximizer; the solver stops CONVERGED once the residual is at most tol,

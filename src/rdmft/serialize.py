@@ -64,6 +64,7 @@ def inversion_report_to_json(report: InversionReport) -> dict:
         "f_value": float(report.f_value),
         "residual": float(report.residual),
         "iterations": int(report.iterations),
+        "jacobians": int(report.jacobians),
         "v_star": potential_to_json(report.v_star),
         "gradient": potential_to_json(report.gradient),
         "trace": [

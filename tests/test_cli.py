@@ -115,6 +115,8 @@ class TestInvert:
         header, trace_rows = read_csv(out / "newton_trace.csv")
         assert header == ["iteration", "g_value", "residual", "step_norm"]
         assert len(trace_rows) == report["iterations"]
+        # dim 3 takes exact Newton steps: one Jacobian per step
+        assert report["jacobians"] == report["iterations"] - 1
 
     def test_idempotent_target_exits_3(self, tmp_path):
         cfg = {
@@ -127,7 +129,7 @@ class TestInvert:
         report = json.loads((out / "inversion_report.json").read_text())
         assert report["verdict"] == "non_representable"
         # decided by the classification, before any Newton step
-        assert report["iterations"] == 0
+        assert report["iterations"] == report["jacobians"] == 0
         header, trace_rows = read_csv(out / "newton_trace.csv")
         assert header == ["iteration", "g_value", "residual", "step_norm"]
         assert trace_rows == []

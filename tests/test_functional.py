@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from rdmft import fock, functional
+from rdmft import fock, functional, verify
 from rdmft.ensemble import EnsembleParams, OneRdm, RdmClass
 from rdmft.errors import (
     DimensionMismatch,
@@ -515,41 +515,52 @@ class TestInvertPotential:
 
 class TestInvertPotentials:
     @staticmethod
-    def mixed_batch():
-        """Hubbard 4/2 F at beta = 200: interior targets, the cold seeds 0-2
-        that need the beta ladder, one boundary and one outside target, and
-        a Gibbs 1RDM started at its own potential."""
-        system = hubbard_system(4, 2, F)
+    def mixed_batch(nb=4, n=2):
+        """Hubbard nb/n F (half filling) at beta = 200: interior targets, the
+        cold seeds 0-2 that need the beta ladder, one boundary and one outside
+        target, and a Gibbs 1RDM started at its own potential."""
+        system = hubbard_system(nb, n, F)
         params = EnsembleParams(200.0)
-        v = random_potential(4, seed=8, norm=0.5)
+        v = random_potential(nb, seed=8, norm=0.5)
         _, gibbs = omega_of_v(v, system, params)
-        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), 4))[1]
-        targets = [random_rdm(4, 2, F, interior=True, seed=seed) for seed in range(5)] + [
-            OneRdm((q * [1.0, 0.5, 0.3, 0.2]) @ q.conj().T),
-            OneRdm((q * [1.1, 0.5, 0.3, 0.1]) @ q.conj().T),
+        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), nb))[1]
+        half = [0.5] * (nb - 3)
+        targets = [random_rdm(nb, n, F, interior=True, seed=seed) for seed in range(5)] + [
+            OneRdm((q * [1.0, *half, 0.3, 0.2]) @ q.conj().T),
+            OneRdm((q * [1.1, *half, 0.3, 0.1]) @ q.conj().T),
             gibbs,
         ]
         starts = np.zeros((len(targets), system.pbasis.size))
         starts[-1] = system.pbasis.coefficients(v)
         return system, params, targets, starts
 
-    def test_batch_matches_one_at_a_time(self):
-        system, params, targets, starts = self.mixed_batch()
-        batch = invert_potentials(targets, system, params, InversionOptions(initial=starts))
-        single = [
-            invert_potential(target, system, params, InversionOptions(initial=start))
-            for target, start in zip(targets, starts)
-        ]
-        assert [r.classification for r in batch[5:7]] == [RdmClass.BOUNDARY, RdmClass.OUTSIDE]
-        assert [r.verdict for r in batch].count(InversionVerdict.CONVERGED) == 6
-        assert batch[-1].iterations == 1
-        # every row of a stack takes the products it would take alone, so a
-        # target's report is the same bits in a batch and alone
-        for b, s in zip(batch, single):
-            assert (b.verdict, b.classification, b.iterations) == (s.verdict, s.classification, s.iterations)
-            assert b.v_star.matrix.tobytes() == s.v_star.matrix.tobytes()
-            assert (b.f_value, b.residual) == (s.f_value, s.residual)
-            assert b.trace == s.trace
+    def test_batch_matches_one_at_a_time(self, monkeypatch):
+        """On hubbard 4/2 F and 8/4 F.  8/4 reuses Jacobians, so its rows take
+        fresh ones on different rounds and the batch computes them for
+        subsets; the budget is raised to hold its whole batch, which leaves
+        its Jacobian one block and the 4/2 budget as it was."""
+        for nb, n in [(4, 2), (8, 4)]:
+            system, params, targets, starts = self.mixed_batch(nb, n)
+            budget = max(functional.JACOBIAN_WORKSPACE_BYTES, len(targets) * functional._workspace_bytes(system.basis))
+            monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", budget)
+            batch = invert_potentials(targets, system, params, InversionOptions(initial=starts))
+            reused = any(r.jacobians < r.iterations - 1 for r in batch)
+            assert reused == functional._reuses_jacobian(system.basis) == (nb == 8)
+            single = [
+                invert_potential(target, system, params, InversionOptions(initial=start))
+                for target, start in zip(targets, starts)
+            ]
+            assert [r.classification for r in batch[5:7]] == [RdmClass.BOUNDARY, RdmClass.OUTSIDE]
+            assert [r.verdict for r in batch].count(InversionVerdict.CONVERGED) == 6
+            assert batch[-1].iterations == 1
+            # every row of a stack takes the products it would take alone, so
+            # a target's report is the same bits in a batch and alone
+            for b, s in zip(batch, single):
+                assert (b.verdict, b.classification, b.iterations) == (s.verdict, s.classification, s.iterations)
+                assert b.jacobians == s.jacobians
+                assert b.v_star.matrix.tobytes() == s.v_star.matrix.tobytes()
+                assert (b.f_value, b.residual) == (s.f_value, s.residual)
+                assert b.trace == s.trace
 
     @pytest.fixture
     def nonempty_kernels(self, monkeypatch):
@@ -660,6 +671,75 @@ class TestInvertPotentials:
         system, params, targets, _ = self.mixed_batch()
         with pytest.raises(InvalidArguments, match="initial"):
             invert_potentials(targets, system, params, InversionOptions(initial=np.zeros((2, system.pbasis.size))))
+
+
+class TestJacobianReuse:
+    @pytest.mark.parametrize(
+        "nb, n, stat, reuses",
+        [(nb, n, stat, False) for nb, n, stat in verify.DEFAULT_SYSTEMS]
+        + [(4, 1, F, False), (4, 1, B, False), (6, 8, B, False), (8, 4, F, True), (10, 5, F, True)],
+    )
+    def test_gate(self, nb, n, stat, reuses):
+        """Only where a Jacobian costs at least five Gibbs evaluations."""
+        assert functional._reuses_jacobian(build_basis(nb, n, stat)) is reuses
+
+    def test_bfgs_update(self):
+        """The update meets the secant condition J+ s = -y, stays symmetric
+        and negative definite, and gives each row the bits it gives alone."""
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 6, 6))
+        jac = -(a @ a.swapaxes(-1, -2)) - np.eye(6)
+        s = rng.normal(size=(3, 6))
+        y = -(jac @ s[..., None])[..., 0] + 0.1 * rng.normal(size=(3, 6))
+        curvature = (y * s).sum(-1)
+        assert np.all(curvature > 0)
+        updated = functional._bfgs(jac, s, y, curvature)
+        npt.assert_allclose((updated @ s[..., None])[..., 0], -y, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(updated, updated.swapaxes(-1, -2))
+        assert np.all(np.linalg.eigvalsh(updated) < 0)
+        for b in range(3):
+            alone = functional._bfgs(jac[b : b + 1], s[b : b + 1], y[b : b + 1], curvature[b : b + 1])
+            assert alone.tobytes() == updated[b : b + 1].tobytes()
+
+    @pytest.mark.parametrize("scale", [-1.0, 1e-30])
+    def test_failed_reused_step_retakes_the_jacobian(self, monkeypatch, scale):
+        """A reused J whose direction descends (scale -1) or finds no
+        admissible t (scale 1e-30) is taken fresh, and the row goes on."""
+        system, params = hubbard_system(8, 4, F), EnsembleParams(1.0)
+        v = random_potential(8, seed=0, norm=0.5)
+        _, gamma = omega_of_v(v, system, params)
+        monkeypatch.setattr(functional, "_bfgs", lambda jac, *args: scale * jac)
+        report = invert_potential(gamma, system, params)
+        assert report.verdict is InversionVerdict.CONVERGED
+        # every reused step fails, and its record shows no step taken
+        assert [r.step_norm == 0.0 for r in report.trace] == [k % 2 == 0 for k in range(report.iterations)]
+        assert report.jacobians == report.iterations // 2
+        assert np.max(np.abs(report.v_star.matrix - v.matrix)) <= 1e-8
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    def test_round_trip(self, beta):
+        system = hubbard_system(8, 4, F)
+        params = EnsembleParams(beta)
+        potentials = [random_potential(8, seed=seed, norm=0.5) for seed in range(6)]
+        targets = [omega_of_v(v, system, params)[1] for v in potentials]
+        for report, v in zip(invert_potentials(targets, system, params), potentials):
+            assert report.verdict is InversionVerdict.CONVERGED
+            assert np.max(np.abs(report.v_star.matrix - v.matrix)) <= 1e-8
+            if beta == 1.0:
+                assert report.jacobians < report.iterations - 1
+
+    def test_near_face_verdict_matches_exact_newton(self, monkeypatch):
+        """An interior target 1e-4 from a face at beta = 50."""
+        system = hubbard_system(8, 4, F)
+        params = EnsembleParams(50.0)
+        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), 8))[1]
+        gamma = OneRdm((q * [1 - 1e-4, 0.5, 0.5, 0.5, 0.5, 0.5, 0.3, 0.2 + 1e-4]) @ q.conj().T)
+        reused = invert_potential(gamma, system, params)
+        monkeypatch.setattr(functional, "REUSE_COST_RATIO", float("inf"))
+        exact = invert_potential(gamma, system, params)
+        assert reused.verdict is exact.verdict is InversionVerdict.CONVERGED
+        assert exact.jacobians == exact.iterations - 1
+        assert np.max(np.abs(reused.v_star.matrix - exact.v_star.matrix)) <= 1e-8
 
 
 class TestUniversalFunctional:
