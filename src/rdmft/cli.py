@@ -280,8 +280,8 @@ def cmd_invert(cfg, out: Path, seed) -> int:
     dump_json(out / "inversion_report.json", inversion_report_to_json(report))
     write_csv(
         out / "newton_trace.csv",
-        ["iteration", "g_value", "residual", "step_norm"],
-        [(r.iteration, r.g_value, r.residual, r.step_norm) for r in report.trace],
+        ["iteration", "g_value", "residual", "step_norm", "fresh_jacobian"],
+        [(r.iteration, r.g_value, r.residual, r.step_norm, r.fresh_jacobian) for r in report.trace],
         {"command": "invert", "config_hash": config_hash(cfg), "verdict": report.verdict.value},
     )
     print(

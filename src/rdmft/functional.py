@@ -17,7 +17,7 @@ NonRepresentable before the first Newton step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from math import sqrt
@@ -65,6 +65,8 @@ JACOBIAN_WORKSPACE_BYTES = 1 << 24
 # taken fresh after a step that keeps more than REFRESH_RATIO of its residual
 REUSE_COST_RATIO = 5.0
 REFRESH_RATIO = 0.5
+# betas a System keeps the state at v = 0 for: a full ladder at beta = 1e6
+COLD_STARTS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +205,8 @@ class System:
 
     basis: ConfigurationBasis
     h0: ManyBodyOperator
+    # _ColdStart by beta, least recently used first; see _cold_start
+    _cold_starts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.h0.basis_tag != self.basis.tag:
@@ -249,16 +253,21 @@ class InversionOptions:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """The state at the start of one iteration; fresh_jacobian tells whether
+    the step taken from it used a fresh response Jacobian."""
+
     iteration: int
     g_value: float
     residual: float
     step_norm: float
+    fresh_jacobian: bool
 
 
 @dataclass(frozen=True, eq=False)
 class InversionReport:
     """Outcome of one dual maximization; jacobians counts the fresh response
-    Jacobians its solve took."""
+    Jacobians its solve took, and face_distance is the target's smallest
+    signed face distance, which its classification reads."""
 
     verdict: InversionVerdict
     v_star: TracelessPotential
@@ -268,6 +277,7 @@ class InversionReport:
     iterations: int
     jacobians: int
     classification: RdmClass
+    face_distance: float
     trace: tuple[IterationRecord, ...]
 
 
@@ -275,6 +285,40 @@ def _thermal(v: np.ndarray, system: System, params: EnsembleParams) -> GibbsSolu
     """Gibbs state of H0 + lift(v) for a potential flattened to (nb*nb,), or
     the batch of them for a (B, nb*nb) stack."""
     return _gibbs(system.h0.matrix + _lift(v, system.basis), params.beta, system.basis.tag)
+
+
+def _start(c: np.ndarray, system: System, params: EnsembleParams) -> tuple[np.ndarray, ...]:
+    """The energies, eigenvectors, populations, Omega and 1RDM coefficients
+    of the Gibbs state at each row of a (B, K) stack of potential coefficients;
+    the densities are dropped, since at large dim they would sit beside the
+    Jacobian's workspace."""
+    state = _thermal((c[:, None, :] @ system.pbasis.element_matrix)[:, 0], system, params)
+    gamma = system.pbasis.coefficients(_rdm_matrix(state.density, system.basis))
+    return state.energies, state.eigenvectors, state.weights, state.omega, gamma
+
+
+@dataclass(eq=False)
+class _ColdStart:
+    """_start at v = 0 as a batch of one, and its response Jacobian once one
+    is asked for; every array is read-only."""
+
+    start: tuple[np.ndarray, ...]
+    jacobian: np.ndarray | None = None
+
+
+def _cold_start(system: System, params: EnsembleParams) -> _ColdStart:
+    """The state at v = 0 of H0 alone, which every cold solve starts from:
+    kept on the system for the COLD_STARTS betas last asked for."""
+    memo = system._cold_starts
+    entry = memo.pop(params.beta, None)
+    if entry is None:
+        entry = _ColdStart(_start(np.zeros((1, system.pbasis.size)), system, params))
+        for a in entry.start:
+            a.flags.writeable = False
+    memo[params.beta] = entry
+    if len(memo) > COLD_STARTS:
+        del memo[next(iter(memo))]
+    return entry
 
 
 def omega_of_v(v: TracelessPotential, system: System, params: EnsembleParams) -> tuple[float, OneRdm]:
@@ -470,6 +514,9 @@ def _dual_newton(
     (Kelley, Solving Nonlinear Equations with Newton's Method, ch. 2), or
     when y.s <= 0; a reused J whose step fails is retaken, not given up.
 
+    A row that starts at v = 0 reads its starting state and first J from
+    _cold_start, which computes them once per system and beta.
+
     The running targets' state is held compacted, so a round in which no
     target stops and every one takes its first trial step indexes no rows.
     """
@@ -487,12 +534,20 @@ def _dual_newton(
         grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target
         return grad, np.linalg.norm(grad, axis=-1)
 
-    state = _thermal((c[:, None, :] @ elements)[:, 0], system, params)
-    spread = state.energies[:, -1] - state.energies[:, 0]
-    grad, residual = offset(state.density, target_coeffs)
-    value = state.omega - (c * target_coeffs).sum(-1)
-    # the densities are dropped, since at large dim they would sit beside
-    # the Jacobian's workspace
+    cold = ~c.any(-1)
+    memo = _cold_start(system, params) if cold.any() else None
+    if memo is None:
+        start = _start(c, system, params)
+    else:
+        start = [np.repeat(a, len(targets), axis=0) for a in memo.start]
+        if not cold.all():
+            for mine, a in zip(start, _start(c[~cold], system, params)):
+                mine[~cold] = a
+    energies, vectors, weights, omega, gamma = start
+    spread = energies[:, -1] - energies[:, 0]
+    grad = gamma - target_coeffs
+    residual = np.linalg.norm(grad, axis=-1)
+    value = omega - (c * target_coeffs).sum(-1)
     run = _Running(
         ids=np.arange(len(targets)),
         c=c,
@@ -501,13 +556,13 @@ def _dual_newton(
         residual=residual,
         step_norm=np.zeros(len(targets)),
         target=target_coeffs,
-        energies=state.energies,
-        vectors=state.eigenvectors,
-        weights=state.weights,
+        energies=energies,
+        vectors=vectors,
+        weights=weights,
         jac=np.empty((len(targets), pbasis.size, pbasis.size) if reuse else (len(targets), 0, 0)),
         fresh=np.ones(len(targets), dtype=bool),
     )
-    del state
+    del start, energies, vectors, weights
     jacobians = np.zeros(len(targets), dtype=int)
     final_c, final_value, final_residual = np.empty_like(c), np.empty_like(value), np.empty_like(residual)
 
@@ -528,9 +583,10 @@ def _dual_newton(
     for iteration in range(1, opts.max_iter + 1):
         if not run.ids.size:
             break
-        for b, g, r, s in zip(run.ids.tolist(), run.value.tolist(), run.residual.tolist(), run.step_norm.tolist()):
-            records[b].append(IterationRecord(iteration, g, r, s))
         done = run.residual <= opts.tol
+        fresh_step = run.fresh & ~done & (iteration < opts.max_iter)
+        for b, g, r, s, f in zip(*(a.tolist() for a in (run.ids, run.value, run.residual, run.step_norm, fresh_step))):
+            records[b].append(IterationRecord(iteration, g, r, s, f))
         if done.any():
             for b in run.ids[done].tolist():
                 verdicts[b] = InversionVerdict.CONVERGED
@@ -540,11 +596,19 @@ def _dual_newton(
             break
 
         fresh, jac = run.fresh, run.jac
-        if fresh.all():
+        # a row's first J at v = 0 is a copy of the memo's
+        hit = cold[run.ids] & (iteration == 1)
+        if hit.any():
+            if memo.jacobian is None:
+                memo.jacobian = _jacobian(*memo.start[:3], basis, params, pbasis)
+                memo.jacobian.flags.writeable = False
+            jac = np.repeat(memo.jacobian, run.ids.size, axis=0)
+        take = fresh & ~hit
+        if take.all():
             jac = _jacobian(run.energies, run.vectors, run.weights, basis, params, pbasis)
-        elif fresh.any():
-            spectra = (run.energies[fresh], run.vectors[fresh], run.weights[fresh])
-            jac[fresh] = _jacobian(*spectra, basis, params, pbasis)
+        elif take.any():
+            spectra = (run.energies[take], run.vectors[take], run.weights[take])
+            jac[take] = _jacobian(*spectra, basis, params, pbasis)
         # a row keeps its J only where it may be reused
         run = run._replace(jac=jac) if reuse else run
         jacobians[run.ids[fresh]] += 1
@@ -636,9 +700,12 @@ def _dual_newton(
             iterations=len(trace),
             jacobians=count,
             classification=cls,
+            face_distance=d,
             trace=tuple(trace),
         )
-        for verdict, ((v_star, gradient), f_value, res, count), trace, cls in zip(verdicts, finals, records, classes)
+        for verdict, ((v_star, gradient), f_value, res, count), trace, cls, d in zip(
+            verdicts, finals, records, classes, distance.tolist()
+        )
     ]
     return reports, spread
 
@@ -674,17 +741,24 @@ def _column_bytes(basis: ConfigurationBasis) -> int:
     return 24 * basis.nb * basis.nb * basis.dim
 
 
+def _gathered_bytes(basis: ConfigurationBasis) -> int:
+    """The gathered rows and columns of the nb(nb+1)/2 pairs i <= j that
+    _jacobian holds for one target."""
+    return 32 * basis.dim * sum(table.rows.size for table in basis.hop_blocks)
+
+
 def _block_width(basis: ConfigurationBasis) -> int:
     """Eigenbasis rows per block of _jacobian: a property of the basis alone,
-    so that a target's Jacobian sums in the same order in any batch."""
-    return max(1, JACOBIAN_WORKSPACE_BYTES // _column_bytes(basis))
+    so that a target's Jacobian sums in the same order in any batch.  Each
+    block streams every gathered operand, so where an eighth of them exceeds
+    JACOBIAN_WORKSPACE_BYTES the blocks take that much instead."""
+    return max(1, max(JACOBIAN_WORKSPACE_BYTES, _gathered_bytes(basis) // 8) // _column_bytes(basis))
 
 
 def _workspace_bytes(basis: ConfigurationBasis) -> int:
-    """The largest arrays of one target's Jacobian: the gathered rows and
-    columns of the nb(nb+1)/2 pairs i <= j, and one block."""
-    gathered = 32 * basis.dim * sum(table.rows.size for table in basis.hop_blocks)
-    return gathered + min(_block_width(basis), basis.dim) * _column_bytes(basis)
+    """The largest arrays of one target's Jacobian: the gathered operands and
+    one block."""
+    return _gathered_bytes(basis) + min(_block_width(basis), basis.dim) * _column_bytes(basis)
 
 
 def _reuses_jacobian(basis: ConfigurationBasis) -> bool:

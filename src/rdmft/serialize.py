@@ -61,6 +61,7 @@ def inversion_report_to_json(report: InversionReport) -> dict:
     return {
         "verdict": report.verdict.value,
         "classification": report.classification.value,
+        "face_distance": float(report.face_distance),
         "f_value": float(report.f_value),
         "residual": float(report.residual),
         "iterations": int(report.iterations),
@@ -73,6 +74,7 @@ def inversion_report_to_json(report: InversionReport) -> dict:
                 "g_value": float(r.g_value),
                 "residual": float(r.residual),
                 "step_norm": float(r.step_norm),
+                "fresh_jacobian": bool(r.fresh_jacobian),
             }
             for r in report.trace
         ],

@@ -113,10 +113,15 @@ class TestInvert:
         expected = matrix_to_json(v.matrix)["data"]
         np.testing.assert_allclose(recovered, expected, atol=1e-8)
         header, trace_rows = read_csv(out / "newton_trace.csv")
-        assert header == ["iteration", "g_value", "residual", "step_norm"]
+        assert header == ["iteration", "g_value", "residual", "step_norm", "fresh_jacobian"]
         assert len(trace_rows) == report["iterations"]
         # dim 3 takes exact Newton steps: one Jacobian per step
         assert report["jacobians"] == report["iterations"] - 1
+        fresh = [True] * report["jacobians"] + [False]
+        assert [r["fresh_jacobian"] for r in report["trace"]] == fresh
+        assert [row[-1] for row in trace_rows] == [str(int(f)) for f in fresh]
+        occupations = np.linalg.eigvalsh(gamma.matrix)
+        assert report["face_distance"] == pytest.approx(min(occupations.min(), 1 - occupations.max()), abs=1e-12)
 
     def test_idempotent_target_exits_3(self, tmp_path):
         cfg = {
@@ -131,7 +136,7 @@ class TestInvert:
         # decided by the classification, before any Newton step
         assert report["iterations"] == report["jacobians"] == 0
         header, trace_rows = read_csv(out / "newton_trace.csv")
-        assert header == ["iteration", "g_value", "residual", "step_norm"]
+        assert header == ["iteration", "g_value", "residual", "step_norm", "fresh_jacobian"]
         assert trace_rows == []
 
     def test_malformed_matrix_exits_2(self, tmp_path):

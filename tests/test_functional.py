@@ -1,7 +1,9 @@
 """Dual evaluation of the universal functional and the Newton inversion."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 from math import log
 
 import numpy as np
@@ -297,6 +299,21 @@ class TestResponseJacobian:
         finally:
             tracemalloc.stop()
         assert peak <= gathered + 2 * functional.JACOBIAN_WORKSPACE_BYTES
+
+    @pytest.mark.parametrize(
+        "nb, n, stat, width",
+        [(nb, n, stat, None) for nb, n, stat in verify.DEFAULT_SYSTEMS]
+        + [(8, 4, F, 156), (9, 4, F, 68), (10, 5, F, 27), (11, 5, F, 12), (12, 6, F, 25), (6, 8, B, 77)],
+    )
+    def test_block_widths(self, nb, n, stat, width):
+        """The default grid takes its triangle in one block, and the width
+        grows with the gathered operands only past nb = 11, so every
+        Jacobian up to there keeps its bits."""
+        basis = build_basis(nb, n, stat)
+        if width is None:
+            assert functional._block_width(basis) >= basis.dim
+        else:
+            assert functional._block_width(basis) == width
 
     def test_degenerate_spectrum_handled(self):
         # zero Hamiltonian: fully degenerate, runs through the limit branch
@@ -614,6 +631,7 @@ class TestInvertPotentials:
         v = system.pbasis.potential(start)
         omega, gamma_v = omega_of_v(v, system, params)
         assert [r.classification for r in reports] == [RdmClass.BOUNDARY, RdmClass.OUTSIDE]
+        assert [r.face_distance for r in reports] == pytest.approx([0.0, -0.1], abs=1e-12)
         for report, target in zip(reports, targets):
             assert report.verdict is InversionVerdict.NON_REPRESENTABLE
             assert (report.iterations, report.trace) == (0, ())
@@ -631,6 +649,7 @@ class TestInvertPotentials:
         assert report.verdict is InversionVerdict.MAX_ITERATIONS
         assert report.iterations == len(report.trace) == max_iter
         assert (report.residual, report.f_value) == (report.trace[-1].residual, report.trace[-1].g_value)
+        assert [r.fresh_jacobian for r in report.trace] == [True] * (max_iter - 1) + [False]
 
     def test_oversized_batch_is_split(self, monkeypatch):
         system, params, targets, _ = self.mixed_batch()
@@ -714,6 +733,8 @@ class TestJacobianReuse:
         # every reused step fails, and its record shows no step taken
         assert [r.step_norm == 0.0 for r in report.trace] == [k % 2 == 0 for k in range(report.iterations)]
         assert report.jacobians == report.iterations // 2
+        # the reused J's step fails and the retaken one's succeeds
+        assert [r.fresh_jacobian for r in report.trace[:-1]] == [k % 2 == 0 for k in range(report.iterations - 1)]
         assert np.max(np.abs(report.v_star.matrix - v.matrix)) <= 1e-8
 
     @pytest.mark.parametrize("beta", [1.0, 50.0])
@@ -725,6 +746,8 @@ class TestJacobianReuse:
         for report, v in zip(invert_potentials(targets, system, params), potentials):
             assert report.verdict is InversionVerdict.CONVERGED
             assert np.max(np.abs(report.v_star.matrix - v.matrix)) <= 1e-8
+            assert sum(r.fresh_jacobian for r in report.trace) == report.jacobians
+            assert report.trace[0].fresh_jacobian and not report.trace[-1].fresh_jacobian
             if beta == 1.0:
                 assert report.jacobians < report.iterations - 1
 
@@ -740,6 +763,79 @@ class TestJacobianReuse:
         assert reused.verdict is exact.verdict is InversionVerdict.CONVERGED
         assert exact.jacobians == exact.iterations - 1
         assert np.max(np.abs(reused.v_star.matrix - exact.v_star.matrix)) <= 1e-8
+
+
+def assert_same_reports(reports, expected):
+    for r, e in zip(reports, expected, strict=True):
+        same = ("verdict", "classification", "iterations", "jacobians", "f_value", "residual", "face_distance", "trace")
+        assert [getattr(r, name) for name in same] == [getattr(e, name) for name in same]
+        assert r.v_star.matrix.tobytes() == e.v_star.matrix.tobytes()
+
+
+class TestColdStart:
+    """The Gibbs state and response Jacobian at v = 0, kept per System and beta."""
+
+    @pytest.mark.parametrize("nb, n", [(4, 2), (8, 4)])
+    def test_warm_system_matches_fresh(self, nb, n):
+        """A solve that reads the memo gives the report of one that fills it;
+        8/4 F reuses Jacobians, so its memo J is BFGS-updated in the first."""
+        params = EnsembleParams(1.0)
+        targets = [random_rdm(nb, n, F, interior=True, seed=seed) for seed in range(2)]
+        warm = hubbard_system(nb, n, F)
+        first = invert_potential(targets[0], warm, params)
+        assert first.jacobians < first.iterations - 1 if nb == 8 else first.jacobians == first.iterations - 1
+        fresh = invert_potential(targets[1], hubbard_system(nb, n, F), params)
+        assert_same_reports([invert_potential(targets[1], warm, params)], [fresh])
+        assert_same_reports([invert_potential(targets[0], warm, params)], [first])
+
+    def test_mixed_batch_matches_fresh_systems(self):
+        """Cold rows, a warm row and the ladder's cold rungs in one batch on
+        one System, against each target alone on a System of its own."""
+        system, params, targets, starts = TestInvertPotentials.mixed_batch()
+        batch = invert_potentials(targets, system, params, InversionOptions(initial=starts))
+        assert len(system._cold_starts) > 1
+        alone = [
+            invert_potential(target, hubbard_system(4, 2, F), params, InversionOptions(initial=start))
+            for target, start in zip(targets, starts)
+        ]
+        assert_same_reports(batch, alone)
+
+    def test_memo_is_read_only_and_unchanged(self):
+        """A solve that BFGS-updates its J leaves the memo's arrays as a
+        fresh computation gives them, and none of them can be written."""
+        system, params = hubbard_system(8, 4, F), EnsembleParams(1.0)
+        report = invert_potential(random_rdm(8, 4, F, interior=True, seed=0), system, params)
+        assert report.jacobians < report.iterations - 1
+        memo = system._cold_starts[params.beta]
+        start = functional._start(np.zeros((1, system.pbasis.size)), system, params)
+        jac = functional._jacobian(*start[:3], system.basis, params, system.pbasis)
+        for kept, fresh in zip((*memo.start, memo.jacobian), (*start, jac)):
+            assert not kept.flags.writeable
+            assert kept.tobytes() == fresh.tobytes()
+
+    def test_least_recently_used_beta_is_evicted(self):
+        system = hubbard_system(4, 2, F)
+        betas = [0.5 + k for k in range(functional.COLD_STARTS + 3)]
+        for beta in betas:
+            functional._cold_start(system, EnsembleParams(beta))
+        kept = betas[-functional.COLD_STARTS :]
+        assert list(system._cold_starts) == kept
+        # asking for the oldest again makes the next one the oldest
+        functional._cold_start(system, EnsembleParams(kept[0]))
+        functional._cold_start(system, EnsembleParams(0.25))
+        assert list(system._cold_starts) == [*kept[2:], kept[0], 0.25]
+
+    def test_entries_belong_to_their_system(self):
+        """Systems never share an entry, and an entry goes with its System."""
+        params = EnsembleParams(1.0)
+        hubbard, random_full = hubbard_system(4, 2, F), interacting_system(4, 2, F)
+        a, b = (functional._cold_start(s, params) for s in (hubbard, random_full))
+        assert a is not b and a.start[0].tobytes() != b.start[0].tobytes()
+        assert functional._cold_start(hubbard_system(4, 2, F), params) is not a
+        entry = weakref.ref(a)
+        del a, hubbard
+        gc.collect()
+        assert entry() is None
 
 
 class TestUniversalFunctional:
