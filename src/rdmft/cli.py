@@ -64,7 +64,7 @@ def _convert(hint, value, where: str):
     Reads int, float, bool, str, dict, Statistics, X | None, tuples
     (tuple[X, ...] or fixed length) from JSON lists, and a float ndarray
     from a JSON list of numbers.  Integer fields take JSON integers only;
-    float fields also take integers.
+    float fields also take integers, and reject NaN and +-inf.
     """
     if get_origin(hint) is UnionType:
         (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
@@ -79,7 +79,9 @@ def _convert(hint, value, where: str):
     elif hint is Statistics and value in ("fermion", "boson"):
         return Statistics(value)
     elif hint is float and type(value) in (int, float):
-        return float(value)
+        if abs(value) <= sys.float_info.max:  # false for NaN, +-inf and ints past the float range
+            return float(value)
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     elif hint in (int, bool, str, dict) and type(value) is hint:
         return value
     if hint is Statistics:
@@ -168,6 +170,8 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
         norm = _get(spec_obj, "norm", float, 1.0)
         if count < 1:
             raise ConfigError(f"potentials count must be at least 1, got {count}")
+        if norm < 0:
+            raise ConfigError(f"potentials norm must be non-negative, got {norm}")
         if nb < 2:
             raise ConfigError("random potentials need nb >= 2")
         pbasis = system.pbasis

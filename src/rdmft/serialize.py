@@ -41,6 +41,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ConfigError(f"malformed matrix object: {exc}") from exc
     if data.size != 2 * int(np.prod(shape)):
         raise ConfigError(f"matrix data length {data.size} does not match shape {shape}")
+    if not np.isfinite(data).all():
+        raise ConfigError("matrix data must be finite")
     return (data[0::2] + 1j * data[1::2]).reshape(shape)
 
 

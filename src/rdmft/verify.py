@@ -44,21 +44,6 @@ from .representability import (
     random_rdm,
 )
 
-ALL_CHECKS = (
-    "omega_concavity",
-    "injectivity",
-    "entropy_concavity",
-    "f_convexity",
-    "gradient",
-    "coleman",
-    "fractional_occupations",
-    "gibbs_minimality",
-)
-
-# fixed stream tags so each check owns an independent substream per seed
-_STREAM = {name: i + 1 for i, name in enumerate(ALL_CHECKS)}
-
-
 @dataclass(frozen=True)
 class CheckConfig:
     """One check campaign: a model system, a temperature, and knobs."""
@@ -82,7 +67,7 @@ class CheckConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArguments(f"trials must be at least 1, got {self.trials}")
-        for name in ("fd_step", "v_scale"):
+        for name in ("fd_step", "v_scale", "fractional_v_scale"):
             value = getattr(self, name)
             if not 0.0 < value < float("inf"):
                 raise InvalidArguments(f"{name} must be positive and finite, got {value}")
@@ -140,13 +125,13 @@ def _coeff_draw(rng: np.random.Generator, pbasis: PotentialBasis, norm: float) -
     return c * (norm / length) if length > 0 else c
 
 
-def _separated_coeff_pair(rng, pbasis, norm, separation):
+def _separated_pair(draw, separation: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays from draw() at least separation apart in norm, by rejection."""
     for _ in range(1000):
-        c1 = _coeff_draw(rng, pbasis, norm)
-        c2 = _coeff_draw(rng, pbasis, norm)
-        if np.linalg.norm(c1 - c2) >= separation:
-            return c1, c2
-    raise RdmftError(f"could not draw potentials separated by {separation}")
+        a, b = draw(), draw()
+        if np.linalg.norm(a - b) >= separation:
+            return a, b
+    raise RdmftError(f"could not draw {what} separated by {separation}")
 
 
 def _mix_parameter(rng: np.random.Generator, config: CheckConfig) -> float:
@@ -166,7 +151,7 @@ class _Inversions:
 
 
 def _campaign(
-    check: str, config: CheckConfig, trial, fails=lambda m: m <= 0, notes="", system: System | None = None
+    check: str, config: CheckConfig, system: System, trial, fails=lambda m: m <= 0, notes=""
 ) -> TheoremReport:
     """Run config.trials trials of one check on its own substream.
 
@@ -226,72 +211,65 @@ def _campaign(
     )
 
 
-def check_omega_concavity(config: CheckConfig) -> TheoremReport:
+def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
     """Strict concavity of the potential-to-free-energy map on chords with
     a minimum endpoint separation."""
-    system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
 
     def trial(rng, k, record):
-        c1, c2 = _separated_coeff_pair(rng, pbasis, config.v_scale, config.separation)
+        c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
         t = record["t"] = _mix_parameter(rng, config)
         omega_1, _ = omega_of_v(pbasis.potential(c1), system, params)
         omega_2, _ = omega_of_v(pbasis.potential(c2), system, params)
         omega_mix, _ = omega_of_v(pbasis.potential(t * c1 + (1 - t) * c2), system, params)
         return omega_mix - t * omega_1 - (1 - t) * omega_2
 
-    return _campaign("omega_concavity", config, trial)
+    return _campaign("omega_concavity", config, system, trial)
 
 
-def check_injectivity(config: CheckConfig) -> TheoremReport:
+def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
     """Distinct potentials produce distinct Gibbs 1RDMs."""
-    system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
 
     def trial(rng, k, record):
-        c1, c2 = _separated_coeff_pair(rng, pbasis, config.v_scale, config.separation)
+        c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
         _, gamma_1 = omega_of_v(pbasis.potential(c1), system, params)
         _, gamma_2 = omega_of_v(pbasis.potential(c2), system, params)
         distance = record["rdm_distance"] = float(np.linalg.norm(gamma_1.matrix - gamma_2.matrix))
         return distance - config.injectivity_floor
 
-    return _campaign("injectivity", config, trial)
+    return _campaign("injectivity", config, system, trial)
 
 
-def _random_density(rng: np.random.Generator, dim: int, tag: str) -> DensityOperator:
+def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random full-rank density matrix: Dirichlet weights in a Haar basis."""
     w = rng.dirichlet(np.ones(dim))
     q = _haar_unitary(rng, dim)
     m = (q * w) @ q.conj().T
-    return DensityOperator((m + m.conj().T) / 2, tag)
+    return (m + m.conj().T) / 2
 
 
-def check_entropy_concavity(config: CheckConfig) -> TheoremReport:
+def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremReport:
     """Strict concavity of the von Neumann entropy on separated pairs of
     random full-rank density operators."""
-    basis = build_system(config.model).basis
-    dim = len(basis.states)
+    basis = system.basis
 
     def trial(rng, k, record):
-        rho_1 = rho_2 = None
-        for _ in range(1000):
-            rho_1 = _random_density(rng, dim, basis.tag)
-            rho_2 = _random_density(rng, dim, basis.tag)
-            if np.linalg.norm(rho_1.matrix - rho_2.matrix) >= config.separation:
-                break
+        pair = _separated_pair(lambda: _random_density(rng, basis.dim), config.separation, "density operators")
+        rho_1, rho_2 = (DensityOperator(m, basis.tag) for m in pair)
         t = record["t"] = _mix_parameter(rng, config)
         mixed = DensityOperator(t * rho_1.matrix + (1 - t) * rho_2.matrix, basis.tag)
         return entropy(mixed) - t * entropy(rho_1) - (1 - t) * entropy(rho_2)
 
-    return _campaign("entropy_concavity", config, trial)
+    return _campaign("entropy_concavity", config, system, trial)
 
 
-def check_f_convexity(config: CheckConfig) -> TheoremReport:
+def check_f_convexity(config: CheckConfig, system: System) -> TheoremReport:
     """Convexity of the universal functional along random interior
     segments, with slack for the two inversion tolerances."""
     m = config.model
-    system = build_system(m)
     cold = np.zeros((3, system.pbasis.size))
 
     def trial(rng, k, record):
@@ -301,19 +279,16 @@ def check_f_convexity(config: CheckConfig) -> TheoremReport:
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
         return _Inversions([gamma_0, gamma_1, mixed], cold, lambda r: t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value)
 
-    return _campaign(
-        "f_convexity", config, trial, fails=lambda margin: margin < -config.convexity_slack, system=system
-    )
+    return _campaign("f_convexity", config, system, trial, fails=lambda margin: margin < -config.convexity_slack)
 
 
-def check_gradient(config: CheckConfig) -> TheoremReport:
+def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
     """Central differences of the functional along orthonormal traceless
     directions against the recovered potential: round 1 inverts gamma from
     v = 0, round 2 its +eps and -eps neighbours warm-started at its v*.  A
     base that fails has drawn its directions all the same (neither the
     default grid nor perfbench's pinned one has such a failure)."""
     m = config.model
-    system = build_system(m)
     pbasis = system.pbasis
     eps = config.fd_step
     cold = np.zeros((1, pbasis.size))
@@ -340,7 +315,7 @@ def check_gradient(config: CheckConfig) -> TheoremReport:
         return _Inversions([gamma], cold, differentiate)
 
     notes = "a well-defined derivative also certifies that the subgradient set is a single element"
-    return _campaign("gradient", config, trial, fails=lambda margin: margin < 0, notes=notes, system=system)
+    return _campaign("gradient", config, system, trial, fails=lambda margin: margin < 0, notes=notes)
 
 
 def _boundary_occupations(rng, nb, n, statistics, variant):
@@ -375,11 +350,11 @@ def _boundary_occupations(rng, nb, n, statistics, variant):
     return occ[rng.permutation(nb)]
 
 
-def check_coleman(config: CheckConfig) -> TheoremReport:
+def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
     """Reconstruction of interior and boundary 1RDMs by explicit density
     operators; every output must be a valid state with the right 1RDM."""
     m = config.model
-    basis = build_system(m).basis
+    basis = system.basis
     construct = coleman_fermionic if m.statistics is Statistics.FERMION else coleman_bosonic
     if m.statistics is Statistics.FERMION:
         variants = ("interior", "zero_pinned", "one_pinned", "idempotent")
@@ -399,14 +374,13 @@ def check_coleman(config: CheckConfig) -> TheoremReport:
         err = record["error_norm"] = float(np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix))
         return config.coleman_tol - err
 
-    return _campaign("coleman", config, trial, fails=lambda margin: margin < 0)
+    return _campaign("coleman", config, system, trial, fails=lambda margin: margin < 0)
 
 
-def check_fractional_occupations(config: CheckConfig) -> TheoremReport:
+def check_fractional_occupations(config: CheckConfig, system: System) -> TheoremReport:
     """Gibbs 1RDMs keep every natural occupation strictly off the polytope
     faces across a temperature sweep."""
     m = config.model
-    system = build_system(m)
     pbasis = system.pbasis
 
     def trial(rng, k, record):
@@ -418,17 +392,16 @@ def check_fractional_occupations(config: CheckConfig) -> TheoremReport:
         head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
         return min(lowest, head) - config.fractional_floor
 
-    return _campaign("fractional_occupations", config, trial)
+    return _campaign("fractional_occupations", config, system, trial)
 
 
-def check_gibbs_minimality(config: CheckConfig) -> TheoremReport:
+def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport:
     """The Gibbs state strictly beats every competitor density operator in
     the free-energy objective of its own Hamiltonian."""
-    system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis = system.pbasis
     basis = system.basis
-    dim = len(basis.states)
+    dim = basis.dim
 
     def trial(rng, k, record):
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.v_scale))
@@ -442,13 +415,13 @@ def check_gibbs_minimality(config: CheckConfig) -> TheoremReport:
                 0.99 * gibbs.rho.matrix + 0.01 * np.outer(psi, psi.conj()), basis.tag
             ),
             "maximally_mixed": DensityOperator(np.eye(dim) / dim, basis.tag),
-            "random_state": _random_density(rng, dim, basis.tag),
+            "random_state": DensityOperator(_random_density(rng, dim), basis.tag),
         }
         gaps = {name: helmholtz(rho, h_v, params) - base for name, rho in competitors.items()}
         record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
         return min(gaps.values())
 
-    return _campaign("gibbs_minimality", config, trial)
+    return _campaign("gibbs_minimality", config, system, trial)
 
 
 CHECK_REGISTRY = {
@@ -461,6 +434,10 @@ CHECK_REGISTRY = {
     "fractional_occupations": check_fractional_occupations,
     "gibbs_minimality": check_gibbs_minimality,
 }
+ALL_CHECKS = tuple(CHECK_REGISTRY)
+
+# fixed stream tags so each check owns an independent substream per seed
+_STREAM = {name: i + 1 for i, name in enumerate(ALL_CHECKS)}
 
 DEFAULT_SYSTEMS = (
     (3, 2, Statistics.FERMION),
@@ -497,7 +474,8 @@ def run_suite(config: SuiteConfig) -> list[TheoremReport]:
 
     Every grid point is built, and so validated, before the first check
     runs: each system needs a configuration basis and nb >= 2, so that it
-    has a potential space.
+    has a potential space.  Each grid point's System is built just before
+    its checks and shared by them, so one System is alive at a time.
     """
     for axis in ("checks", "systems", "betas", "models"):
         if not getattr(config, axis):
@@ -523,7 +501,12 @@ def run_suite(config: SuiteConfig) -> list[TheoremReport]:
     except (TypeError, RdmftError) as exc:
         # TypeError: a model parameter or an override names a field the grid sets
         raise ConfigError(f"bad suite grid: {exc}") from exc
-    return [CHECK_REGISTRY[name](check_config) for check_config in grid for name in config.checks]
+    reports = []
+    for check_config in grid:
+        system = build_system(check_config.model)
+        reports.extend(CHECK_REGISTRY[name](check_config, system) for name in config.checks)
+        del system  # freed before the next point builds its own
+    return reports
 
 
 def suite_failures(reports: list[TheoremReport]) -> int:

@@ -56,6 +56,11 @@ def record(log, number, label, passed, detail):
     assert passed, line
 
 
+def run_check(check, config):
+    """One verify check on a System of its own."""
+    return check(config, build_system(config.model))
+
+
 def model(kind, nb, n, statistics, seed):
     return ModelSpec(
         kind=kind,
@@ -181,8 +186,8 @@ def test_criterion_04_strict_concavity(criterion_log):
         CheckConfig(model=model("random_full", 3, 2, B, 3), beta=1.0, seed=43, trials=25, midpoint=True),
         CheckConfig(model=model("hubbard_ring", 4, 3, F, 4), beta=5.0, seed=44, trials=25, midpoint=True),
     ]
-    omega_reports = [check_omega_concavity(c) for c in configs]
-    entropy_reports = [check_entropy_concavity(c) for c in configs]
+    omega_reports = [run_check(check_omega_concavity, c) for c in configs]
+    entropy_reports = [run_check(check_entropy_concavity, c) for c in configs]
     omega_trials = sum(r.trials for r in omega_reports)
     entropy_trials = sum(r.trials for r in entropy_reports)
     failures = sum(r.failures for r in omega_reports + entropy_reports)
@@ -206,7 +211,7 @@ def test_criterion_05_functional_convexity(criterion_log):
         CheckConfig(model=model("random_full", 3, 2, F, 5), beta=1.0, seed=51, trials=25),
         CheckConfig(model=model("random_full", 2, 3, B, 6), beta=0.5, seed=52, trials=25),
     ]
-    reports = [check_f_convexity(c) for c in configs]
+    reports = [run_check(check_f_convexity, c) for c in configs]
     trials = sum(r.trials for r in reports)
     failures = sum(r.failures for r in reports)
     worst = min(r.worst_margin for r in reports)
@@ -226,7 +231,7 @@ def test_criterion_06_state_reconstruction(criterion_log):
         CheckConfig(model=model("zero", 3, 2, B, 9), seed=63, trials=50),
         CheckConfig(model=model("zero", 2, 3, B, 10), seed=64, trials=50),
     ]
-    reports = [check_coleman(c) for c in configs]
+    reports = [run_check(check_coleman, c) for c in configs]
     trials = sum(r.trials for r in reports)
     failures = sum(r.failures for r in reports)
     worst_err = 1e-10 - min(r.worst_margin for r in reports)
@@ -254,7 +259,7 @@ def test_criterion_07_fractional_occupations(criterion_log):
             fractional_v_scale=1.0,
         ),
     ]
-    reports = [check_fractional_occupations(c) for c in configs]
+    reports = [run_check(check_fractional_occupations, c) for c in configs]
     failures = sum(r.failures for r in reports)
     worst = min(r.worst_margin for r in reports)
     record(

@@ -362,6 +362,20 @@ MALFORMED = {
     "gibbs_count_zero": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": 0}}, "count"),
     "gibbs_count_negative": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": -1}}, "count"),
     "gibbs_potentials_empty": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": []}, "potentials"),
+    "gibbs_norm_negative": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"norm": -1.0}}, "norm"),
+    # non-finite numbers, which json reads from the literals NaN and Infinity
+    "gibbs_norm_nan": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"norm": float("nan")}}, "finite"),
+    "gibbs_potential_nan": (
+        "gibbs",
+        {"model": ZERO_MODEL, "beta": 1.0, "potentials": [{"shape": [3, 3], "data": [float("nan")] + [0.0] * 17}]},
+        "finite",
+    ),
+    "gibbs_beta_past_float_range": ("gibbs", {"model": ZERO_MODEL, "beta": 10**400}, "finite"),
+    "invert_occupations_nan": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [float("nan"), 0.6, 0.6]}},
+        "finite",
+    ),
     "verify_betas_empty": ("verify", {**TestVerify.TINY, "beta": None, "betas": []}, "one beta"),
     "verify_systems_empty": ("verify", {**TestVerify.TINY, "systems": []}, "systems"),
     "verify_models_empty": ("verify", {**TestVerify.TINY, "models": []}, "models"),
@@ -380,6 +394,7 @@ MALFORMED = {
             ("fd_step_infinite", {"fd_step": 1e400}, "fd_step"),
             ("fractional_betas_negative", {"fractional_betas": [-1.0]}, "fractional_betas"),
             ("v_scale_zero", {"v_scale": 0}, "v_scale"),
+            ("fractional_v_scale_negative", {"fractional_v_scale": -0.3}, "fractional_v_scale"),
         ]
     },
     # particle numbers and occupation vectors that used to exit 1

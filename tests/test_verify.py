@@ -41,11 +41,16 @@ def small_config(statistics, seed=9, trials=6, **overrides):
     return CheckConfig(model=model, beta=1.0, seed=seed, trials=trials, **overrides)
 
 
+def run_check(name, config):
+    """One check on a System of its own, as each grid point gets one."""
+    return CHECK_REGISTRY[name](config, build_system(config.model))
+
+
 class TestIndividualChecks:
     @pytest.mark.parametrize("check", ALL_CHECKS)
     @pytest.mark.parametrize("statistics", [F, B])
     def test_passes_with_positive_margin(self, check, statistics):
-        report = CHECK_REGISTRY[check](small_config(statistics))
+        report = run_check(check, small_config(statistics))
         assert report.theorem_id == check
         assert report.trials == 6
         assert report.failures == 0
@@ -55,7 +60,7 @@ class TestIndividualChecks:
         assert len(report.details) == 6
 
     def test_config_echoed_into_report(self):
-        report = CHECK_REGISTRY["omega_concavity"](small_config(F))
+        report = run_check("omega_concavity", small_config(F))
         assert report.config["nb"] == 3
         assert report.config["n"] == 2
         assert report.config["statistics"] == "fermion"
@@ -63,22 +68,33 @@ class TestIndividualChecks:
         assert report.config["model"]["kind"] == "random_full"
 
     def test_midpoint_pins_mix_parameter(self):
-        report = CHECK_REGISTRY["entropy_concavity"](small_config(F, midpoint=True))
+        report = run_check("entropy_concavity", small_config(F, midpoint=True))
         assert all(row["t"] == 0.5 for row in report.details)
 
     def test_coleman_cycles_boundary_variants(self):
-        report = CHECK_REGISTRY["coleman"](small_config(F, trials=8))
+        report = run_check("coleman", small_config(F, trials=8))
         variants = {row["variant"] for row in report.details}
         assert variants == {"interior", "zero_pinned", "one_pinned", "idempotent"}
         assert report.failures == 0
 
+    @pytest.mark.parametrize(
+        "check,what",
+        [("omega_concavity", "potentials"), ("injectivity", "potentials"), ("entropy_concavity", "density operators")],
+    )
+    def test_unreachable_separation_fails_every_trial(self, check, what):
+        """No pair of draws is 2.0 apart: coefficient vectors have norm
+        v_scale = 1, and density operators are at most sqrt(2) apart."""
+        report = run_check(check, small_config(F, trials=3, separation=2.0))
+        assert report.failures == report.trials == 3 and report.worst_margin is None
+        error = f"could not draw {what} separated by 2.0"
+        assert [(row["margin"], row["error"]) for row in report.details] == [(None, error)] * 3
 
     def test_trial_error_is_a_failed_trial(self, monkeypatch):
         def no_maximum(*args):
             raise ConvergenceFailure("no maximum")
 
         monkeypatch.setattr(verify, "omega_of_v", no_maximum)
-        report = CHECK_REGISTRY["omega_concavity"](small_config(F, trials=2))
+        report = run_check("omega_concavity", small_config(F, trials=2))
         assert report.failures == 2 and report.worst_margin is None
         assert [(row["margin"], row["error"]) for row in report.details] == [(None, "no maximum")] * 2
 
@@ -90,7 +106,7 @@ class TestIndividualChecks:
         second in the round that inverts per_trial targets for each trial:
         f_convexity's only round, gradient's round of neighbours."""
         config = small_config(F, trials=3)
-        clean = CHECK_REGISTRY[check](config)
+        clean = run_check(check, config)
         failing = per_trial + 1
         expected = {}
         batched = verify.invert_potentials
@@ -106,7 +122,7 @@ class TestIndividualChecks:
             return reports
 
         monkeypatch.setattr(verify, "invert_potentials", one_stops_short)
-        report = CHECK_REGISTRY[check](config)
+        report = run_check(check, config)
         assert report.failures == 1
         assert (report.details[1]["margin"], report.details[1]["error"]) == (None, expected["error"])
         assert expected["error"].startswith("dual Newton stopped after 1 iterations")
@@ -117,7 +133,7 @@ class TestIndividualChecks:
         the text require_converged gives for it, round 2 inverts only the
         other two trials' 20 neighbours, and their details are a clean run's."""
         config = small_config(F, trials=3)
-        clean = CHECK_REGISTRY["gradient"](config)
+        clean = run_check("gradient", config)
         sizes, expected = [], {}
         batched = verify.invert_potentials
 
@@ -133,7 +149,7 @@ class TestIndividualChecks:
             return reports
 
         monkeypatch.setattr(verify, "invert_potentials", base_stops_short)
-        report = CHECK_REGISTRY["gradient"](config)
+        report = run_check("gradient", config)
         assert sizes == [3, 20]
         assert report.failures == 1
         assert report.details[1] == {"trial": 1, "margin": None, "error": expected["error"]}
@@ -149,12 +165,12 @@ class TestIndividualChecks:
         model = ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, seed=seed, u=4.0, t_hop=0.5)
         config = CheckConfig(model=model, beta=5.0, seed=seed, trials=14)
         deviation = {
-            eps: CHECK_REGISTRY["gradient"](dataclasses.replace(config, fd_step=eps)).details[13]["max_rel_dev"]
+            eps: run_check("gradient", dataclasses.replace(config, fd_step=eps)).details[13]["max_rel_dev"]
             for eps in (1e-4, 1e-5)
         }
         assert 80 < deviation[1e-4] / deviation[1e-5] < 120
         assert deviation[1e-5] < config.gradient_tol < deviation[1e-4]
-        assert CHECK_REGISTRY["gradient"](config).failures == 0
+        assert run_check("gradient", config).failures == 0
 
 
 def _one_at_a_time(check, config):
@@ -216,23 +232,54 @@ class TestRounds:
             return batched(targets, *args)
 
         monkeypatch.setattr(verify, "invert_potentials", spy)
-        report = CHECK_REGISTRY[check](config)
+        report = run_check(check, config)
         assert sizes == [per_trial * config.trials for per_trial in rounds]
         assert report.failures == 0
         assert list(report.details) == _one_at_a_time(check, config)
 
 
+class TestSharedSystem:
+    def test_one_build_per_grid_point(self, monkeypatch):
+        built = []
+        build = verify.build_system
+
+        def counted(model):
+            built.append((model.nb, model.n))
+            return build(model)
+
+        monkeypatch.setattr(verify, "build_system", counted)
+        config = SuiteConfig(systems=((3, 2, F), (2, 3, B)), betas=(1.0,), models=(("zero", {}),), seed=4, trials=2)
+        reports = run_suite(config)
+        assert [r.theorem_id for r in reports] == list(ALL_CHECKS) * 2
+        assert built == [(3, 2), (2, 3)]
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    def test_shared_system_matches_fresh_ones(self, beta):
+        """All eight checks in suite order on one System give the same bits
+        as each on a fresh System; at beta = 50 the inversions climb the
+        beta ladder and start from the System's kept cold-start state."""
+        model = ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5)
+        config = CheckConfig(model=model, beta=beta, seed=2026, trials=3)
+        system = build_system(model)
+        shared = [CHECK_REGISTRY[name](config, system) for name in ALL_CHECKS]
+        fresh = [run_check(name, config) for name in ALL_CHECKS]
+        assert suite_failures(shared) == 0 and beta in system._cold_starts
+        assert [canonical_json(theorem_report_to_json(r)) for r in shared] == [
+            canonical_json(theorem_report_to_json(r)) for r in fresh
+        ]
+
+
 class TestDeterminism:
     def test_identical_config_identical_report(self):
-        a = CHECK_REGISTRY["gradient"](small_config(F, trials=3))
-        b = CHECK_REGISTRY["gradient"](small_config(F, trials=3))
+        a = run_check("gradient", small_config(F, trials=3))
+        b = run_check("gradient", small_config(F, trials=3))
         assert canonical_json(theorem_report_to_json(a)) == canonical_json(
             theorem_report_to_json(b)
         )
 
     def test_seed_changes_trials(self):
-        a = CHECK_REGISTRY["omega_concavity"](small_config(F, seed=1))
-        b = CHECK_REGISTRY["omega_concavity"](small_config(F, seed=2))
+        a = run_check("omega_concavity", small_config(F, seed=1))
+        b = run_check("omega_concavity", small_config(F, seed=2))
         assert [r["margin"] for r in a.details] != [r["margin"] for r in b.details]
 
     def test_suite_report_is_reproducible(self):
@@ -311,13 +358,13 @@ class TestRunSuite:
 
 class TestReportSemantics:
     def test_passed_tracks_failures(self):
-        report = CHECK_REGISTRY["injectivity"](small_config(F, trials=2))
+        report = run_check("injectivity", small_config(F, trials=2))
         assert report.passed
         broken = dataclasses.replace(report, failures=1)
         assert not broken.passed
 
     def test_suite_failures_sums(self):
-        report = CHECK_REGISTRY["injectivity"](small_config(F, trials=2))
+        report = run_check("injectivity", small_config(F, trials=2))
         reports = [
             dataclasses.replace(report, failures=2),
             dataclasses.replace(report, failures=3),
@@ -326,6 +373,6 @@ class TestReportSemantics:
         assert suite_failures(reports) == 5
 
     def test_worst_margin_is_the_minimum(self):
-        report = CHECK_REGISTRY["omega_concavity"](small_config(F))
+        report = run_check("omega_concavity", small_config(F))
         margins = [row["margin"] for row in report.details]
         assert report.worst_margin == pytest.approx(min(margins))
