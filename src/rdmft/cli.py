@@ -152,6 +152,14 @@ def _betas_from(cfg) -> list[float]:
     return list(betas)
 
 
+def _inversion_setup(cfg, seed):
+    """The model, System and beta of a command that inverts targets."""
+    model = _model_from(cfg.get("model"), fallback_seed=seed)
+    if model.nb < 2:
+        raise ConfigError(f"inverting a target needs a potential space, nb >= 2; got nb={model.nb}")
+    return model, _build_system_checked(model), _params_from(cfg)
+
+
 def _params_from(cfg) -> EnsembleParams:
     """The one temperature of a command that runs at a single beta."""
     betas = _betas_from(cfg)
@@ -275,9 +283,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
 
 
 def cmd_invert(cfg, out: Path, seed) -> int:
-    model = _model_from(cfg.get("model"), fallback_seed=seed)
-    system = _build_system_checked(model)
-    params = _params_from(cfg)
+    model, system, params = _inversion_setup(cfg, seed)
     target = _target_rdm(cfg.get("target"), model, seed)
     opts = _options_from(cfg, system)
     report = invert_potential(target, system, params, opts)
@@ -300,9 +306,7 @@ def cmd_invert(cfg, out: Path, seed) -> int:
 
 
 def cmd_functional(cfg, out: Path, seed) -> int:
-    model = _model_from(cfg.get("model"), fallback_seed=seed)
-    system = _build_system_checked(model)
-    params = _params_from(cfg)
+    model, system, params = _inversion_setup(cfg, seed)
     meta = {"command": "functional", "config_hash": config_hash(cfg)}
     if "segment" in cfg:
         seg = _convert(dict, cfg["segment"], "segment")
@@ -432,6 +436,8 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
     else:
         raise ConfigError("polytope config needs 'occupations' or 'gamma'")
     if statistics is Statistics.FERMION:
+        if n_particles > occupations.size:
+            raise ConfigError(f"{n_particles} fermions need at least as many orbitals, got {occupations.size}")
         decomposition = polytope_decompose(occupations, n_particles)
     else:
         decomposition = simplex_decompose(occupations, n_particles)

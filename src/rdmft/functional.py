@@ -710,32 +710,6 @@ def _dual_newton(
     return reports, spread
 
 
-def _continuation(
-    targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
-) -> list[InversionReport]:
-    """_dual_newton with the beta ladder of invert_potential, which recurses
-    on the targets that stalled."""
-    reports, spread = _dual_newton(targets, system, params, opts, starts)
-    stalled = [
-        b
-        for b, report in enumerate(reports)
-        if report.verdict is InversionVerdict.MAX_ITERATIONS and params.beta * spread[b] > 1.0
-    ]
-    if stalled:
-        colder = _continuation(
-            [targets[b] for b in stalled], system, EnsembleParams(params.beta / BETA_RUNG), opts, starts[stalled]
-        )
-        warm = [(b, report) for b, report in zip(stalled, colder) if report.verdict is InversionVerdict.CONVERGED]
-        if warm:
-            v_star = np.stack([report.v_star.matrix for _, report in warm])
-            again, _ = _dual_newton(
-                [targets[b] for b, _ in warm], system, params, opts, system.pbasis.coefficients(v_star)
-            )
-            for (b, _), report in zip(warm, again):
-                reports[b] = report
-    return reports
-
-
 def _column_bytes(basis: ConfigurationBasis) -> int:
     """Workspace per eigenbasis row of a block: X and the pairs' mirror products."""
     return 24 * basis.nb * basis.nb * basis.dim
@@ -788,8 +762,9 @@ def invert_potentials(
     vector of shape (K,) for every target, or a (B, K) array with one row
     per target.
 
-    Batches whose Jacobians would hold more than JACOBIAN_WORKSPACE_BYTES
-    are split; a target whose own Jacobian needs more runs alone.
+    Targets go in chunks whose Jacobians fit in JACOBIAN_WORKSPACE_BYTES,
+    or one by one where one does not.  Each round solves one rung of the
+    beta ladder: the first unfinished chunk's targets on its coldest rung.
     """
     targets = [gamma if isinstance(gamma, OneRdm) else OneRdm(gamma) for gamma in targets]
     basis, size = system.basis, system.pbasis.size
@@ -801,12 +776,29 @@ def invert_potentials(
     starts = np.zeros(size) if opts.initial is None else np.array(opts.initial, dtype=float)
     if starts.shape not in ((size,), (len(targets), size)):
         raise InvalidArguments(f"initial coefficients must have shape ({size},) or ({len(targets)}, {size})")
-    starts = np.broadcast_to(starts, (len(targets), size))
-    chunk = max(1, JACOBIAN_WORKSPACE_BYTES // _workspace_bytes(basis))
-    reports = []
-    for first in range(0, len(targets), chunk):
-        batch = slice(first, first + chunk)
-        reports += _continuation(targets[batch], system, params, opts, starts[batch])
+    starts = np.array(np.broadcast_to(starts, (len(targets), size)))
+    chunk = np.arange(len(targets)) // max(1, JACOBIAN_WORKSPACE_BYTES // _workspace_bytes(basis))
+    # each target's rung k on the ladder at beta / BETA_RUNG^k, -1 once it
+    # has stopped, and whether it is climbing back from a colder rung
+    rung, climbing = np.zeros(len(targets), dtype=int), np.zeros(len(targets), dtype=bool)
+    ladder, reports = [params], [None] * len(targets)
+    while (rung >= 0).any():
+        pending = (rung >= 0) & (chunk == chunk[np.argmax(rung >= 0)])
+        k = rung[pending].max()
+        rows = np.flatnonzero(pending & (rung == k)).tolist()
+        if k == len(ladder):
+            ladder.append(EnsembleParams(ladder[-1].beta / BETA_RUNG))
+        solved, spread = _dual_newton([targets[b] for b in rows], system, ladder[k], opts, starts[rows])
+        for b, report, s in zip(rows, solved, spread.tolist()):
+            if k == 0:
+                reports[b] = report
+            if report.verdict is InversionVerdict.MAX_ITERATIONS and not climbing[b] and ladder[k].beta * s > 1.0:
+                rung[b] = k + 1
+            elif report.verdict is InversionVerdict.CONVERGED and k > 0:
+                rung[b], climbing[b] = k - 1, True
+                starts[b] = system.pbasis.coefficients(report.v_star)
+            else:
+                rung[b] = -1
     return reports
 
 
@@ -828,12 +820,13 @@ def invert_potential(
     there (a lower bound on F by weak duality), the residual there and an
     empty trace.
 
-    A solve that stops short at a beta where the starting Hamiltonian's
-    spread E_max - E_min exceeds 1/beta is repeated from the maximizer at
-    beta/BETA_RUNG, found the same way, so the ladder ends where every
-    population is within a factor e of the ground state's.  The report,
-    its iterations and its trace belong to the last solve at the requested
-    beta; if no colder rung converges, that is the first one.
+    A solve that stops short where the starting Hamiltonian's spread
+    E_max - E_min exceeds 1/beta is retried from the same start at
+    beta/BETA_RUNG, down to a rung where every population is within a factor
+    e of the ground state's.  From a rung that converges it climbs back, each
+    rung from the maximizer below, until a climb stops short.  The report
+    and its trace are the last solve's at beta; if no colder rung converges,
+    that is the first one.
 
     This is invert_potentials on a batch of one: the same engine.
     """

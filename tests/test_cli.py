@@ -21,6 +21,7 @@ from rdmft.models import ModelSpec, build_system
 from rdmft.serialize import matrix_to_json, rdm_from_json
 
 ZERO_MODEL = {"kind": "zero", "nb": 3, "n": 2, "statistics": "fermion"}
+ONE_ORBITAL = {"kind": "zero", "nb": 1, "n": 1, "statistics": "boson"}
 
 
 def write_config(tmp_path, obj):
@@ -75,6 +76,13 @@ class TestGibbs:
         _, occ_rows = read_csv(out / "occupations.csv")
         assert len(occ_rows) == 18
         assert (out / "rdm_005.json").exists()
+
+    def test_one_orbital(self, tmp_path):
+        """Gibbs states at v = 0 need no potential space."""
+        code, out = run(tmp_path, "gibbs", {"model": ONE_ORBITAL, "beta": 1.0})
+        assert code == 0
+        _, occ_rows = read_csv(out / "occupations.csv")
+        assert [float(r[3]) for r in occ_rows] == pytest.approx([1.0])
 
     def test_missing_beta_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "gibbs", {"model": ZERO_MODEL})
@@ -315,6 +323,14 @@ MALFORMED = {
     "polytope_n": ("polytope", {"statistics": "fermion", "n": "two", "occupations": [1.0, 0.5]}, "'two'"),
     "polytope_occupations": ("polytope", {"statistics": "fermion", "n": 2, "occupations": "abc"}, "occupations"),
     "invert_sample": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": 3}}, "sample"),
+    # one orbital has no potential space to invert in; gibbs still runs there
+    "invert_nb_one": ("invert", {"model": ONE_ORBITAL, "beta": 1.0, "target": {"occupations": [1.0]}}, "nb >= 2"),
+    "functional_nb_one": ("functional", {"model": ONE_ORBITAL, "beta": 1.0, "samples": {"count": 2}}, "nb >= 2"),
+    "polytope_fermions_past_orbitals": (
+        "polytope",
+        {"statistics": "fermion", "n": 5, "occupations": [0.5, 0.5]},
+        "5 fermions",
+    ),
     # options deleted along with the norm cap and the stagnation window
     "invert_norm_cap": (
         "invert",
@@ -479,6 +495,13 @@ class TestPolytope:
         _, rows = read_csv(out / "decomposition.csv")
         assert [(r[1], r[2]) for r in rows] == [(repr(0.75), "0 0"), (repr(0.25), "1 1")]
         assert not (out / "barycentric.csv").exists()
+
+    def test_bosons_past_orbital_count(self, tmp_path):
+        cfg = {"statistics": "boson", "n": 5, "occupations": [2.5, 2.5]}
+        code, out = run(tmp_path, "polytope", cfg)
+        assert code == 0
+        _, rows = read_csv(out / "decomposition.csv")
+        assert [(r[1], r[2]) for r in rows] == [(repr(0.5), "0 0 0 0 0"), (repr(0.5), "1 1 1 1 1")]
 
     def test_infeasible_exits_3(self, tmp_path):
         cfg = {"statistics": "fermion", "n": 2, "occupations": [1.2, 0.5, 0.3]}

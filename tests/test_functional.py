@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from rdmft import fock, functional, verify
-from rdmft.ensemble import EnsembleParams, OneRdm, RdmClass
+from rdmft.ensemble import EnsembleParams, OneRdm, RdmClass, natural_spectrum
 from rdmft.errors import (
     DimensionMismatch,
     InvalidArguments,
@@ -530,6 +530,19 @@ class TestInvertPotential:
         assert all(rec.residual >= 0 for rec in report.trace)
 
 
+@pytest.fixture
+def dual_newton_calls(monkeypatch):
+    """(number of targets, beta) of each _dual_newton call, in order."""
+    calls, dual_newton = [], functional._dual_newton
+
+    def spy(targets, system, params, *args):
+        calls.append((len(targets), params.beta))
+        return dual_newton(targets, system, params, *args)
+
+    monkeypatch.setattr(functional, "_dual_newton", spy)
+    return calls
+
+
 class TestInvertPotentials:
     @staticmethod
     def mixed_batch(nb=4, n=2):
@@ -651,34 +664,49 @@ class TestInvertPotentials:
         assert (report.residual, report.f_value) == (report.trace[-1].residual, report.trace[-1].g_value)
         assert [r.fresh_jacobian for r in report.trace] == [True] * (max_iter - 1) + [False]
 
-    def test_oversized_batch_is_split(self, monkeypatch):
+    def test_oversized_batch_is_split(self, monkeypatch, dual_newton_calls):
+        """Each chunk climbs its own ladder.  Started cold, the five random
+        targets and the Gibbs one stop short at beta, converge at beta/4 and
+        climb back; the boundary and outside targets stop at once."""
         system, params, targets, _ = self.mixed_batch()
-        calls = []
-        continuation = functional._continuation
-
-        def spy(batch, system, rung, *args):
-            calls.append((len(batch), rung.beta))
-            return continuation(batch, system, rung, *args)
-
-        def sizes():
-            # the batches at the requested beta, not the ladder's
-            return [size for size, beta in calls if beta == params.beta]
-
-        monkeypatch.setattr(functional, "_continuation", spy)
         whole = invert_potentials(targets, system, params)
-        assert sizes() == [len(targets)]
+        assert dual_newton_calls == [(8, 200.0), (6, 50.0), (6, 200.0)]
         # both budgets leave the Jacobian one block, so only the batches change
         monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", 3 * functional._workspace_bytes(system.basis))
-        calls.clear()
+        dual_newton_calls.clear()
         split = invert_potentials(targets, system, params)
-        assert sizes() == [3, 3, 2]
+        assert dual_newton_calls == [
+            *[(3, 200.0), (3, 50.0), (3, 200.0)],
+            *[(3, 200.0), (2, 50.0), (2, 200.0)],
+            *[(2, 200.0), (1, 50.0), (1, 200.0)],
+        ]
         monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", functional._workspace_bytes(system.basis))
-        calls.clear()
+        dual_newton_calls.clear()
         alone = invert_potentials(targets, system, params)
-        assert sizes() == [1] * len(targets)
+        ladder = [(1, 200.0), (1, 50.0), (1, 200.0)]
+        assert dual_newton_calls == ladder * 5 + [(1, 200.0)] * 2 + ladder
         for reports in (split, alone):
             assert [r.trace for r in reports] == [r.trace for r in whole]
             assert [r.v_star.matrix.tobytes() for r in reports] == [r.v_star.matrix.tobytes() for r in whole]
+
+    @pytest.mark.parametrize(
+        "beta, calls",
+        [
+            (200.0, [(8, 200.0), (5, 50.0), (5, 200.0)]),
+            (
+                1e4,
+                [(8, 1e4), *[(5, 1e4 / 4**k) for k in range(1, 5)], (1, 1e4 / 4**5), (1, 1e4 / 4**4)]
+                + [(5, 1e4 / 4**k) for k in (3, 2, 1, 0)],
+            ),
+        ],
+    )
+    def test_ladder_solves_each_rung_as_one_batch(self, beta, calls, dual_newton_calls):
+        """The targets that stop short go down each rung together and climb
+        back together; at beta = 1e4 one of them needs one rung more, and
+        the five climb on as one batch once it has rejoined them."""
+        system, _, targets, starts = self.mixed_batch()
+        invert_potentials(targets, system, EnsembleParams(beta), InversionOptions(initial=starts))
+        assert dual_newton_calls == calls
 
     def test_singular_jacobian_stops_only_its_target(self):
         jac = np.stack([np.zeros((2, 2)), -np.eye(2)])
@@ -690,6 +718,55 @@ class TestInvertPotentials:
         system, params, targets, _ = self.mixed_batch()
         with pytest.raises(InvalidArguments, match="initial"):
             invert_potentials(targets, system, params, InversionOptions(initial=np.zeros((2, system.pbasis.size))))
+
+
+class TestBetaLadder:
+    @staticmethod
+    def warm_solve(gamma, system, beta):
+        """invert_potential at beta/BETA_RUNG, and one solve at beta, with no
+        ladder, from its v*."""
+        colder = invert_potential(gamma, system, EnsembleParams(beta / functional.BETA_RUNG))
+        start = system.pbasis.coefficients(colder.v_star)[None]
+        (warm,), _ = functional._dual_newton([gamma], system, EnsembleParams(beta), InversionOptions(), start)
+        return colder, warm
+
+    @staticmethod
+    def assert_same_report(a, b):
+        assert (a.verdict, a.iterations, a.jacobians) == (b.verdict, b.iterations, b.jacobians)
+        assert a.v_star.matrix.tobytes() == b.v_star.matrix.tobytes()
+        assert (a.f_value, a.residual) == (b.f_value, b.residual)
+        assert a.trace == b.trace
+
+    @pytest.mark.parametrize("beta", [200.0, 1e4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_is_the_warm_solve(self, seed, beta, dual_newton_calls):
+        """A cold solve that stops short goes down the ladder, and the report
+        is, bit for bit, a solve at beta from the maximizer at beta/BETA_RUNG,
+        which is itself the report of a ladder one rung shorter."""
+        system = hubbard_system(4, 2, F)
+        gamma = random_rdm(4, 2, F, interior=True, seed=seed)
+        report = invert_potential(gamma, system, EnsembleParams(beta))
+        assert dual_newton_calls[0] == dual_newton_calls[-1] == (1, beta) != dual_newton_calls[1]
+        colder, warm = self.warm_solve(gamma, system, beta)
+        assert colder.verdict is report.verdict is InversionVerdict.CONVERGED
+        self.assert_same_report(report, warm)
+
+    def test_failed_climb_reports_the_warm_solve(self, dual_newton_calls):
+        """(3,2,F) with an occupation 1e-6 from its face at beta = 50: the
+        cold solve stops short, beta/4 converges, and the climb back stops
+        after one iteration.  The report is that climb's, not the cold one's."""
+        system = interacting_system(3, 2, F)
+        spectrum = natural_spectrum(random_rdm(3, 2, F, interior=True, seed=0))
+        occ = spectrum.occupations.copy()
+        occ[0] = 1 - 1e-6
+        occ[1:] *= (2 - occ[0]) / occ[1:].sum()
+        gamma = OneRdm((spectrum.orbitals * occ) @ spectrum.orbitals.conj().T)
+        report = invert_potential(gamma, system, EnsembleParams(50.0))
+        assert dual_newton_calls == [(1, 50.0), (1, 12.5), (1, 50.0)]
+        assert (report.verdict, report.iterations) == (InversionVerdict.MAX_ITERATIONS, 1)
+        colder, warm = self.warm_solve(gamma, system, 50.0)
+        assert colder.verdict is InversionVerdict.CONVERGED
+        self.assert_same_report(report, warm)
 
 
 class TestJacobianReuse:
