@@ -48,6 +48,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidArguments(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        for name in ("h_scale", "w_norm", "u", "t_hop"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or (name in ("h_scale", "w_norm") and value < 0):
+                raise InvalidArguments(f"model {name} must be finite (and, as a norm, non-negative), got {value}")
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int, norm: float) -> np.ndarray:
@@ -129,10 +133,13 @@ def build_operators(spec: ModelSpec) -> tuple[OneBodyOperator, TwoBodyOperator |
 
 
 def build_system(spec: ModelSpec) -> System:
-    """Configuration basis plus the lifted model Hamiltonian."""
+    """Configuration basis plus the lifted model Hamiltonian, which must be finite."""
     basis = build_basis(spec.nb, spec.n, spec.statistics)
     h, w = build_operators(spec)
-    h0 = lift_one_body(h, basis).matrix
-    if w is not None:
-        h0 = h0 + lift_two_body(w, basis).matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = lift_one_body(h, basis).matrix
+        if w is not None:
+            h0 = h0 + lift_two_body(w, basis).matrix
+    if not np.isfinite(h0).all():
+        raise InvalidArguments(f"the lifted {spec.kind} Hamiltonian overflows the floats; its parameters are too large")
     return System(basis=basis, h0=ManyBodyOperator(h0, basis.tag))

@@ -9,9 +9,11 @@ identical report.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -469,13 +471,30 @@ class SuiteConfig:
     overrides: dict = field(default_factory=dict)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where it has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_point(check_config: CheckConfig, checks: tuple[str, ...]) -> list[TheoremReport]:
+    """One grid point's checks on one System; a model that cannot be built is a config error."""
+    try:
+        system = build_system(check_config.model)
+    except RdmftError as exc:
+        raise ConfigError(f"bad suite grid: {exc}") from exc
+    return [CHECK_REGISTRY[name](check_config, system) for name in checks]
+
+
 def run_suite(config: SuiteConfig) -> list[TheoremReport]:
     """All selected checks over the whole grid, in deterministic order.
 
     Every grid point is built, and so validated, before the first check
     runs: each system needs a configuration basis and nb >= 2, so that it
-    has a potential space.  Each grid point's System is built just before
-    its checks and shared by them, so one System is alive at a time.
+    has a potential space.  The points run in min(points, usable CPUs)
+    forked worker processes, or in this one when that is 1, each on a
+    System of its own; reports come back in grid order, the same bits
+    either way.  A point that raises cancels those not yet started, and
+    its exception reaches the caller once every worker has exited.
     """
     for axis in ("checks", "systems", "betas", "models"):
         if not getattr(config, axis):
@@ -501,12 +520,14 @@ def run_suite(config: SuiteConfig) -> list[TheoremReport]:
     except (TypeError, RdmftError) as exc:
         # TypeError: a model parameter or an override names a field the grid sets
         raise ConfigError(f"bad suite grid: {exc}") from exc
-    reports = []
-    for check_config in grid:
-        system = build_system(check_config.model)
-        reports.extend(CHECK_REGISTRY[name](check_config, system) for name in config.checks)
-        del system  # freed before the next point builds its own
-    return reports
+    # imported here, so that importing rdmft does not load the process pool (about 2 MB)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(len(grid), _usable_cpus())
+    context = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else nullcontext() as pool:
+        per_point = list((pool.map if pool else map)(_run_point, grid, repeat(config.checks)))
+    return [report for reports in per_point for report in reports]
 
 
 def suite_failures(reports: list[TheoremReport]) -> int:

@@ -298,6 +298,9 @@ class TestVerify:
         ).read_text()
 
 
+# a finite hopping that overflows the lifted Hamiltonian
+HUGE_HOP = {"kind": "hubbard_ring", "t_hop": 1e308}
+
 # name: (command, config, a fragment the error message must name)
 MALFORMED = {
     "verify_trials": ("verify", {**TestVerify.TINY, "trials": "x"}, "trials"),
@@ -316,6 +319,25 @@ MALFORMED = {
         "nb >= 2",
     ),
     "verify_checks_string": ("verify", {**TestVerify.TINY, "checks": "coleman"}, "checks must be"),
+    # model parameters: Frobenius norms are non-negative, and the lifted
+    # Hamiltonian must be finite, whether the point runs here or in a worker
+    "gibbs_h_scale_negative": (
+        "gibbs",
+        {"model": {**ZERO_MODEL, "kind": "random_full", "h_scale": -1}, "beta": 1.0},
+        "h_scale",
+    ),
+    "gibbs_t_hop_overflow": ("gibbs", {"model": {**ZERO_MODEL, **HUGE_HOP}, "beta": 1.0}, "overflows"),
+    "verify_w_norm_negative": (
+        "verify",
+        {**TestVerify.TINY, "models": [{"kind": "random_full", "w_norm": -1}]},
+        "w_norm",
+    ),
+    "verify_t_hop_overflow": ("verify", {**TestVerify.TINY, "models": [HUGE_HOP]}, "overflows"),
+    "verify_t_hop_overflow_in_worker": (
+        "verify",
+        {**TestVerify.TINY, "systems": [[3, 2, "fermion"], [4, 2, "fermion"]], "models": [HUGE_HOP]},
+        "overflows",
+    ),
     "gibbs_count": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": "two"}}, "count"),
     "functional_count": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": "x"}}, "count"),
     "functional_points": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "segment": {"points": "x"}}, "points"),

@@ -1,6 +1,7 @@
 """Certification suite plumbing: margins, determinism, config errors."""
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -248,6 +249,8 @@ class TestSharedSystem:
             return build(model)
 
         monkeypatch.setattr(verify, "build_system", counted)
+        # in this process, where the spy sees the builds; TestPool covers the workers
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
         config = SuiteConfig(systems=((3, 2, F), (2, 3, B)), betas=(1.0,), models=(("zero", {}),), seed=4, trials=2)
         reports = run_suite(config)
         assert [r.theorem_id for r in reports] == list(ALL_CHECKS) * 2
@@ -267,6 +270,54 @@ class TestSharedSystem:
         assert [canonical_json(theorem_report_to_json(r)) for r in shared] == [
             canonical_json(theorem_report_to_json(r)) for r in fresh
         ]
+
+
+class TestPool:
+    # both statistics, all eight checks, and at beta = 50 the (3, 2) fermion
+    # inversions go down the beta ladder to 12.5 and climb back
+    GRID = SuiteConfig(
+        systems=((3, 2, F), (2, 3, B)),
+        betas=(1.0, 50.0),
+        models=(("zero", {}), ("hubbard_ring", {"u": 4.0, "t_hop": 0.5})),
+        seed=7,
+        trials=2,
+    )
+
+    def test_workers_match_one_process(self, monkeypatch):
+        built = []
+        build = verify.build_system
+
+        def counted(model):
+            built.append(model)
+            return build(model)
+
+        monkeypatch.setattr(verify, "build_system", counted)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        pooled = run_suite(self.GRID)
+        assert multiprocessing.active_children() == []
+        assert built == []  # every point was built in a worker
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        alone = run_suite(self.GRID)
+        assert len(built) == 8
+        described = {"checks": list(self.GRID.checks), "seed": self.GRID.seed}
+        assert suite_failures(pooled) == 0
+        assert canonical_json(suite_report_json(pooled, described)) == canonical_json(
+            suite_report_json(alone, described)
+        )
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="workers inherit the patch")
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def broken(config, system):
+            raise ValueError(f"broken at nb={config.model.nb}")
+
+        monkeypatch.setitem(verify.CHECK_REGISTRY, "coleman", broken)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        config = SuiteConfig(checks=("injectivity", "coleman"), betas=(1.0,), models=(("zero", {}),), trials=1)
+        with pytest.raises(ValueError) as exc:
+            run_suite(config)
+        # the first failing point in grid order, (3, 2, F), with its own type and message
+        assert type(exc.value) is ValueError and str(exc.value) == "broken at nb=3"
+        assert multiprocessing.active_children() == []
 
 
 class TestDeterminism:
