@@ -48,7 +48,7 @@ from .fock import (
     ConfigurationBasis,
     HopBlocks,
     ManyBodyOperator,
-    _hermiticity_defect,
+    _hermiticity_defects,
     _lift,
     _rdm_matrix,
     triangle_indices,
@@ -59,8 +59,9 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BETA_RUNG = 4.0
 MIN_STEP = 1e-14
-# bytes of Jacobian workspace a batch may hold, and one block of one target
-JACOBIAN_WORKSPACE_BYTES = 1 << 24
+# bytes of workspace a stacked call may hold: a batch's Jacobians, one block
+# of one target's, or a chunk of the Gibbs states and entropies verify stacks
+WORKSPACE_BYTES = 1 << 24
 # Jacobians are reused where one costs this many Gibbs evaluations, and
 # taken fresh after a step that keeps more than REFRESH_RATIO of its residual
 REUSE_COST_RATIO = 5.0
@@ -99,7 +100,7 @@ def _check_traceless(m: np.ndarray) -> None:
     """The rule of TracelessPotential for a complex matrix or a (..., nb, nb)
     stack of them: each one Hermitian within 1e-13 and traceless within
     1e-12 relative to its norm."""
-    if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
+    if (_hermiticity_defects(m) > ONE_BODY_HERMITICITY_TOL).any():
         raise NonHermitianInput("potential is not Hermitian within 1e-13")
     trace = np.trace(m, axis1=-2, axis2=-1)
     # relative to scale: a large potential cannot express an exactly
@@ -514,8 +515,9 @@ def _dual_newton(
     (Kelley, Solving Nonlinear Equations with Newton's Method, ch. 2), or
     when y.s <= 0; a reused J whose step fails is retaken, not given up.
 
-    A row that starts at v = 0 reads its starting state and first J from
-    _cold_start, which computes them once per system and beta.
+    Rows with the same start bytes share its starting state and first J,
+    computed once; a row that starts at v = 0 reads them from _cold_start,
+    which computes them once per system and beta.
 
     The running targets' state is held compacted, so a round in which no
     target stops and every one takes its first trial step indexes no rows.
@@ -534,16 +536,20 @@ def _dual_newton(
         grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target
         return grad, np.linalg.norm(grad, axis=-1)
 
+    # shared[b] numbers row b's start among the distinct ones, which lead holds
+    distinct = {}
+    shared = np.array([distinct.setdefault(row.tobytes(), len(distinct)) for row in c], dtype=int)
+    lead = c[np.unique(shared, return_index=True)[1]]
     cold = ~c.any(-1)
     memo = _cold_start(system, params) if cold.any() else None
     if memo is None:
-        start = _start(c, system, params)
+        start = _start(lead, system, params)
     else:
-        start = [np.repeat(a, len(targets), axis=0) for a in memo.start]
-        if not cold.all():
-            for mine, a in zip(start, _start(c[~cold], system, params)):
-                mine[~cold] = a
-    energies, vectors, weights, omega, gamma = start
+        start, warm = [np.repeat(a, len(lead), axis=0) for a in memo.start], lead.any(-1)
+        if warm.any():
+            for mine, a in zip(start, _start(lead[warm], system, params)):
+                mine[warm] = a
+    energies, vectors, weights, omega, gamma = start if len(lead) == len(c) else (a[shared] for a in start)
     spread = energies[:, -1] - energies[:, 0]
     grad = gamma - target_coeffs
     residual = np.linalg.norm(grad, axis=-1)
@@ -604,11 +610,19 @@ def _dual_newton(
                 memo.jacobian.flags.writeable = False
             jac = np.repeat(memo.jacobian, run.ids.size, axis=0)
         take = fresh & ~hit
-        if take.all():
-            jac = _jacobian(run.energies, run.vectors, run.weights, basis, params, pbasis)
-        elif take.any():
-            spectra = (run.energies[take], run.vectors[take], run.weights[take])
-            jac[take] = _jacobian(*spectra, basis, params, pbasis)
+        rows, back = np.flatnonzero(take), slice(None)
+        if iteration == 1:
+            # the rows that share a start still hold its state, so share its J
+            _, first, back = np.unique(shared[run.ids[rows]], return_index=True, return_inverse=True)
+            rows = rows[first]
+        if rows.size:
+            spectra = (run.energies, run.vectors, run.weights)
+            spectra = spectra if rows.size == run.ids.size else (a[rows] for a in spectra)
+            fresh_jac = _jacobian(*spectra, basis, params, pbasis)[back]
+            if take.all():
+                jac = fresh_jac
+            else:
+                jac[take] = fresh_jac
         # a row keeps its J only where it may be reused
         run = run._replace(jac=jac) if reuse else run
         jacobians[run.ids[fresh]] += 1
@@ -725,14 +739,20 @@ def _block_width(basis: ConfigurationBasis) -> int:
     """Eigenbasis rows per block of _jacobian: a property of the basis alone,
     so that a target's Jacobian sums in the same order in any batch.  Each
     block streams every gathered operand, so where an eighth of them exceeds
-    JACOBIAN_WORKSPACE_BYTES the blocks take that much instead."""
-    return max(1, max(JACOBIAN_WORKSPACE_BYTES, _gathered_bytes(basis) // 8) // _column_bytes(basis))
+    WORKSPACE_BYTES the blocks take that much instead."""
+    return max(1, max(WORKSPACE_BYTES, _gathered_bytes(basis) // 8) // _column_bytes(basis))
 
 
 def _workspace_bytes(basis: ConfigurationBasis) -> int:
     """The largest arrays of one target's Jacobian: the gathered operands and
     one block."""
     return _gathered_bytes(basis) + min(_block_width(basis), basis.dim) * _column_bytes(basis)
+
+
+def _stack_rows(basis: ConfigurationBasis) -> int:
+    """Rows per chunk of a stacked Gibbs state or entropy: as many as fit in
+    WORKSPACE_BYTES at about eight dim x dim complex arrays a row, at least one."""
+    return max(1, WORKSPACE_BYTES // (128 * basis.dim**2))
 
 
 def _reuses_jacobian(basis: ConfigurationBasis) -> bool:
@@ -762,7 +782,7 @@ def invert_potentials(
     vector of shape (K,) for every target, or a (B, K) array with one row
     per target.
 
-    Targets go in chunks whose Jacobians fit in JACOBIAN_WORKSPACE_BYTES,
+    Targets go in chunks whose Jacobians fit in WORKSPACE_BYTES,
     or one by one where one does not.  Each round solves one rung of the
     beta ladder: the first unfinished chunk's targets on its coldest rung.
     """
@@ -777,7 +797,7 @@ def invert_potentials(
     if starts.shape not in ((size,), (len(targets), size)):
         raise InvalidArguments(f"initial coefficients must have shape ({size},) or ({len(targets)}, {size})")
     starts = np.array(np.broadcast_to(starts, (len(targets), size)))
-    chunk = np.arange(len(targets)) // max(1, JACOBIAN_WORKSPACE_BYTES // _workspace_bytes(basis))
+    chunk = np.arange(len(targets)) // max(1, WORKSPACE_BYTES // _workspace_bytes(basis))
     # each target's rung k on the ladder at beta / BETA_RUNG^k, -1 once it
     # has stopped, and whether it is climbing back from a colder rung
     rung, climbing = np.zeros(len(targets), dtype=int), np.zeros(len(targets), dtype=bool)

@@ -231,6 +231,12 @@ def random_rdm(
 
     interior=True keeps every occupation at least 0.01 away from each
     polytope face; otherwise fermion draws merely reject n_i >= 1.
+
+    Draw stream: the result, and where the generator is left, are those of
+    drawing one Dirichlet vector at a time until one is accepted (at most
+    100000 draws), then the Haar unitary.  The draws are taken in blocks of
+    1, 2, 4, ... vectors; a block whose accepted vector is not its last is
+    drawn again, from the generator state at its start, up to that vector.
     """
     if nb < 1 or n_particles < 1:
         raise InvalidArguments(f"need nb >= 1 and n >= 1, got nb={nb}, n={n_particles}")
@@ -238,13 +244,21 @@ def random_rdm(
         raise InvalidArguments(f"fermions need nb > n, got nb={nb}, n={n_particles}")
     rng = np.random.default_rng(seed)
     margin = 0.01 if interior else 0.0
-    for _ in range(100000):
-        occ = rng.dirichlet(np.ones(nb)) * n_particles
-        if interior and occ.min() < margin:
-            continue
-        if statistics is Statistics.FERMION and occ.max() > 1 - margin:
-            continue
-        break
+    drawn, block = 0, 1
+    while drawn < 100000:
+        block = min(block, 100000 - drawn)
+        state = rng.bit_generator.state
+        occ = rng.dirichlet(np.ones(nb), size=block) * n_particles
+        low = occ.min(-1).tolist() if interior else [margin] * block
+        high = occ.max(-1).tolist() if statistics is Statistics.FERMION else [0.0] * block
+        first = next((k for k in range(block) if not (low[k] < margin or high[k] > 1 - margin)), None)
+        if first is not None:
+            if first < block - 1:
+                rng.bit_generator.state = state
+                rng.dirichlet(np.ones(nb), size=first + 1)
+            occ = occ[first]
+            break
+        drawn, block = drawn + block, 2 * block
     else:
         raise InvalidArguments(f"no occupation draw satisfied the margins for nb={nb}, n={n_particles}")
     q = _haar_unitary(rng, nb)

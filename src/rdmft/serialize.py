@@ -107,21 +107,19 @@ def suite_report_json(reports, config_obj) -> dict:
 
 
 def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+    """json's default hook: numpy scalars and arrays as the Python numbers
+    and lists they hold."""
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
 
 
 def config_hash(obj) -> str:
@@ -130,7 +128,7 @@ def config_hash(obj) -> str:
 
 def dump_json(path, obj) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n")
     return path
 
 
@@ -154,8 +152,8 @@ def write_csv(path, header, rows, metadata=None) -> Path:
         "columns": list(header),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    sidecar.update(_plain(metadata or {}))
-    path.with_suffix(".meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    sidecar.update(metadata or {})
+    path.with_suffix(".meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2, default=_plain) + "\n")
     return path
 
 

@@ -17,25 +17,16 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .ensemble import (
-    DensityOperator,
-    EnsembleParams,
-    OneRdm,
-    entropy,
-    gibbs_state,
-    helmholtz,
-    natural_spectrum,
-    one_rdm,
-)
+from .ensemble import EnsembleParams, OneRdm, _entropies, _gibbs, one_rdm
 from .errors import ConfigError, InvalidArguments, RdmftError
-from .fock import ManyBodyOperator, Statistics, build_basis, lift_one_body
+from .fock import ManyBodyOperator, Statistics, _density_errors, _lifted, _rdm_matrix, build_basis
 from .functional import (
     InversionOptions,
-    InversionReport,
     PotentialBasis,
     System,
+    _stack_rows,
+    _thermal,
     invert_potentials,
-    omega_of_v,
     require_converged,
 )
 from .models import ModelSpec, build_system
@@ -140,16 +131,68 @@ def _mix_parameter(rng: np.random.Generator, config: CheckConfig) -> float:
     return 0.5 if config.midpoint else float(rng.uniform(0.1, 0.9))
 
 
-@dataclass(frozen=True)
-class _Inversions:
-    """What a trial hands back when its margin needs the functional at some
-    targets: each target is inverted from the matching row of starts, and
-    finish maps their converged reports, in target order, to the margin or
-    to a further _Inversions for the next round."""
+def _caught(fn, *args):
+    """fn(*args), or the RdmftError it raises."""
+    try:
+        return fn(*args)
+    except RdmftError as exc:
+        return exc
 
-    targets: list[OneRdm]
-    starts: np.ndarray
-    finish: Callable[[list[InversionReport]], float | _Inversions]
+
+@dataclass(frozen=True)
+class _Request:
+    """What a trial hands back when its margin needs a kernel: its rows of the
+    kernel's input, and finish, which maps their outputs, in row order, to
+    the margin or to a further _Request.  kernel(rows) gives each row its
+    output, or the RdmftError that row raises."""
+
+    kernel: Callable[[list], list]
+    rows: list
+    finish: Callable[[list], float | _Request]
+
+
+def _stacked(compute: Callable[[np.ndarray], list], system: System) -> Callable[[list], list]:
+    """The kernel that calls compute on its rows stacked as complex matrices,
+    as the single-object constructors take them, _stack_rows at a time."""
+
+    def kernel(rows):
+        step = _stack_rows(system.basis)
+        return [out for a in range(0, len(rows), step) for out in compute(np.stack(rows[a : a + step], dtype=complex))]
+
+    return kernel
+
+
+def _inversions(system: System, beta: float) -> Callable[[list], list]:
+    """The kernel that inverts rows of (target, start), in one
+    invert_potentials call, into converged reports."""
+
+    def kernel(rows):
+        targets, starts = [target for target, _ in rows], np.array([start for _, start in rows])
+        reports = invert_potentials(targets, system, EnsembleParams(beta), InversionOptions(initial=starts))
+        return [_caught(require_converged, report, target, system) for report, target in zip(reports, targets)]
+
+    return kernel
+
+
+def _omega_kernel(system: System, beta: float) -> Callable[[list], list]:
+    """omega_of_v stacked over potential matrices: Omega and the 1RDM."""
+
+    def compute(v):
+        state = _thermal(v.reshape(len(v), -1), system, EnsembleParams(beta))
+        gamma = _rdm_matrix(state.density, system.basis)
+        return [_caught(lambda w, g: (w, OneRdm(g).matrix), w, g) for w, g in zip(state.omega.tolist(), gamma)]
+
+    return _stacked(compute, system)
+
+
+def _entropy_kernel(system: System) -> Callable[[list], list]:
+    """DensityOperator's checks, then entropy, stacked over matrices."""
+
+    def compute(m):
+        s, errors = _entropies(m)
+        return [checked or error or value for checked, error, value in zip(_density_errors(m), errors, s.tolist())]
+
+    return _stacked(compute, system)
 
 
 def _campaign(
@@ -158,40 +201,34 @@ def _campaign(
     """Run config.trials trials of one check on its own substream.
 
     trial(rng, k, record) fills in the fields of record, which starts as
-    {"trial": k}, and returns the signed margin, or _Inversions for it.
+    {"trial": k}, and returns the signed margin, or a _Request for it.
     Once all trials have drawn their inputs in trial order, the campaign
-    runs in rounds: each inverts the targets of every pending _Inversions
-    on system at config.beta in one invert_potentials call, and hands each
-    trial its reports.  A report is the same bits alone and in any batch,
-    so the rounds change only the batching.  fails(margin) says whether
-    the claim broke.  A trial whose computation raises RdmftError, or one
-    of whose targets does not converge, fails with no margin and the
-    error's text.
+    runs in rounds: each calls every kernel that pending requests name once,
+    on the rows of all of them in trial order, and hands each trial its
+    outputs.  So a round inverts every pending target in one
+    invert_potentials call, and evaluates every pending Gibbs state, or
+    density operator's checks and entropy, in one stacked call.  Each
+    output is the same bits alone and in any stack, so the rounds change
+    only the batching.  fails(margin) says whether the claim broke.  A
+    trial whose computation raises RdmftError, one of whose rows fails
+    (the first such row's error), or whose kernel raises, fails with no
+    margin and the error's text.
     """
     rng = _rng(config, check)
     records = [{"trial": k} for k in range(config.trials)]
-    outcomes = []
-    for k, record in enumerate(records):
-        try:
-            outcomes.append(trial(rng, k, record))
-        except RdmftError as exc:
-            outcomes.append(exc)
-    while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, _Inversions)]:
-        requests = [outcomes[k] for k in pending]
-        reports = invert_potentials(
-            [target for request in requests for target in request.targets],
-            system,
-            EnsembleParams(config.beta),
-            InversionOptions(initial=np.concatenate([request.starts for request in requests])),
-        )
-        for k, request in zip(pending, requests):
-            mine, reports = reports[: len(request.targets)], reports[len(request.targets) :]
-            try:
-                outcomes[k] = request.finish(
-                    [require_converged(report, target, system) for report, target in zip(mine, request.targets)]
-                )
-            except RdmftError as exc:
-                outcomes[k] = exc
+    outcomes = [_caught(trial, rng, k, record) for k, record in enumerate(records)]
+    while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, _Request)]:
+        by_kernel = {}
+        for k in pending:
+            by_kernel.setdefault(outcomes[k].kernel, []).append(k)
+        for kernel, trials in by_kernel.items():
+            rows = [row for k in trials for row in outcomes[k].rows]
+            outputs = _caught(kernel, rows)
+            outputs = iter([outputs] * len(rows) if isinstance(outputs, RdmftError) else outputs)
+            for k in trials:
+                mine = [next(outputs) for _ in outcomes[k].rows]
+                failed = [output for output in mine if isinstance(output, RdmftError)]
+                outcomes[k] = failed[0] if failed else _caught(outcomes[k].finish, mine)
     margins, failures = [], 0
     for record, outcome in zip(records, outcomes):
         if isinstance(outcome, RdmftError):
@@ -216,31 +253,31 @@ def _campaign(
 def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
     """Strict concavity of the potential-to-free-energy map on chords with
     a minimum endpoint separation."""
-    params = EnsembleParams(config.beta)
     pbasis = system.pbasis
+    omegas = _omega_kernel(system, config.beta)
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
         t = record["t"] = _mix_parameter(rng, config)
-        omega_1, _ = omega_of_v(pbasis.potential(c1), system, params)
-        omega_2, _ = omega_of_v(pbasis.potential(c2), system, params)
-        omega_mix, _ = omega_of_v(pbasis.potential(t * c1 + (1 - t) * c2), system, params)
-        return omega_mix - t * omega_1 - (1 - t) * omega_2
+        v = [pbasis.potential(c).matrix for c in (c1, c2, t * c1 + (1 - t) * c2)]
+        return _Request(omegas, v, lambda out: out[2][0] - t * out[0][0] - (1 - t) * out[1][0])
 
     return _campaign("omega_concavity", config, system, trial)
 
 
 def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
     """Distinct potentials produce distinct Gibbs 1RDMs."""
-    params = EnsembleParams(config.beta)
     pbasis = system.pbasis
+    omegas = _omega_kernel(system, config.beta)
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
-        _, gamma_1 = omega_of_v(pbasis.potential(c1), system, params)
-        _, gamma_2 = omega_of_v(pbasis.potential(c2), system, params)
-        distance = record["rdm_distance"] = float(np.linalg.norm(gamma_1.matrix - gamma_2.matrix))
-        return distance - config.injectivity_floor
+
+        def finish(out):
+            distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1] - out[1][1]))
+            return distance - config.injectivity_floor
+
+        return _Request(omegas, [pbasis.potential(c1).matrix, pbasis.potential(c2).matrix], finish)
 
     return _campaign("injectivity", config, system, trial)
 
@@ -256,14 +293,13 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremReport:
     """Strict concavity of the von Neumann entropy on separated pairs of
     random full-rank density operators."""
-    basis = system.basis
+    dim, entropies = system.basis.dim, _entropy_kernel(system)
 
     def trial(rng, k, record):
-        pair = _separated_pair(lambda: _random_density(rng, basis.dim), config.separation, "density operators")
-        rho_1, rho_2 = (DensityOperator(m, basis.tag) for m in pair)
+        rho_1, rho_2 = _separated_pair(lambda: _random_density(rng, dim), config.separation, "density operators")
         t = record["t"] = _mix_parameter(rng, config)
-        mixed = DensityOperator(t * rho_1.matrix + (1 - t) * rho_2.matrix, basis.tag)
-        return entropy(mixed) - t * entropy(rho_1) - (1 - t) * entropy(rho_2)
+        rows = [rho_1, rho_2, t * rho_1 + (1 - t) * rho_2]
+        return _Request(entropies, rows, lambda s: s[2] - t * s[0] - (1 - t) * s[1])
 
     return _campaign("entropy_concavity", config, system, trial)
 
@@ -272,14 +308,16 @@ def check_f_convexity(config: CheckConfig, system: System) -> TheoremReport:
     """Convexity of the universal functional along random interior
     segments, with slack for the two inversion tolerances."""
     m = config.model
-    cold = np.zeros((3, system.pbasis.size))
+    cold = np.zeros(system.pbasis.size)
+    inversions = _inversions(system, config.beta)
 
     def trial(rng, k, record):
         gamma_0 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         t = record["t"] = _mix_parameter(rng, config)
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
-        return _Inversions([gamma_0, gamma_1, mixed], cold, lambda r: t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value)
+        rows = [(gamma, cold) for gamma in (gamma_0, gamma_1, mixed)]
+        return _Request(inversions, rows, lambda r: t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value)
 
     return _campaign("f_convexity", config, system, trial, fails=lambda margin: margin < -config.convexity_slack)
 
@@ -293,7 +331,8 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
     m = config.model
     pbasis = system.pbasis
     eps = config.fd_step
-    cold = np.zeros((1, pbasis.size))
+    cold = np.zeros(pbasis.size)
+    inversions = _inversions(system, config.beta)
 
     def trial(rng, k, record):
         gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
@@ -312,9 +351,9 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
                 record["max_rel_dev"] = float(worst_dev)
                 return config.gradient_tol - worst_dev
 
-            return _Inversions(neighbours, np.tile(cv, (len(neighbours), 1)), finish)
+            return _Request(inversions, [(neighbour, cv) for neighbour in neighbours], finish)
 
-        return _Inversions([gamma], cold, differentiate)
+        return _Request(inversions, [(gamma, cold)], differentiate)
 
     notes = "a well-defined derivative also certifies that the subgradient set is a single element"
     return _campaign("gradient", config, system, trial, fails=lambda margin: margin < 0, notes=notes)
@@ -384,15 +423,20 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
     faces across a temperature sweep."""
     m = config.model
     pbasis = system.pbasis
+    omegas = {beta: _omega_kernel(system, beta) for beta in config.fractional_betas}
 
     def trial(rng, k, record):
         beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.fractional_v_scale))
-        _, gamma = omega_of_v(v, system, EnsembleParams(beta))
-        occ = natural_spectrum(gamma).occupations
-        lowest = record["min_occupation"] = float(occ.min())
-        head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
-        return min(lowest, head) - config.fractional_floor
+
+        def finish(out):
+            # the eigenvalues natural_spectrum gives
+            occ = np.linalg.eigh(out[0][1])[0]
+            lowest = record["min_occupation"] = float(occ.min())
+            head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
+            return min(lowest, head) - config.fractional_floor
+
+        return _Request(omegas[beta], [v.matrix], finish)
 
     return _campaign("fractional_occupations", config, system, trial)
 
@@ -400,28 +444,42 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
 def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport:
     """The Gibbs state strictly beats every competitor density operator in
     the free-energy objective of its own Hamiltonian."""
-    params = EnsembleParams(config.beta)
     pbasis = system.pbasis
-    basis = system.basis
-    dim = basis.dim
+    tag, dim = system.basis.tag, system.basis.dim
+    entropies, maximally_mixed = _entropy_kernel(system), np.eye(dim) / dim
+
+    def gibbs_states(v):
+        """H_v = H0 + lift_one_body(v) and its Gibbs density for each potential
+        of a stack, as ManyBodyOperator and gibbs_state give them."""
+        lifted, errors = _lifted(v, system.basis)
+        h = system.h0.matrix + lifted
+        density = _gibbs(h, config.beta, tag).density
+        checked = (error or _caught(ManyBodyOperator, h_v, tag) for error, h_v in zip(errors, h))
+        return [op if isinstance(op, RdmftError) else (op.matrix, rho) for op, rho in zip(checked, density)]
+
+    gibbs = _stacked(gibbs_states, system)
 
     def trial(rng, k, record):
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.v_scale))
-        h_v = ManyBodyOperator(system.h0.matrix + lift_one_body(v.matrix, basis).matrix, basis.tag)
-        gibbs = gibbs_state(h_v, params)
-        base = helmholtz(gibbs.rho, h_v, params)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        competitors = {
-            "mixed_1pct": DensityOperator(
-                0.99 * gibbs.rho.matrix + 0.01 * np.outer(psi, psi.conj()), basis.tag
-            ),
-            "maximally_mixed": DensityOperator(np.eye(dim) / dim, basis.tag),
-            "random_state": DensityOperator(_random_density(rng, dim), basis.tag),
-        }
-        gaps = {name: helmholtz(rho, h_v, params) - base for name, rho in competitors.items()}
-        record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
-        return min(gaps.values())
+        random_state = _random_density(rng, dim)
+
+        def compete(out):
+            ((h_v, rho),) = out
+            # the Gibbs state, then mixed_1pct, maximally_mixed and random_state
+            rows = [rho, 0.99 * rho + 0.01 * np.outer(psi, psi.conj()), maximally_mixed, random_state]
+            energies = np.trace(np.stack(rows) @ h_v, axis1=-2, axis2=-1).real.tolist()
+
+            def finish(s):
+                base, *free = (energy - entropy / config.beta for energy, entropy in zip(energies, s))
+                gaps = dict(zip(("mixed_1pct", "maximally_mixed", "random_state"), (f - base for f in free)))
+                record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
+                return min(gaps.values())
+
+            return _Request(entropies, rows, finish)
+
+        return _Request(gibbs, [v.matrix], compete)
 
     return _campaign("gibbs_minimality", config, system, trial)
 

@@ -226,3 +226,26 @@ def dense_response_jacobian(h: np.ndarray, hops: np.ndarray, beta: float, elemen
     g = (p @ np.einsum("mn,pnm->p", rho, hops)).real
     j = (p.conj() @ pair_block @ p.T).real + beta * np.outer(g, g)
     return (j + j.T) / 2
+
+
+def random_rdm_one_draw_at_a_time(nb: int, n: int, fermion: bool, interior: bool, rng) -> np.ndarray:
+    """The 1RDM matrix of rdmft's random_rdm drawn the plain way: one
+    Dirichlet vector per attempt until one clears the margins, then a Haar
+    unitary from the QR of a complex Gaussian matrix; rng is left where
+    that loop leaves it."""
+    margin = 0.01 if interior else 0.0
+    for _ in range(100000):
+        occ = rng.dirichlet(np.ones(nb)) * n
+        if interior and occ.min() < margin:
+            continue
+        if fermion and occ.max() > 1 - margin:
+            continue
+        break
+    else:
+        raise ValueError("no occupation draw satisfied the margins")
+    z = (rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))) / sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    gamma = (q * occ) @ q.conj().T
+    return (gamma + gamma.conj().T) / 2

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
+from rdmft import ensemble
 from rdmft.ensemble import (
     EnsembleParams,
     OneRdm,
@@ -134,6 +135,28 @@ class TestEntropy:
         basis = build_basis(3, 2, B)
         s = entropy(random_density(basis, seed))
         assert 0.0 <= s <= log(basis.dim) + 1e-12
+
+    def test_stack_sums_each_row_alone(self):
+        """A stack whose rows have 0 to 11 zero weights of 12, so that their
+        clipped spectra start with about as many zeros: each row's entropy is
+        the bits of summing its positive terms alone, as the plain formula
+        does.  From 8 terms numpy sums pairwise, so leading zeros in a row
+        would move its terms between partial sums."""
+        rng = np.random.default_rng(4)
+        stack = []
+        for zeros in range(12):
+            for _ in range(4):
+                w = rng.random(12)
+                w[:zeros] = 0.0
+                q = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))[0]
+                m = (q * (w / w.sum())) @ q.conj().T
+                stack.append((m + m.conj().T) / 2)
+        s, errors = ensemble._entropies(np.array(stack))
+        assert errors == [None] * len(stack)
+        for m, value in zip(stack, s.tolist()):
+            w = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+            positive = w[w > 0.0]
+            assert value == max(float(-np.sum(positive * np.log(positive))), 0.0) == entropy(DensityOperator(m, "any"))
 
 
 class TestHelmholtz:

@@ -271,7 +271,7 @@ class TestResponseJacobian:
             params = EnsembleParams(beta=beta)
             whole = response_jacobian(potentials[0], system, params, pb)
             with monkeypatch.context() as patch:
-                patch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", width * functional._column_bytes(basis))
+                patch.setattr(functional, "WORKSPACE_BYTES", width * functional._column_bytes(basis))
                 assert functional._block_width(basis) == width
                 blocked = response_jacobian(potentials[0], system, params, pb)
                 state = functional._thermal(np.stack([v.matrix.ravel() for v in potentials]), system, params)
@@ -284,7 +284,7 @@ class TestResponseJacobian:
 
     def test_workspace_is_bounded(self):
         """At nb=10/n=5 (dim 252) one Jacobian holds its gathered operands and
-        about one block of JACOBIAN_WORKSPACE_BYTES at a time, not the whole
+        about one block of WORKSPACE_BYTES at a time, not the whole
         (nb^2, dim(dim+1)/2) generator matrix."""
         system = hubbard_system(10, 5, F)
         blocks, dim = system.basis.hop_blocks, system.basis.dim
@@ -298,7 +298,7 @@ class TestResponseJacobian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= gathered + 2 * functional.JACOBIAN_WORKSPACE_BYTES
+        assert peak <= gathered + 2 * functional.WORKSPACE_BYTES
 
     @pytest.mark.parametrize(
         "nb, n, stat, width",
@@ -571,8 +571,8 @@ class TestInvertPotentials:
         its Jacobian one block and the 4/2 budget as it was."""
         for nb, n in [(4, 2), (8, 4)]:
             system, params, targets, starts = self.mixed_batch(nb, n)
-            budget = max(functional.JACOBIAN_WORKSPACE_BYTES, len(targets) * functional._workspace_bytes(system.basis))
-            monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", budget)
+            budget = max(functional.WORKSPACE_BYTES, len(targets) * functional._workspace_bytes(system.basis))
+            monkeypatch.setattr(functional, "WORKSPACE_BYTES", budget)
             batch = invert_potentials(targets, system, params, InversionOptions(initial=starts))
             reused = any(r.jacobians < r.iterations - 1 for r in batch)
             assert reused == functional._reuses_jacobian(system.basis) == (nb == 8)
@@ -672,7 +672,7 @@ class TestInvertPotentials:
         whole = invert_potentials(targets, system, params)
         assert dual_newton_calls == [(8, 200.0), (6, 50.0), (6, 200.0)]
         # both budgets leave the Jacobian one block, so only the batches change
-        monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", 3 * functional._workspace_bytes(system.basis))
+        monkeypatch.setattr(functional, "WORKSPACE_BYTES", 3 * functional._workspace_bytes(system.basis))
         dual_newton_calls.clear()
         split = invert_potentials(targets, system, params)
         assert dual_newton_calls == [
@@ -680,7 +680,7 @@ class TestInvertPotentials:
             *[(3, 200.0), (2, 50.0), (2, 200.0)],
             *[(2, 200.0), (1, 50.0), (1, 200.0)],
         ]
-        monkeypatch.setattr(functional, "JACOBIAN_WORKSPACE_BYTES", functional._workspace_bytes(system.basis))
+        monkeypatch.setattr(functional, "WORKSPACE_BYTES", functional._workspace_bytes(system.basis))
         dual_newton_calls.clear()
         alone = invert_potentials(targets, system, params)
         ladder = [(1, 200.0), (1, 50.0), (1, 200.0)]
@@ -847,6 +847,33 @@ def assert_same_reports(reports, expected):
         same = ("verdict", "classification", "iterations", "jacobians", "f_value", "residual", "face_distance", "trace")
         assert [getattr(r, name) for name in same] == [getattr(e, name) for name in same]
         assert r.v_star.matrix.tobytes() == e.v_star.matrix.tobytes()
+
+
+class TestSharedStarts:
+    def test_rows_with_one_start_share_its_state_and_first_jacobian(self, monkeypatch):
+        """A batch of 10 rows over 2 distinct warm starts computes the
+        starting state and the first response Jacobian on 2 rows, and each
+        report is the bits of its target solved alone."""
+        system, params = hubbard_system(4, 2, F), EnsembleParams(1.0)
+        targets = [random_rdm(4, 2, F, interior=True, seed=seed) for seed in range(10)]
+        rng = np.random.default_rng(5)
+        starts = np.repeat(0.3 * rng.normal(size=(2, system.pbasis.size)), 5, axis=0)
+        opts = InversionOptions()
+        alone = [functional._dual_newton([t], system, params, opts, s[None])[0][0] for t, s in zip(targets, starts)]
+        rows = {"_start": [], "_jacobian": []}
+        for name in rows:
+
+            def spy(c, *args, name=name, kernel=getattr(functional, name)):
+                rows[name].append(len(c))
+                return kernel(c, *args)
+
+            monkeypatch.setattr(functional, name, spy)
+        batch, spread = functional._dual_newton(targets, system, params, opts, starts)
+        assert rows["_start"] == [2] and rows["_jacobian"][0] == 2
+        assert max(rows["_jacobian"][1:]) > 2  # later Jacobians are per row
+        assert_same_reports(batch, alone)
+        assert [r.verdict for r in batch] == [InversionVerdict.CONVERGED] * 10
+        assert spread.tobytes() == np.repeat(spread[[0, 5]], 5).tobytes()
 
 
 class TestColdStart:

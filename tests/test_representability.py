@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles as orc
 from rdmft.ensemble import (
     EnsembleParams,
     OneRdm,
@@ -210,6 +211,20 @@ class TestRandomRdm:
         for seed in range(200):
             gamma = random_rdm(nb, n, stat, seed=seed)
             assert classify_rdm(gamma, stat) is RdmClass.INTERIOR
+
+    @pytest.mark.parametrize("interior", [True, False])
+    @pytest.mark.parametrize("nb, n, stat", [(3, 2, F), (4, 2, F), (4, 3, F), (3, 2, B), (2, 3, B)])
+    def test_block_draws_follow_one_draw_at_a_time(self, nb, n, stat, interior):
+        """The blocked rejection loop gives the matrix of drawing one Dirichlet
+        vector per attempt, and leaves a generator where that loop does; (4,
+        3, F) rejects about 33 interior draws per accepted one."""
+        for seed in range(100):
+            expected = np.random.default_rng(seed)
+            matrix = orc.random_rdm_one_draw_at_a_time(nb, n, stat is F, interior, expected)
+            rng = np.random.default_rng(seed)
+            assert random_rdm(nb, n, stat, interior=interior, seed=rng).matrix.tobytes() == matrix.tobytes()
+            assert rng.random() == expected.random()
+            assert random_rdm(nb, n, stat, interior=interior, seed=seed).matrix.tobytes() == matrix.tobytes()
 
     def test_trace_is_particle_number(self):
         for seed in range(20):

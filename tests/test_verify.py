@@ -2,15 +2,16 @@
 
 import dataclasses
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rdmft import verify
-from rdmft.ensemble import EnsembleParams, OneRdm
-from rdmft.errors import ConfigError, ConvergenceFailure
-from rdmft.fock import Statistics
-from rdmft.functional import InversionOptions, invert_potential, require_converged
+from rdmft import functional, verify
+from rdmft.ensemble import EnsembleParams, OneRdm, entropy, gibbs_state, helmholtz, natural_spectrum
+from rdmft.errors import ConfigError, ConvergenceFailure, InvalidDensityOperator
+from rdmft.fock import DensityOperator, ManyBodyOperator, Statistics, lift_one_body
+from rdmft.functional import InversionOptions, invert_potential, omega_of_v, require_converged
 from rdmft.models import ModelSpec, build_system
 from rdmft.representability import random_rdm
 from rdmft.serialize import canonical_json, suite_report_json, theorem_report_to_json
@@ -94,7 +95,7 @@ class TestIndividualChecks:
         def no_maximum(*args):
             raise ConvergenceFailure("no maximum")
 
-        monkeypatch.setattr(verify, "omega_of_v", no_maximum)
+        monkeypatch.setattr(verify, "_thermal", no_maximum)
         report = run_check("omega_concavity", small_config(F, trials=2))
         assert report.failures == 2 and report.worst_margin is None
         assert [(row["margin"], row["error"]) for row in report.details] == [(None, "no maximum")] * 2
@@ -237,6 +238,157 @@ class TestRounds:
         assert sizes == [per_trial * config.trials for per_trial in rounds]
         assert report.failures == 0
         assert list(report.details) == _one_at_a_time(check, config)
+
+
+def _single_objects(check, config):
+    """The details of a check that stacks its Gibbs states or entropies,
+    rebuilt trial by trial from the check's draws through the single-object
+    API, and whether an entropy met an eigenvalue clipped to zero."""
+    system = build_system(config.model)
+    params = EnsembleParams(config.beta)
+    pbasis, basis = system.pbasis, system.basis
+    rng = verify._rng(config, check)
+    details, clipped = [], False
+
+    def omega(c, beta=config.beta):
+        return omega_of_v(pbasis.potential(c), system, EnsembleParams(beta))
+
+    def free_energy(rho, h_v):
+        nonlocal clipped
+        clipped |= bool((np.linalg.eigvalsh(rho.matrix) <= 0.0).any())
+        return helmholtz(rho, h_v, params)
+
+    for k in range(config.trials):
+        record = {"trial": k}
+        if check in ("omega_concavity", "injectivity"):
+            pair = verify._separated_pair(lambda: verify._coeff_draw(rng, pbasis, config.v_scale), config.separation, "")
+            if check == "omega_concavity":
+                t = record["t"] = verify._mix_parameter(rng, config)
+                omega_1, omega_2, omega_mix = (omega(c)[0] for c in (*pair, t * pair[0] + (1 - t) * pair[1]))
+                margin = omega_mix - t * omega_1 - (1 - t) * omega_2
+            else:
+                gamma_1, gamma_2 = (omega(c)[1] for c in pair)
+                record["rdm_distance"] = float(np.linalg.norm(gamma_1.matrix - gamma_2.matrix))
+                margin = record["rdm_distance"] - config.injectivity_floor
+        elif check == "fractional_occupations":
+            beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
+            occ = natural_spectrum(omega(verify._coeff_draw(rng, pbasis, config.fractional_v_scale), beta)[1]).occupations
+            lowest = record["min_occupation"] = float(occ.min())
+            margin = min(lowest, float(1 - occ.max()) if basis.statistics is F else np.inf) - config.fractional_floor
+        elif check == "entropy_concavity":
+            pair = verify._separated_pair(lambda: verify._random_density(rng, basis.dim), config.separation, "")
+            rho_1, rho_2 = (DensityOperator(m, basis.tag) for m in pair)
+            t = record["t"] = verify._mix_parameter(rng, config)
+            mixed = DensityOperator(t * rho_1.matrix + (1 - t) * rho_2.matrix, basis.tag)
+            margin = entropy(mixed) - t * entropy(rho_1) - (1 - t) * entropy(rho_2)
+        else:
+            v = pbasis.potential(verify._coeff_draw(rng, pbasis, config.v_scale))
+            h_v = ManyBodyOperator(system.h0.matrix + lift_one_body(v.matrix, basis).matrix, basis.tag)
+            gibbs = gibbs_state(h_v, params)
+            base = free_energy(gibbs.rho, h_v)
+            psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            psi /= np.linalg.norm(psi)
+            competitors = {
+                "mixed_1pct": 0.99 * gibbs.rho.matrix + 0.01 * np.outer(psi, psi.conj()),
+                "maximally_mixed": np.eye(basis.dim) / basis.dim,
+                "random_state": verify._random_density(rng, basis.dim),
+            }
+            gaps = {name: free_energy(DensityOperator(m, basis.tag), h_v) - base for name, m in competitors.items()}
+            record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
+            margin = min(gaps.values())
+        details.append({**record, "margin": float(margin)})
+    return details, clipped
+
+
+STACKED_CHECKS = ("omega_concavity", "injectivity", "fractional_occupations", "entropy_concavity", "gibbs_minimality")
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("beta", [1.0, 50.0, 1000.0])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5),
+            ModelSpec(kind="random_full", nb=3, n=2, statistics=B, seed=11, h_scale=1.0, w_norm=1.0),
+        ],
+        ids=["hubbard_4_2_F", "random_full_3_2_B"],
+    )
+    @pytest.mark.parametrize("check", STACKED_CHECKS)
+    def test_stacks_change_only_the_batching(self, check, model, beta):
+        """Each trial's details are, bit for bit, those of computing its
+        Gibbs states, density operators and entropies one at a time.  At
+        beta = 1000 the Gibbs states have populations that are exactly zero,
+        so their entropy sums run over fewer terms than dim."""
+        config = CheckConfig(model=model, beta=beta, seed=2026, trials=6)
+        details, clipped = _single_objects(check, config)
+        assert list(run_check(check, config).details) == details
+        if check == "gibbs_minimality" and beta == 1000.0:
+            assert clipped
+
+    @pytest.mark.parametrize("check, call", [("entropy_concavity", 2), ("gibbs_minimality", 1)])
+    def test_invalid_row_fails_only_its_trial(self, monkeypatch, check, call):
+        """Trial 1 draws a density matrix with a negative eigenvalue: that
+        trial fails with the text DensityOperator raises for it alone, and the
+        other trials, which draw from the same stream, are a clean run's."""
+        config = CheckConfig(model=ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5), trials=3)
+        clean = run_check(check, config)
+        draw, calls, expected = verify._random_density, [], {}
+
+        def negative(rng, dim):
+            m = draw(rng, dim)
+            if len(calls) == call:
+                m = m + np.diag([0.5, -0.5] + [0.0] * (dim - 2))
+                with pytest.raises(InvalidDensityOperator) as alone:
+                    DensityOperator(m, build_system(config.model).basis.tag)
+                expected["error"] = str(alone.value)
+            calls.append(dim)
+            return m
+
+        monkeypatch.setattr(verify, "_random_density", negative)
+        report = run_check(check, config)
+        assert len(calls) == {"entropy_concavity": 6, "gibbs_minimality": 3}[check]
+        assert report.failures == 1
+        assert (report.details[1]["margin"], report.details[1]["error"]) == (None, expected["error"])
+        assert expected["error"] == "density matrix has an eigenvalue below -1e-12"
+        assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
+
+    @pytest.mark.parametrize("check", STACKED_CHECKS)
+    def test_one_row_chunks_change_nothing(self, monkeypatch, check):
+        """A budget below one row's workspace stacks each row alone, the
+        maximally mixed competitor, a real matrix, included."""
+        config = CheckConfig(model=ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5), trials=4)
+        whole = run_check(check, config)
+        monkeypatch.setattr(functional, "WORKSPACE_BYTES", 1)
+        assert functional._stack_rows(build_system(config.model).basis) == 1
+        assert run_check(check, config).details == whole.details
+
+    def test_stacks_are_chunked_within_the_budget(self, monkeypatch):
+        """At nb=6/n=3 (dim 20), 40 Gibbs states or 40 entropies under a
+        budget of 4 rows' workspace peak near that budget, where one stack of
+        all 40 peaks far above it, and give the same bits."""
+        system = build_system(ModelSpec(kind="hubbard_ring", nb=6, n=3, statistics=F, u=4.0, t_hop=0.5))
+        rng, pbasis = np.random.default_rng(0), system.pbasis
+        potentials = [pbasis.potential(verify._coeff_draw(rng, pbasis, 1.0)).matrix for _ in range(40)]
+        densities = [verify._random_density(rng, system.basis.dim) for _ in range(40)]
+        budget = 4 * 128 * system.basis.dim**2
+
+        def traced(kernel, rows, workspace):
+            monkeypatch.setattr(functional, "WORKSPACE_BYTES", workspace)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                out = kernel(rows)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            return [(row[0], row[1].tobytes()) if isinstance(row, tuple) else row for row in out], peak
+
+        for kernel, rows in ((verify._omega_kernel(system, 1.0), potentials), (verify._entropy_kernel(system), densities)):
+            chunked, peak = traced(kernel, rows, budget)
+            assert functional._stack_rows(system.basis) == 4
+            whole, whole_peak = traced(kernel, rows, 1 << 40)
+            assert chunked == whole
+            assert peak <= 2 * budget < whole_peak
 
 
 class TestSharedSystem:
