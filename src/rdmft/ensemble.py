@@ -27,7 +27,7 @@ from .fock import (
     DensityOperator,
     ManyBodyOperator,
     Statistics,
-    _hermiticity_defects,
+    _hermiticity_defect,
     _rdm_matrix,
 )
 
@@ -90,7 +90,7 @@ class OneRdm:
         m = np.asarray(getattr(self.matrix, "matrix", self.matrix), dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if _hermiticity_defects(m) > LIFTED_HERMITICITY_TOL:
+        if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
             raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", m)
 
@@ -136,27 +136,32 @@ def gibbs_state(hamiltonian: ManyBodyOperator, params: EnsembleParams) -> GibbsS
     return _gibbs(hamiltonian.matrix, params.beta, hamiltonian.basis_tag)
 
 
-def _entropies(m: np.ndarray) -> tuple[np.ndarray, list[InvalidDensityOperator | None]]:
-    """entropy of each matrix of a (B, dim, dim) stack and, per matrix, the
-    error entropy raises for it or None.  The eigenvalues ascend, so the
-    positive ones are each row's last p; rows are summed in groups of equal
-    p, so that each sums its p terms alone, as one matrix would."""
-    w, errors = np.linalg.eigvalsh(m), [None] * len(m)
-    for b in np.flatnonzero((w[:, 0] < -ENTROPY_EIGENVALUE_TOL) | (w[:, -1] > 1.0 + ENTROPY_EIGENVALUE_TOL)).tolist():
-        errors[b] = InvalidDensityOperator(f"eigenvalues outside [0, 1] beyond 1e-12: [{w[b, 0]}, {w[b, -1]}]")
+def _entropies(m: np.ndarray) -> np.ndarray:
+    """entropy of each matrix of a (B, dim, dim) stack; raises its error if
+    some matrix has one.  The eigenvalues ascend, so the positive ones are
+    each row's last p; rows are summed in groups of equal p, so that each
+    sums its p terms alone, as one matrix would."""
+    w = np.linalg.eigvalsh(m)
+    outside = (w[:, 0] < -ENTROPY_EIGENVALUE_TOL) | (w[:, -1] > 1.0 + ENTROPY_EIGENVALUE_TOL)
+    if outside.any():
+        low, high = w[outside.argmax(), [0, -1]]
+        raise InvalidDensityOperator(f"eigenvalues outside [0, 1] beyond 1e-12: [{low}, {high}]")
     w = np.clip(w, 0.0, 1.0)
     terms, positive, total = w * np.log(np.where(w > 0.0, w, 1.0)), (w > 0.0).sum(-1), np.empty(len(w))
     for p in set(positive.tolist()):
         total[positive == p] = np.sum(terms[positive == p, w.shape[-1] - p :], axis=-1)
-    return np.where(-total < 0.0, 0.0, -total), errors
+    return np.where(-total < 0.0, 0.0, -total)
 
 
 def entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy -sum w log w in natural log units, 0 log 0 = 0."""
-    s, (error,) = _entropies(rho.matrix[None])
-    if error:
-        raise error
-    return float(s[0])
+    return float(_entropies(rho.matrix[None])[0])
+
+
+def _free_energies(rho: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
+    """helmholtz of each state of a (B, dim, dim) stack in the Hamiltonian of
+    the same row of h."""
+    return np.trace(rho @ h, axis1=-2, axis2=-1).real - _entropies(rho) / beta
 
 
 def helmholtz(rho: DensityOperator, hamiltonian: ManyBodyOperator, params: EnsembleParams) -> float:
@@ -165,8 +170,7 @@ def helmholtz(rho: DensityOperator, hamiltonian: ManyBodyOperator, params: Ensem
         raise BasisMismatch(f"state on {rho.basis_tag!r}, operator on {hamiltonian.basis_tag!r}")
     if rho.dim != hamiltonian.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs operator dim {hamiltonian.dim}")
-    energy = float(np.trace(rho.matrix @ hamiltonian.matrix).real)
-    return energy - entropy(rho) / params.beta
+    return float(_free_energies(rho.matrix[None], hamiltonian.matrix[None], params.beta)[0])
 
 
 def one_rdm(rho: DensityOperator, basis: ConfigurationBasis) -> OneRdm:

@@ -47,9 +47,9 @@ class Statistics(Enum):
     FERMION = "fermion"
 
 
-def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
-    """max |m - m+| of a matrix, or of each matrix of a (..., n, n) stack."""
-    return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """max |m - m+| over a matrix, or over every matrix of a (..., n, n) stack."""
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
 def _as_square(matrix, size: int | None = None) -> np.ndarray:
@@ -69,7 +69,7 @@ class OneBodyOperator:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        if _hermiticity_defects(m) > ONE_BODY_HERMITICITY_TOL:
+        if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
             raise NonHermitianInput("one-body matrix is not Hermitian within 1e-13")
         object.__setattr__(self, "matrix", m)
 
@@ -112,7 +112,7 @@ class ManyBodyOperator:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        if _hermiticity_defects(m) > LIFTED_HERMITICITY_TOL:
+        if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
             raise NonHermitianInput("many-body matrix is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", m)
 
@@ -130,9 +130,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        (error,) = _density_errors(m[None])
-        if error:
-            raise error
+        _check_densities(m[None])
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -140,22 +138,16 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def _density_errors(m: np.ndarray) -> list[InvalidDensityOperator | None]:
-    """DensityOperator's checks, in order, on each matrix of a (B, dim, dim)
-    complex stack: the error its constructor raises for that matrix, or None."""
-    trace, errors = np.trace(m, axis1=-2, axis2=-1), [None] * len(m)
-    traced = (abs(trace.real - 1.0) > DENSITY_TRACE_TOL) | (abs(trace.imag) > DENSITY_TRACE_TOL)
-    lowest = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).min(-1, initial=np.inf)
-    checks = (
-        (_hermiticity_defects(m) > LIFTED_HERMITICITY_TOL, "is not Hermitian within 1e-12"),
-        (traced, "trace differs from 1 beyond 1e-12"),
-        (lowest < -DENSITY_PSD_TOL, "has an eigenvalue below -1e-12"),
-    )
-    # last to first, so that a matrix's first failing check names its error
-    for failed, text in reversed(checks):
-        for b in np.flatnonzero(failed).tolist():
-            errors[b] = InvalidDensityOperator(f"density matrix {text}")
-    return errors
+def _check_densities(m: np.ndarray) -> None:
+    """DensityOperator's checks, in order, on every matrix of a (B, dim, dim)
+    complex stack: raises the first one that some matrix fails."""
+    if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
+        raise InvalidDensityOperator("density matrix is not Hermitian within 1e-12")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    if (abs(trace.real - 1.0) > DENSITY_TRACE_TOL).any() or (abs(trace.imag) > DENSITY_TRACE_TOL).any():
+        raise InvalidDensityOperator("density matrix trace differs from 1 beyond 1e-12")
+    if np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).min(initial=np.inf) < -DENSITY_PSD_TOL:
+        raise InvalidDensityOperator("density matrix has an eigenvalue below -1e-12")
 
 
 class HopTable(NamedTuple):
@@ -338,21 +330,17 @@ def _rdm_matrix(rho: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
     return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
 
 
-def _lifted(h: np.ndarray, basis: ConfigurationBasis) -> tuple[np.ndarray, list[NonHermitianInput | None]]:
-    """lift_one_body on each matrix of a (B, nb, nb) complex stack: the
-    lifted matrices and, per matrix, the error lift_one_body raises or None."""
-    lifted, errors = _hermitized(_lift(h.reshape(len(h), -1), basis))
-    for b in np.flatnonzero(_hermiticity_defects(h) > ONE_BODY_HERMITICITY_TOL).tolist():
-        errors[b] = NonHermitianInput("one-body matrix is not Hermitian within 1e-13")
-    return lifted, errors
+def _lifted(h: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
+    """lift_one_body's matrix of each matrix of a (B, nb, nb) complex stack;
+    raises its error if some matrix fails its check."""
+    if _hermiticity_defect(h) > ONE_BODY_HERMITICITY_TOL:
+        raise NonHermitianInput("one-body matrix is not Hermitian within 1e-13")
+    return _hermitized(_lift(h.reshape(len(h), -1), basis))
 
 
 def lift_one_body(h, basis: ConfigurationBasis) -> ManyBodyOperator:
     """Lift sum_ij h_ij a+_i a_j onto the configuration basis."""
-    (lifted,), (error,) = _lifted(_as_square(h, basis.nb)[None], basis)
-    if error:
-        raise error
-    return ManyBodyOperator(lifted, basis.tag)
+    return ManyBodyOperator(_lifted(_as_square(h, basis.nb)[None], basis)[0], basis.tag)
 
 
 def lift_two_body(w, basis: ConfigurationBasis) -> ManyBodyOperator:
@@ -374,19 +362,16 @@ def lift_two_body(w, basis: ConfigurationBasis) -> ManyBodyOperator:
     for p in np.flatnonzero(np.any(by_pair != 0, axis=1)):
         k = slice(bounds[p], bounds[p + 1])
         out[table.rows[k]] += table.amps[k, None] * _lift(by_pair[p], basis)[table.cols[k]]
-    (lifted,), (error,) = _hermitized((out / 2)[None])
-    if error:
-        raise error
-    return ManyBodyOperator(lifted, basis.tag)
+    return ManyBodyOperator(_hermitized(out / 2), basis.tag)
 
 
-def _hermitized(m: np.ndarray) -> tuple[np.ndarray, list[NonHermitianInput | None]]:
-    """(m + m+)/2 of each matrix of a (B, dim, dim) stack and, per matrix, the
-    error for a hermiticity defect of 1e-12 or more, or None."""
-    defect, errors = _hermiticity_defects(m) / 2, [None] * len(m)
-    for b in np.flatnonzero(defect >= LIFTED_HERMITICITY_TOL).tolist():
-        errors[b] = NonHermitianInput(f"lifted operator hermiticity defect {float(defect[b]):.3e} exceeds 1e-12")
-    return (m + m.conj().swapaxes(-1, -2)) / 2, errors
+def _hermitized(m: np.ndarray) -> np.ndarray:
+    """(m + m+)/2 of a matrix or of each matrix of a stack, whose hermiticity
+    defect must stay below 1e-12."""
+    defect = _hermiticity_defect(m) / 2
+    if defect >= LIFTED_HERMITICITY_TOL:
+        raise NonHermitianInput(f"lifted operator hermiticity defect {defect:.3e} exceeds 1e-12")
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def slater_state(orbitals, basis: ConfigurationBasis) -> DensityOperator:

@@ -48,7 +48,7 @@ from .fock import (
     ConfigurationBasis,
     HopBlocks,
     ManyBodyOperator,
-    _hermiticity_defects,
+    _hermiticity_defect,
     _lift,
     _rdm_matrix,
     triangle_indices,
@@ -100,7 +100,7 @@ def _check_traceless(m: np.ndarray) -> None:
     """The rule of TracelessPotential for a complex matrix or a (..., nb, nb)
     stack of them: each one Hermitian within 1e-13 and traceless within
     1e-12 relative to its norm."""
-    if (_hermiticity_defects(m) > ONE_BODY_HERMITICITY_TOL).any():
+    if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
         raise NonHermitianInput("potential is not Hermitian within 1e-13")
     trace = np.trace(m, axis1=-2, axis2=-1)
     # relative to scale: a large potential cannot express an exactly
@@ -612,12 +612,13 @@ def _dual_newton(
         take = fresh & ~hit
         rows, back = np.flatnonzero(take), slice(None)
         if iteration == 1:
-            # the rows that share a start still hold its state, so share its J
+            # the rows that share a start still hold its state, so share its
+            # J; np.unique orders them by start, not always by position
             _, first, back = np.unique(shared[run.ids[rows]], return_index=True, return_inverse=True)
             rows = rows[first]
         if rows.size:
             spectra = (run.energies, run.vectors, run.weights)
-            spectra = spectra if rows.size == run.ids.size else (a[rows] for a in spectra)
+            spectra = spectra if np.array_equal(rows, np.arange(run.ids.size)) else (a[rows] for a in spectra)
             fresh_jac = _jacobian(*spectra, basis, params, pbasis)[back]
             if take.all():
                 jac = fresh_jac

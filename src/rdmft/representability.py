@@ -244,21 +244,19 @@ def random_rdm(
         raise InvalidArguments(f"fermions need nb > n, got nb={nb}, n={n_particles}")
     rng = np.random.default_rng(seed)
     margin = 0.01 if interior else 0.0
-    drawn, block = 0, 1
+    fermion, drawn = statistics is Statistics.FERMION, 0
     while drawn < 100000:
-        block = min(block, 100000 - drawn)
-        state = rng.bit_generator.state
+        block, state = min(drawn + 1, 100000 - drawn), rng.bit_generator.state
         occ = rng.dirichlet(np.ones(nb), size=block) * n_particles
-        low = occ.min(-1).tolist() if interior else [margin] * block
-        high = occ.max(-1).tolist() if statistics is Statistics.FERMION else [0.0] * block
-        first = next((k for k in range(block) if not (low[k] < margin or high[k] > 1 - margin)), None)
-        if first is not None:
+        rejected = (occ.min(-1) < margin) & interior | (occ.max(-1) > 1 - margin) & fermion
+        if not rejected.all():
+            first = int(rejected.argmin())
             if first < block - 1:
                 rng.bit_generator.state = state
                 rng.dirichlet(np.ones(nb), size=first + 1)
             occ = occ[first]
             break
-        drawn, block = drawn + block, 2 * block
+        drawn += block
     else:
         raise InvalidArguments(f"no occupation draw satisfied the margins for nb={nb}, n={n_particles}")
     q = _haar_unitary(rng, nb)

@@ -17,9 +17,9 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .ensemble import EnsembleParams, OneRdm, _entropies, _gibbs, one_rdm
+from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, natural_spectrum, one_rdm
 from .errors import ConfigError, InvalidArguments, RdmftError
-from .fock import ManyBodyOperator, Statistics, _density_errors, _lifted, _rdm_matrix, build_basis
+from .fock import ManyBodyOperator, Statistics, _check_densities, _lifted, _rdm_matrix, build_basis
 from .functional import (
     InversionOptions,
     PotentialBasis,
@@ -144,7 +144,8 @@ class _Request:
     """What a trial hands back when its margin needs a kernel: its rows of the
     kernel's input, and finish, which maps their outputs, in row order, to
     the margin or to a further _Request.  kernel(rows) gives each row its
-    output, or the RdmftError that row raises."""
+    output, or the RdmftError that row fails with, or raises an RdmftError
+    if some row fails."""
 
     kernel: Callable[[list], list]
     rows: list
@@ -153,7 +154,8 @@ class _Request:
 
 def _stacked(compute: Callable[[np.ndarray], list], system: System) -> Callable[[list], list]:
     """The kernel that calls compute on its rows stacked as complex matrices,
-    as the single-object constructors take them, _stack_rows at a time."""
+    as the single-object constructors take them, _stack_rows at a time.  A
+    row that is a tuple of matrices stacks as one more axis."""
 
     def kernel(rows):
         step = _stack_rows(system.basis)
@@ -179,8 +181,7 @@ def _omega_kernel(system: System, beta: float) -> Callable[[list], list]:
 
     def compute(v):
         state = _thermal(v.reshape(len(v), -1), system, EnsembleParams(beta))
-        gamma = _rdm_matrix(state.density, system.basis)
-        return [_caught(lambda w, g: (w, OneRdm(g).matrix), w, g) for w, g in zip(state.omega.tolist(), gamma)]
+        return list(zip(state.omega.tolist(), map(OneRdm, _rdm_matrix(state.density, system.basis))))
 
     return _stacked(compute, system)
 
@@ -189,8 +190,8 @@ def _entropy_kernel(system: System) -> Callable[[list], list]:
     """DensityOperator's checks, then entropy, stacked over matrices."""
 
     def compute(m):
-        s, errors = _entropies(m)
-        return [checked or error or value for checked, error, value in zip(_density_errors(m), errors, s.tolist())]
+        _check_densities(m)
+        return _entropies(m).tolist()
 
     return _stacked(compute, system)
 
@@ -207,12 +208,14 @@ def _campaign(
     on the rows of all of them in trial order, and hands each trial its
     outputs.  So a round inverts every pending target in one
     invert_potentials call, and evaluates every pending Gibbs state, or
-    density operator's checks and entropy, in one stacked call.  Each
-    output is the same bits alone and in any stack, so the rounds change
-    only the batching.  fails(margin) says whether the claim broke.  A
-    trial whose computation raises RdmftError, one of whose rows fails
-    (the first such row's error), or whose kernel raises, fails with no
-    margin and the error's text.
+    density operator's checks with its entropy or free energy, in one
+    stacked call.  Each output is the same bits alone and in any stack, so
+    the rounds change only the batching; a kernel that raises is called
+    again on each row alone, so that a row that fails fails only its own
+    trial.  fails(margin) says whether the claim broke.  A trial whose
+    computation raises RdmftError, or one of whose rows fails, fails with
+    no margin and the error's text: that of its first failing row, in row
+    order, where each row runs all of its own checks before the next.
     """
     rng = _rng(config, check)
     records = [{"trial": k} for k in range(config.trials)]
@@ -223,8 +226,10 @@ def _campaign(
             by_kernel.setdefault(outcomes[k].kernel, []).append(k)
         for kernel, trials in by_kernel.items():
             rows = [row for k in trials for row in outcomes[k].rows]
-            outputs = _caught(kernel, rows)
-            outputs = iter([outputs] * len(rows) if isinstance(outputs, RdmftError) else outputs)
+            try:
+                outputs = iter(kernel(rows))
+            except RdmftError:
+                outputs = iter([_caught(lambda row: kernel([row])[0], row) for row in rows])
             for k in trials:
                 mine = [next(outputs) for _ in outcomes[k].rows]
                 failed = [output for output in mine if isinstance(output, RdmftError)]
@@ -274,7 +279,7 @@ def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
 
         def finish(out):
-            distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1] - out[1][1]))
+            distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1].matrix - out[1][1].matrix))
             return distance - config.injectivity_floor
 
         return _Request(omegas, [pbasis.potential(c1).matrix, pbasis.potential(c2).matrix], finish)
@@ -430,8 +435,7 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.fractional_v_scale))
 
         def finish(out):
-            # the eigenvalues natural_spectrum gives
-            occ = np.linalg.eigh(out[0][1])[0]
+            occ = natural_spectrum(out[0][1]).occupations
             lowest = record["min_occupation"] = float(occ.min())
             head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
             return min(lowest, head) - config.fractional_floor
@@ -446,18 +450,20 @@ def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport
     the free-energy objective of its own Hamiltonian."""
     pbasis = system.pbasis
     tag, dim = system.basis.tag, system.basis.dim
-    entropies, maximally_mixed = _entropy_kernel(system), np.eye(dim) / dim
+    maximally_mixed = np.eye(dim) / dim
 
     def gibbs_states(v):
         """H_v = H0 + lift_one_body(v) and its Gibbs density for each potential
         of a stack, as ManyBodyOperator and gibbs_state give them."""
-        lifted, errors = _lifted(v, system.basis)
-        h = system.h0.matrix + lifted
-        density = _gibbs(h, config.beta, tag).density
-        checked = (error or _caught(ManyBodyOperator, h_v, tag) for error, h_v in zip(errors, h))
-        return [op if isinstance(op, RdmftError) else (op.matrix, rho) for op, rho in zip(checked, density)]
+        h = np.array([ManyBodyOperator(h_v, tag).matrix for h_v in system.h0.matrix + _lifted(v, system.basis)])
+        return list(zip(h, _gibbs(h, config.beta, tag).density))
 
-    gibbs = _stacked(gibbs_states, system)
+    def free_energies(m):
+        """DensityOperator's checks, then helmholtz, over rows of (state, H_v)."""
+        _check_densities(m[:, 0])
+        return _free_energies(m[:, 0], m[:, 1], config.beta).tolist()
+
+    gibbs, free = _stacked(gibbs_states, system), _stacked(free_energies, system)
 
     def trial(rng, k, record):
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.v_scale))
@@ -468,16 +474,15 @@ def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport
         def compete(out):
             ((h_v, rho),) = out
             # the Gibbs state, then mixed_1pct, maximally_mixed and random_state
-            rows = [rho, 0.99 * rho + 0.01 * np.outer(psi, psi.conj()), maximally_mixed, random_state]
-            energies = np.trace(np.stack(rows) @ h_v, axis1=-2, axis2=-1).real.tolist()
+            states = [rho, 0.99 * rho + 0.01 * np.outer(psi, psi.conj()), maximally_mixed, random_state]
 
-            def finish(s):
-                base, *free = (energy - entropy / config.beta for energy, entropy in zip(energies, s))
-                gaps = dict(zip(("mixed_1pct", "maximally_mixed", "random_state"), (f - base for f in free)))
+            def finish(out):
+                base, *others = out
+                gaps = dict(zip(("mixed_1pct", "maximally_mixed", "random_state"), (f - base for f in others)))
                 record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
                 return min(gaps.values())
 
-            return _Request(entropies, rows, finish)
+            return _Request(free, [(state, h_v) for state in states], finish)
 
         return _Request(gibbs, [v.matrix], compete)
 

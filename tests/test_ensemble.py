@@ -151,9 +151,7 @@ class TestEntropy:
                 q = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))[0]
                 m = (q * (w / w.sum())) @ q.conj().T
                 stack.append((m + m.conj().T) / 2)
-        s, errors = ensemble._entropies(np.array(stack))
-        assert errors == [None] * len(stack)
-        for m, value in zip(stack, s.tolist()):
+        for m, value in zip(stack, ensemble._entropies(np.array(stack)).tolist()):
             w = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
             positive = w[w > 0.0]
             assert value == max(float(-np.sum(positive * np.log(positive))), 0.0) == entropy(DensityOperator(m, "any"))

@@ -875,6 +875,25 @@ class TestSharedStarts:
         assert [r.verdict for r in batch] == [InversionVerdict.CONVERGED] * 10
         assert spread.tobytes() == np.repeat(spread[[0, 5]], 5).tobytes()
 
+    def test_starts_out_of_order_after_a_boundary_row(self):
+        """Starts [A, B, A] with a boundary target first: once it stops, the
+        running rows hold starts [B, A], whose shared ids fall with position,
+        and each report is still the bits of its target solved alone."""
+        system, params = hubbard_system(4, 2, F), EnsembleParams(1.0)
+        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), 4))[1]
+        targets = [OneRdm((q * [1.0, 0.5, 0.3, 0.2]) @ q.conj().T)]
+        targets += [random_rdm(4, 2, F, interior=True, seed=seed) for seed in range(2)]
+        a, b = 0.3 * np.random.default_rng(5).normal(size=(2, system.pbasis.size))
+        starts = np.array([a, b, a])
+        opts = InversionOptions()
+        alone = [functional._dual_newton([t], system, params, opts, s[None])[0][0] for t, s in zip(targets, starts)]
+        batch, _ = functional._dual_newton(targets, system, params, opts, starts)
+        assert_same_reports(batch, alone)
+        assert [r.verdict for r in batch] == [InversionVerdict.NON_REPRESENTABLE] + [InversionVerdict.CONVERGED] * 2
+        public = invert_potentials(targets, system, params, InversionOptions(initial=starts))
+        solo = [invert_potential(t, system, params, InversionOptions(initial=s)) for t, s in zip(targets, starts)]
+        assert_same_reports(public, solo)
+
 
 class TestColdStart:
     """The Gibbs state and response Jacobian at v = 0, kept per System and beta."""

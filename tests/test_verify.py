@@ -9,7 +9,7 @@ import pytest
 
 from rdmft import functional, verify
 from rdmft.ensemble import EnsembleParams, OneRdm, entropy, gibbs_state, helmholtz, natural_spectrum
-from rdmft.errors import ConfigError, ConvergenceFailure, InvalidDensityOperator
+from rdmft.errors import ConfigError, ConvergenceFailure, InvalidArguments, InvalidDensityOperator
 from rdmft.fock import DensityOperator, ManyBodyOperator, Statistics, lift_one_body
 from rdmft.functional import InversionOptions, invert_potential, omega_of_v, require_converged
 from rdmft.models import ModelSpec, build_system
@@ -128,6 +128,28 @@ class TestIndividualChecks:
         assert report.failures == 1
         assert (report.details[1]["margin"], report.details[1]["error"]) == (None, expected["error"])
         assert expected["error"].startswith("dual Newton stopped after 1 iterations")
+        assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
+
+    def test_kernel_that_raises_fails_only_the_trial_of_the_row(self, monkeypatch):
+        """invert_potentials raises for any batch holding trial 1's second
+        target: the round's kernel call raises, its rows are inverted one by
+        one, and only trial 1 fails, with that error's text."""
+        config = small_config(F, trials=3)
+        clean = run_check("f_convexity", config)
+        batched, poisoned, calls = verify.invert_potentials, [], []
+
+        def raises_on_one(targets, system, params, opts):
+            poisoned[:] = poisoned or [targets[4].matrix.tobytes()]
+            calls.append(len(targets))
+            if poisoned[0] in [target.matrix.tobytes() for target in targets]:
+                raise InvalidArguments("one bad target")
+            return batched(targets, system, params, opts)
+
+        monkeypatch.setattr(verify, "invert_potentials", raises_on_one)
+        report = run_check("f_convexity", config)
+        assert calls == [9] + [1] * 9
+        assert report.failures == 1
+        assert (report.details[1]["margin"], report.details[1]["error"]) == (None, "one bad target")
         assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
 
     def test_gradient_base_that_stops_short_fails_only_its_trial(self, monkeypatch):
@@ -381,7 +403,7 @@ class TestStackedChecks:
                 peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
-            return [(row[0], row[1].tobytes()) if isinstance(row, tuple) else row for row in out], peak
+            return [(row[0], row[1].matrix.tobytes()) if isinstance(row, tuple) else row for row in out], peak
 
         for kernel, rows in ((verify._omega_kernel(system, 1.0), potentials), (verify._entropy_kernel(system), densities)):
             chunked, peak = traced(kernel, rows, budget)
