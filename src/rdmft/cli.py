@@ -259,7 +259,9 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
         s = entropy(solution.rho)
         energy = float(np.real(np.trace(solution.rho.matrix @ h_v.matrix)))
         gamma = one_rdm(solution.rho, basis)
-        occupations = natural_spectrum(gamma).occupations
+        # a Gibbs 1RDM lies inside its polytope: clip the eigensolver's residue past a face
+        ceiling = 1.0 if basis.statistics is Statistics.FERMION else basis.n
+        occupations = np.clip(natural_spectrum(gamma).occupations, 0.0, ceiling)
         summary_rows.append((run_id, beta, v_id, v.norm, solution.omega, s, energy, solution.log_z))
         distances = face_distances(occupations, basis.statistics)
         occupation_rows.extend(

@@ -268,18 +268,24 @@ class IterationRecord:
 class InversionReport:
     """Outcome of one dual maximization; jacobians counts the fresh response
     Jacobians its solve took, and face_distance is the target's smallest
-    signed face distance, which its classification reads."""
+    signed face distance, which its classification reads.  gradient, the
+    derivative -v* of F, is derived from v_star."""
 
     verdict: InversionVerdict
     v_star: TracelessPotential
     f_value: float
-    gradient: TracelessPotential
     residual: float
     iterations: int
     jacobians: int
     classification: RdmClass
     face_distance: float
     trace: tuple[IterationRecord, ...]
+
+    @cached_property
+    def gradient(self) -> TracelessPotential:
+        # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which
+        # the JSON reports would then print
+        return _checked(0.0 - self.v_star.matrix)
 
 
 def _thermal(v: np.ndarray, system: System, params: EnsembleParams) -> GibbsSolution:
@@ -468,20 +474,11 @@ def _bfgs(jac: np.ndarray, s: np.ndarray, y: np.ndarray, curvature: np.ndarray) 
     return jac - outer - y[..., :, None] * y[..., None, :] / curvature[..., None, None]
 
 
-def _maximizers(pbasis: PotentialBasis, coeffs: np.ndarray) -> list[tuple[TracelessPotential, TracelessPotential]]:
-    """The potential v* and the derivative -v* of F for each row of a (B, K)
-    stack of coefficients, assembled and checked as one stack."""
-    v_star = pbasis.traceless(coeffs)
-    # 0.0 - m, not -m: -m turns the exact zeros of v* into -0.0, which the
-    # JSON reports would then print
-    return [(_checked(v), _checked(g)) for v, g in zip(v_star, 0.0 - v_star)]
-
-
 class _Running(NamedTuple):
     """The state of the targets still running, one row each: ids maps a row
     to its target, target holds the target's coefficients, energies,
     vectors and weights are the spectrum of its Gibbs state that the
-    Jacobian reads, jac stands in for its J, and fresh flags the rows whose
+    Jacobian reads, jac holds its J, and fresh flags the rows whose
     next step takes a fresh Jacobian."""
 
     ids: np.ndarray
@@ -509,68 +506,81 @@ def _dual_newton(
     ascend or a step halved below MIN_STEP ends a target's attempt.  Also
     returns each target's spread E_max - E_min of H at its start.
 
-    Where _reuses_jacobian holds, a row's J is the BFGS update of its last
-    one, taken fresh (as a subset of the rows) on the first step, after a
-    step accepted at t < 1 or keeping more than REFRESH_RATIO of its residual
-    (Kelley, Solving Nonlinear Equations with Newton's Method, ch. 2), or
-    when y.s <= 0; a reused J whose step fails is retaken, not given up.
+    The first J come with the starting states, one for each distinct start
+    that some interior row steps from: rows with the same start bytes share
+    its state and first J, and a row that starts at v = 0 reads both from
+    _cold_start, which computes them once per system and beta.  The line
+    search evaluates its trial points as the starts are, through _start.
 
-    Rows with the same start bytes share its starting state and first J,
-    computed once; a row that starts at v = 0 reads them from _cold_start,
-    which computes them once per system and beta.
+    Where _reuses_jacobian holds, a row's J is then the BFGS update of its
+    last one, taken fresh (as a subset of the rows) after a step accepted at
+    t < 1 or keeping more than REFRESH_RATIO of its residual (Kelley, Solving
+    Nonlinear Equations with Newton's Method, ch. 2), or when y.s <= 0; a
+    reused J whose step fails is retaken, not given up.
 
     The running targets' state is held compacted, so a round in which no
     target stops and every one takes its first trial step indexes no rows.
     """
-    basis, pbasis = system.basis, system.pbasis
-    elements, reuse = pbasis.element_matrix, _reuses_jacobian(basis)
+    basis, pbasis, reuse = system.basis, system.pbasis, _reuses_jacobian(system.basis)
     matrices = np.stack([target.matrix for target in targets])
     distance = face_distances(np.linalg.eigvalsh(matrices), basis.statistics).min(-1)
     classes = [_rdm_class(d, opts.classify_tol) for d in distance]
+    interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
     target_coeffs = pbasis.coefficients(matrices)
     c = np.array(starts, dtype=float)
 
-    # the gradient gamma_v - gamma and its norm, the Frobenius distance of
-    # the matrices since both carry trace n
-    def offset(density: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad = pbasis.coefficients(_rdm_matrix(density, basis)) - target
-        return grad, np.linalg.norm(grad, axis=-1)
+    def evaluate(c: np.ndarray, state: tuple[np.ndarray, ...], target: np.ndarray) -> dict[str, np.ndarray]:
+        """The fields of _Running at the rows of c from _start's state there:
+        the gradient gamma_v - gamma and its norm, the Frobenius distance of
+        the matrices since both carry trace n."""
+        energies, vectors, weights, omega, gamma = state
+        grad = gamma - target
+        value, residual = omega - (c * target).sum(-1), np.linalg.norm(grad, axis=-1)
+        return dict(c=c, value=value, grad=grad, residual=residual, energies=energies, vectors=vectors, weights=weights)
 
-    # shared[b] numbers row b's start among the distinct ones, which lead holds
+    # shared[b] numbers row b's start among the distinct ones, first holds
+    # the first row of each
     distinct = {}
     shared = np.array([distinct.setdefault(row.tobytes(), len(distinct)) for row in c], dtype=int)
-    lead = c[np.unique(shared, return_index=True)[1]]
-    cold = ~c.any(-1)
+    first = np.unique(shared, return_index=True)[1]
+    cold = ~c[first].any(-1)
     memo = _cold_start(system, params) if cold.any() else None
     if memo is None:
-        start = _start(lead, system, params)
+        start = _start(c[first], system, params)
     else:
-        start, warm = [np.repeat(a, len(lead), axis=0) for a in memo.start], lead.any(-1)
-        if warm.any():
-            for mine, a in zip(start, _start(lead[warm], system, params)):
-                mine[warm] = a
-    energies, vectors, weights, omega, gamma = start if len(lead) == len(c) else (a[shared] for a in start)
-    spread = energies[:, -1] - energies[:, 0]
-    grad = gamma - target_coeffs
-    residual = np.linalg.norm(grad, axis=-1)
-    value = omega - (c * target_coeffs).sum(-1)
+        start = [np.repeat(a, len(first), axis=0) for a in memo.start]
+        if not cold.all():
+            for mine, a in zip(start, _start(c[first[~cold]], system, params)):
+                mine[~cold] = a
     run = _Running(
         ids=np.arange(len(targets)),
-        c=c,
-        value=value,
-        grad=grad,
-        residual=residual,
         step_norm=np.zeros(len(targets)),
         target=target_coeffs,
-        energies=energies,
-        vectors=vectors,
-        weights=weights,
-        jac=np.empty((len(targets), pbasis.size, pbasis.size) if reuse else (len(targets), 0, 0)),
+        jac=None,
         fresh=np.ones(len(targets), dtype=bool),
+        **evaluate(c, start if len(first) == len(c) else [a[shared] for a in start], target_coeffs),
     )
-    del start, energies, vectors, weights
+    del start
+    spread = run.energies[:, -1] - run.energies[:, 0]
+
+    # the first J of each start that some interior row steps from
+    steps = np.zeros(len(first), dtype=bool)
+    steps[shared[interior & ~(run.residual <= opts.tol)]] = opts.max_iter > 1
+    jac = np.empty((len(first), pbasis.size, pbasis.size))
+    if (steps & cold).any():
+        if memo.jacobian is None:
+            memo.jacobian = _jacobian(*memo.start[:3], basis, params, pbasis)
+            memo.jacobian.flags.writeable = False
+        jac[steps & cold] = memo.jacobian
+    rows = first[steps & ~cold]
+    if rows.size:
+        rows = slice(None) if rows.size == len(c) else rows
+        jac[steps & ~cold] = _jacobian(run.energies[rows], run.vectors[rows], run.weights[rows], basis, params, pbasis)
+    run = run._replace(jac=jac[shared])
+    del jac
+
     jacobians = np.zeros(len(targets), dtype=int)
-    final_c, final_value, final_residual = np.empty_like(c), np.empty_like(value), np.empty_like(residual)
+    final_c, final_value, final_residual = np.empty_like(c), np.empty_like(run.value), np.empty_like(run.residual)
 
     def stop(run: _Running, mask: np.ndarray) -> _Running:
         """Write out the final state of the rows in mask and drop them."""
@@ -579,7 +589,6 @@ def _dual_newton(
         return run._make(a[~mask] for a in run)
 
     records: list[list[IterationRecord]] = [[] for _ in targets]
-    interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
     # off the interior no maximizer exists, so that verdict is final here
     verdicts = [InversionVerdict.MAX_ITERATIONS if inside else InversionVerdict.NON_REPRESENTABLE for inside in interior]
     if not interior.all():
@@ -601,33 +610,14 @@ def _dual_newton(
         if not run.ids.size or iteration == opts.max_iter:
             break
 
-        fresh, jac = run.fresh, run.jac
-        # a row's first J at v = 0 is a copy of the memo's
-        hit = cold[run.ids] & (iteration == 1)
-        if hit.any():
-            if memo.jacobian is None:
-                memo.jacobian = _jacobian(*memo.start[:3], basis, params, pbasis)
-                memo.jacobian.flags.writeable = False
-            jac = np.repeat(memo.jacobian, run.ids.size, axis=0)
-        take = fresh & ~hit
-        rows, back = np.flatnonzero(take), slice(None)
-        if iteration == 1:
-            # the rows that share a start still hold its state, so share its
-            # J; np.unique orders them by start, not always by position
-            _, first, back = np.unique(shared[run.ids[rows]], return_index=True, return_inverse=True)
-            rows = rows[first]
-        if rows.size:
-            spectra = (run.energies, run.vectors, run.weights)
-            spectra = spectra if np.array_equal(rows, np.arange(run.ids.size)) else (a[rows] for a in spectra)
-            fresh_jac = _jacobian(*spectra, basis, params, pbasis)[back]
-            if take.all():
-                jac = fresh_jac
-            else:
-                jac[take] = fresh_jac
-        # a row keeps its J only where it may be reused
-        run = run._replace(jac=jac) if reuse else run
+        # after the first step, which reads its J from the starts', the fresh
+        # rows take a fresh one, indexed by a slice if that is every row
+        fresh = run.fresh
+        if iteration > 1 and fresh.any():
+            rows = slice(None) if fresh.all() else fresh
+            run.jac[rows] = _jacobian(run.energies[rows], run.vectors[rows], run.weights[rows], basis, params, pbasis)
         jacobians[run.ids[fresh]] += 1
-        step = _newton_steps(jac, run.grad)
+        step = _newton_steps(run.jac, run.grad)
         slope = (run.grad * step).sum(-1)
         ascends = np.isfinite(slope) & (slope > 0.0)
         if not ascends.all():
@@ -642,50 +632,29 @@ def _dual_newton(
         # is None while that is every row, so that nothing is gathered
         t, searching, trial = 1.0, None if ascends.all() else ascends, None
         while t >= MIN_STEP and (searching is None or searching.any()):
-            rows = (run.c, run.value, run.residual, run.target, step, slope)
+            rows = (run.c, run.value, run.residual, run.target, step, slope, length)
             if searching is not None:
                 rows = (a[searching] for a in rows)
-            c, value, residual, target, direction, gain = rows
+            c, value, residual, target, direction, gain, norm = rows
             trial_c = c + t * direction
-            trial = _thermal((trial_c[:, None, :] @ elements)[:, 0], system, params)
-            trial_value = trial.omega - (trial_c * target).sum(-1)
+            # t is a power of 2, so t * norm is the norm of the step taken
+            trial = dict(evaluate(trial_c, _start(trial_c, system, params), target), step_norm=t * norm)
+            # once the required gain falls below float resolution of g the
+            # Armijo test is meaningless; accept on residual contraction
             required = ARMIJO_SLOPE * t * gain
-            ok = trial_value >= value + required
-            all_ok = ok.all()
-            if not all_ok:
-                # once the required gain falls below float resolution of g
-                # the Armijo test is meaningless; accept on residual contraction
-                flat = ~ok & (required <= 1e-12 * np.maximum(1.0, np.abs(value)))
-                if flat.any():
-                    contracted = residual[flat] * (1.0 - ARMIJO_SLOPE * t)
-                    ok[flat] = offset(trial.density[flat], target[flat])[1] <= contracted
-                    all_ok = ok.all()
-            # t is a power of 2, so t * length is the norm of the step taken
-            if searching is None and all_ok:
-                grad, residual = offset(trial.density, target)
-                run = run._replace(
-                    c=trial_c,
-                    value=trial_value,
-                    grad=grad,
-                    residual=residual,
-                    step_norm=t * length,
-                    energies=trial.energies,
-                    vectors=trial.eigenvectors,
-                    weights=trial.weights,
-                )
-                taken[:] = t
+            flat = required <= 1e-12 * np.maximum(1.0, np.abs(value))
+            contracted = trial["residual"] <= residual * (1.0 - ARMIJO_SLOPE * t)
+            ok = (trial["value"] >= value + required) | (flat & contracted)
+            if searching is None and ok.all():
+                run, taken[:] = run._replace(**trial), t
                 break
             if ok.any():
                 if searching is None:
                     searching = np.ones(run.ids.size, dtype=bool)
                 accept = np.flatnonzero(searching)[ok]
-                run.c[accept], run.value[accept] = trial_c[ok], trial_value[ok]
-                run.step_norm[accept], taken[accept] = t * length[accept], t
-                run.grad[accept], run.residual[accept] = offset(trial.density[ok], target[ok])
-                held = (run.energies, run.vectors, run.weights)
-                for mine, new in zip(held, (trial.energies, trial.eigenvectors, trial.weights)):
-                    mine[accept] = new[ok]
-                searching[accept] = False
+                for name, new in trial.items():
+                    getattr(run, name)[accept] = new[ok]
+                taken[accept], searching[accept] = t, False
             t *= BACKTRACK_FACTOR
         del trial
         # the rows that found no admissible step stop, or retake J if stale
@@ -704,13 +673,12 @@ def _dual_newton(
     if run.ids.size:
         stop(run, np.ones(run.ids.size, dtype=bool))
 
-    finals = zip(_maximizers(pbasis, final_c), final_value.tolist(), final_residual.tolist(), jacobians.tolist())
+    finals = (final_value.tolist(), final_residual.tolist(), jacobians.tolist(), distance.tolist())
     reports = [
         InversionReport(
             verdict=verdict,
-            v_star=v_star,
+            v_star=_checked(v_star),
             f_value=f_value,
-            gradient=gradient,
             residual=res,
             iterations=len(trace),
             jacobians=count,
@@ -718,8 +686,8 @@ def _dual_newton(
             face_distance=d,
             trace=tuple(trace),
         )
-        for verdict, ((v_star, gradient), f_value, res, count), trace, cls, d in zip(
-            verdicts, finals, records, classes, distance.tolist()
+        for verdict, v_star, f_value, res, count, d, trace, cls in zip(
+            verdicts, pbasis.traceless(final_c), *finals, records, classes
         )
     ]
     return reports, spread

@@ -118,22 +118,28 @@ class TestPotentialBasis:
         assert abs(np.trace(v.matrix)) <= 1e-12 * max(1.0, v.norm)
 
 
-class TestMaximizers:
-    """The report pass of the solver: every v* and -v* of a batch assembled
-    and checked as one stack."""
+class TestReportAssembly:
+    """The report pass of the solver: every v* of a batch assembled and
+    checked as one stack, and -v* derived from it."""
 
     @pytest.mark.parametrize("nb", [2, 3, 4, 10])
     def test_stack_matches_one_row_at_a_time(self, nb):
-        pb = potential_basis(nb)
+        """Off the interior a report holds its start's v*, so boundary
+        targets from starts scaled by 1e+-6 take those rows through it."""
+        system = zero_system(nb, 1, F)
+        pb = system.pbasis
         rng = np.random.default_rng(nb)
         coeffs = rng.normal(size=(9, pb.size)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(9, 1))
-        for row, (v_star, gradient) in zip(coeffs, functional._maximizers(pb, coeffs)):
+        targets = [OneRdm(np.diag([1.0] + [0.0] * (nb - 1)))] * len(coeffs)
+        reports, _ = functional._dual_newton(targets, system, EnsembleParams(1.0), InversionOptions(), coeffs)
+        for row, report in zip(coeffs, reports):
+            assert report.verdict is InversionVerdict.NON_REPRESENTABLE
             single = pb.potential(row)
             # the scrubbed vector-matrix product of a one-target report
             m = (row @ pb.element_matrix).reshape(nb, nb)
             m -= (np.trace(m) / nb) * np.eye(nb)
-            assert v_star.matrix.tobytes() == single.matrix.tobytes() == m.tobytes()
-            assert gradient.matrix.tobytes() == TracelessPotential(0.0 - single.matrix).matrix.tobytes()
+            assert report.v_star.matrix.tobytes() == single.matrix.tobytes() == m.tobytes()
+            assert report.gradient.matrix.tobytes() == TracelessPotential(0.0 - single.matrix).matrix.tobytes()
 
     @pytest.mark.parametrize("defect,error", [("non_hermitian", NonHermitianInput), ("traced", InvalidArguments)])
     def test_bad_row_raises_as_traceless_potential(self, defect, error):
@@ -869,11 +875,40 @@ class TestSharedStarts:
 
             monkeypatch.setattr(functional, name, spy)
         batch, spread = functional._dual_newton(targets, system, params, opts, starts)
-        assert rows["_start"] == [2] and rows["_jacobian"][0] == 2
+        # the starting state's call, then the line search's
+        assert rows["_start"][0] == 2 and rows["_jacobian"][0] == 2
         assert max(rows["_jacobian"][1:]) > 2  # later Jacobians are per row
         assert_same_reports(batch, alone)
         assert [r.verdict for r in batch] == [InversionVerdict.CONVERGED] * 10
         assert spread.tobytes() == np.repeat(spread[[0, 5]], 5).tobytes()
+
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    def test_first_jacobians_go_only_to_starts_a_row_steps_from(self, monkeypatch, max_iter):
+        """Of three warm starts, under a boundary target, at the potential of
+        its own Gibbs target (converged at iteration 1) and under an interior
+        target, only the last takes a first Jacobian; with max_iter=1 no row
+        steps, and none is taken."""
+        system, params = hubbard_system(4, 2, F), EnsembleParams(1.0)
+        a, b, c = 0.3 * np.random.default_rng(7).normal(size=(3, system.pbasis.size))
+        q = np.linalg.eigh(orc.random_hermitian(np.random.default_rng(3), 4))[1]
+        gibbs = omega_of_v(system.pbasis.potential(b), system, params)[1]
+        targets = [OneRdm((q * [1.0, 0.5, 0.3, 0.2]) @ q.conj().T), gibbs, random_rdm(4, 2, F, interior=True, seed=0)]
+        rows = []
+
+        def spy(energies, *args, kernel=functional._jacobian):
+            rows.append(len(energies))
+            return kernel(energies, *args)
+
+        monkeypatch.setattr(functional, "_jacobian", spy)
+        opts = InversionOptions(max_iter=max_iter)
+        reports, _ = functional._dual_newton(targets, system, params, opts, np.array([a, b, c]))
+        last = InversionVerdict.CONVERGED if max_iter > 1 else InversionVerdict.MAX_ITERATIONS
+        assert [r.verdict for r in reports] == [InversionVerdict.NON_REPRESENTABLE, InversionVerdict.CONVERGED, last]
+        assert reports[1].iterations == 1
+        if max_iter == 1:
+            assert rows == []
+        else:
+            assert rows[0] == 1
 
     def test_starts_out_of_order_after_a_boundary_row(self):
         """Starts [A, B, A] with a boundary target first: once it stops, the
