@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from itertools import product
 from pathlib import Path
 from types import UnionType
@@ -23,6 +23,7 @@ from .ensemble import (
     OneRdm,
     entropy,
     face_distances,
+    gibbs_occupations,
     gibbs_state,
     natural_spectrum,
     one_rdm,
@@ -37,6 +38,7 @@ from .fock import ManyBodyOperator, Statistics, lift_one_body
 from .functional import (
     InversionOptions,
     InversionVerdict,
+    IterationRecord,
     TracelessPotential,
     invert_potential,
     invert_potentials,
@@ -55,7 +57,7 @@ from .serialize import (
     suite_report_json,
     write_csv,
 )
-from .verify import CheckConfig, SuiteConfig, run_suite, suite_failures
+from .verify import CheckConfig, SuiteConfig, _coeff_draw, run_suite, suite_failures
 
 
 def _convert(hint, value, where: str):
@@ -110,7 +112,7 @@ def _get(obj: dict, key: str, hint, default):
     return default if obj.get(key) is None else _convert(hint, obj[key], key)
 
 
-def _model_from(obj, fallback_seed=None) -> ModelSpec:
+def _model_from(obj, fallback_seed: int) -> ModelSpec:
     spec = {"seed": fallback_seed, **_fields_from(ModelSpec, obj, "model")}
     try:
         return ModelSpec(**spec)
@@ -182,14 +184,8 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
             raise ConfigError(f"potentials norm must be non-negative, got {norm}")
         if nb < 2:
             raise ConfigError("random potentials need nb >= 2")
-        pbasis = system.pbasis
-        rng = np.random.default_rng(_get(spec_obj, "seed", int | None, seed))
-        out = []
-        for _ in range(count):
-            c = rng.normal(size=pbasis.size)
-            c *= norm / np.linalg.norm(c)
-            out.append(pbasis.potential(c))
-        return out
+        rng = np.random.default_rng(_get(spec_obj, "seed", int, seed))
+        return [system.pbasis.potential(_coeff_draw(rng, system.pbasis, norm)) for _ in range(count)]
     if isinstance(spec_obj, list):
         if not spec_obj:
             raise ConfigError("'potentials' list is empty")
@@ -218,7 +214,7 @@ def _target_rdm(obj, model: ModelSpec, seed) -> OneRdm:
                 model.n,
                 model.statistics,
                 interior=_get(sample, "interior", bool, True),
-                seed=_get(sample, "seed", int | None, seed),
+                seed=_get(sample, "seed", int, seed),
             )
         else:
             raise ConfigError("target needs 'matrix', 'occupations', or 'sample'")
@@ -259,9 +255,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
         s = entropy(solution.rho)
         energy = float(np.real(np.trace(solution.rho.matrix @ h_v.matrix)))
         gamma = one_rdm(solution.rho, basis)
-        # a Gibbs 1RDM lies inside its polytope: clip the eigensolver's residue past a face
-        ceiling = 1.0 if basis.statistics is Statistics.FERMION else basis.n
-        occupations = np.clip(natural_spectrum(gamma).occupations, 0.0, ceiling)
+        occupations = gibbs_occupations(gamma, basis)
         summary_rows.append((run_id, beta, v_id, v.norm, solution.omega, s, energy, solution.log_z))
         distances = face_distances(occupations, basis.statistics)
         occupation_rows.extend(
@@ -292,8 +286,8 @@ def cmd_invert(cfg, out: Path, seed) -> int:
     dump_json(out / "inversion_report.json", inversion_report_to_json(report))
     write_csv(
         out / "newton_trace.csv",
-        ["iteration", "g_value", "residual", "step_norm", "fresh_jacobian"],
-        [(r.iteration, r.g_value, r.residual, r.step_norm, r.fresh_jacobian) for r in report.trace],
+        [f.name for f in fields(IterationRecord)],
+        [astuple(r) for r in report.trace],
         {"command": "invert", "config_hash": config_hash(cfg), "verdict": report.verdict.value},
     )
     print(
@@ -316,7 +310,7 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         if points < 2:
             raise ConfigError("segment needs at least 2 points")
         start = _target_rdm(seg.get("from"), model, seed)
-        stop = _target_rdm(seg.get("to"), model, None if seed is None else seed + 1)
+        stop = _target_rdm(seg.get("to"), model, seed + 1)
         lambdas = np.linspace(0.0, 1.0, points)
         gammas = [OneRdm((1 - lam) * start.matrix + lam * stop.matrix) for lam in lambdas]
         rows = []
@@ -336,7 +330,7 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         count = _get(sample, "count", int, 10)
         if count < 1:
             raise ConfigError(f"samples count must be at least 1, got {count}")
-        rng = np.random.default_rng(_get(sample, "seed", int | None, seed))
+        rng = np.random.default_rng(_get(sample, "seed", int, seed))
         targets = [
             random_rdm(model.nb, model.n, model.statistics, interior=True, seed=rng)
             for _ in range(count)
@@ -372,9 +366,7 @@ def cmd_verify(cfg, out: Path, seed) -> int:
         grid["models"] = tuple(_model_entry(entry) for entry in entries)
     if "tolerances" in cfg:
         grid["overrides"] = _fields_from(CheckConfig, cfg["tolerances"], "tolerance")
-    if seed is not None:
-        grid["seed"] = seed
-    suite = SuiteConfig(**grid)
+    suite = SuiteConfig(**grid, seed=seed)
     reports = run_suite(suite)
     resolved = {
         "checks": list(suite.checks),
@@ -514,7 +506,7 @@ def main(argv=None) -> int:
         cfg = {key: value for key, value in cfg.items() if value is not None}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else _convert(int | None, cfg.get("seed"), "seed")
+        seed = args.seed if args.seed is not None else _get(cfg, "seed", int, SuiteConfig.seed)
         return command(cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .fock import (
     DensityOperator,
     ManyBodyOperator,
     Statistics,
+    _as_square,
     _hermiticity_defect,
     _rdm_matrix,
 )
@@ -87,9 +88,7 @@ class OneRdm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(getattr(self.matrix, "matrix", self.matrix), dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        m = _as_square(self.matrix)
         if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
             raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", m)
@@ -197,6 +196,14 @@ def natural_spectrum(gamma: OneRdm) -> NaturalSpectrum:
     """Eigendecomposition of the 1RDM, occupations sorted descending."""
     occ, orbitals = np.linalg.eigh(gamma.matrix)
     return NaturalSpectrum(occupations=occ[::-1].copy(), orbitals=orbitals[:, ::-1].copy())
+
+
+def gibbs_occupations(gamma: OneRdm, basis: ConfigurationBasis) -> np.ndarray:
+    """Natural occupations of a Gibbs 1RDM, descending.  A Gibbs 1RDM lies
+    inside its polytope, so the eigensolver's residue past a face is clipped:
+    to [0, 1] for fermions, [0, n] for bosons."""
+    ceiling = 1.0 if basis.statistics is Statistics.FERMION else basis.n
+    return np.clip(natural_spectrum(gamma).occupations, 0.0, ceiling)
 
 
 def face_distances(occupations: np.ndarray, statistics: Statistics) -> np.ndarray:

@@ -330,17 +330,10 @@ def _rdm_matrix(rho: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
     return (gamma + gamma.conj().swapaxes(-1, -2)) / 2
 
 
-def _lifted(h: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
-    """lift_one_body's matrix of each matrix of a (B, nb, nb) complex stack;
-    raises its error if some matrix fails its check."""
-    if _hermiticity_defect(h) > ONE_BODY_HERMITICITY_TOL:
-        raise NonHermitianInput("one-body matrix is not Hermitian within 1e-13")
-    return _hermitized(_lift(h.reshape(len(h), -1), basis))
-
-
 def lift_one_body(h, basis: ConfigurationBasis) -> ManyBodyOperator:
     """Lift sum_ij h_ij a+_i a_j onto the configuration basis."""
-    return ManyBodyOperator(_lifted(_as_square(h, basis.nb)[None], basis)[0], basis.tag)
+    op = OneBodyOperator(_as_square(h, basis.nb))
+    return ManyBodyOperator(_hermitized(_lift(op.matrix.ravel(), basis)), basis.tag)
 
 
 def lift_two_body(w, basis: ConfigurationBasis) -> ManyBodyOperator:

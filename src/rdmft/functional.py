@@ -48,6 +48,7 @@ from .fock import (
     ConfigurationBasis,
     HopBlocks,
     ManyBodyOperator,
+    _as_square,
     _hermiticity_defect,
     _lift,
     _rdm_matrix,
@@ -81,9 +82,7 @@ class TracelessPotential:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(getattr(self.matrix, "matrix", self.matrix), dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        m = _as_square(self.matrix)
         _check_traceless(m)
         object.__setattr__(self, "matrix", m)
 

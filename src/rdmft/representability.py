@@ -212,11 +212,15 @@ def coleman_bosonic(
     return DensityOperator(np.outer(psi, psi.conj()), basis.tag)
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _haar_rotated(rng: np.random.Generator, spectrum: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with this spectrum in a Haar-random eigenbasis."""
+    dim = len(spectrum)
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q = q * (d / np.abs(d))
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2
 
 
 def random_rdm(
@@ -259,6 +263,4 @@ def random_rdm(
         drawn += block
     else:
         raise InvalidArguments(f"no occupation draw satisfied the margins for nb={nb}, n={n_particles}")
-    q = _haar_unitary(rng, nb)
-    gamma = (q * occ) @ q.conj().T
-    return OneRdm((gamma + gamma.conj().T) / 2)
+    return OneRdm(_haar_rotated(rng, occ))

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .ensemble import OneRdm
 from .errors import ConfigError
 from .functional import InversionReport, TracelessPotential
-from .verify import TheoremReport
+from .verify import TheoremReport, suite_failures
 
 FORMAT_VERSION = 1
 
@@ -59,41 +61,21 @@ def potential_to_json(v: TracelessPotential) -> dict:
     return {"nb": v.nb, "matrix": matrix_to_json(v.matrix)}
 
 
+def _field_values(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def inversion_report_to_json(report: InversionReport) -> dict:
     return {
-        "verdict": report.verdict.value,
-        "classification": report.classification.value,
-        "face_distance": float(report.face_distance),
-        "f_value": float(report.f_value),
-        "residual": float(report.residual),
-        "iterations": int(report.iterations),
-        "jacobians": int(report.jacobians),
+        **_field_values(report),
         "v_star": potential_to_json(report.v_star),
         "gradient": potential_to_json(report.gradient),
-        "trace": [
-            {
-                "iteration": r.iteration,
-                "g_value": float(r.g_value),
-                "residual": float(r.residual),
-                "step_norm": float(r.step_norm),
-                "fresh_jacobian": bool(r.fresh_jacobian),
-            }
-            for r in report.trace
-        ],
+        "trace": [asdict(r) for r in report.trace],
     }
 
 
 def theorem_report_to_json(report: TheoremReport) -> dict:
-    return {
-        "theorem_id": report.theorem_id,
-        "trials": report.trials,
-        "failures": report.failures,
-        "worst_margin": None if report.worst_margin is None else float(report.worst_margin),
-        "config": report.config,
-        "details": list(report.details),
-        "notes": report.notes,
-        "passed": report.passed,
-    }
+    return {**_field_values(report), "passed": report.passed}
 
 
 def suite_report_json(reports, config_obj) -> dict:
@@ -101,14 +83,18 @@ def suite_report_json(reports, config_obj) -> dict:
         "format_version": FORMAT_VERSION,
         "config": config_obj,
         "config_hash": config_hash(config_obj),
-        "failures": int(sum(r.failures for r in reports)),
+        "failures": suite_failures(reports),
         "reports": [theorem_report_to_json(r) for r in reports],
     }
 
 
 def _plain(obj):
-    """json's default hook: numpy scalars and arrays as the Python numbers
-    and lists they hold."""
+    """json's default hook: numpy scalars and arrays as the Python values
+    and lists they hold, and enum members as their values."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

@@ -12,14 +12,14 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 
 import numpy as np
 
-from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, natural_spectrum, one_rdm
+from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, gibbs_occupations, one_rdm
 from .errors import ConfigError, InvalidArguments, RdmftError
-from .fock import ManyBodyOperator, Statistics, _check_densities, _lifted, _rdm_matrix, build_basis
+from .fock import Statistics, _check_densities, _lift, _rdm_matrix, build_basis
 from .functional import (
     InversionOptions,
     PotentialBasis,
@@ -30,12 +30,7 @@ from .functional import (
     require_converged,
 )
 from .models import ModelSpec, build_system
-from .representability import (
-    _haar_unitary,
-    coleman_bosonic,
-    coleman_fermionic,
-    random_rdm,
-)
+from .representability import _haar_rotated, coleman_bosonic, coleman_fermionic, random_rdm
 
 @dataclass(frozen=True)
 class CheckConfig:
@@ -80,14 +75,7 @@ class CheckConfig:
             "statistics": m.statistics.value,
             "beta": self.beta,
             "seed": self.seed,
-            "model": {
-                "kind": m.kind,
-                "h_scale": m.h_scale,
-                "w_norm": m.w_norm,
-                "u": m.u,
-                "t_hop": m.t_hop,
-                "seed": m.seed,
-            },
+            "model": {f.name: getattr(m, f.name) for f in fields(m) if f.name not in ("nb", "n", "statistics")},
         }
 
 
@@ -289,10 +277,7 @@ def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
 
 def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random full-rank density matrix: Dirichlet weights in a Haar basis."""
-    w = rng.dirichlet(np.ones(dim))
-    q = _haar_unitary(rng, dim)
-    m = (q * w) @ q.conj().T
-    return (m + m.conj().T) / 2
+    return _haar_rotated(rng, rng.dirichlet(np.ones(dim)))
 
 
 def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremReport:
@@ -364,29 +349,25 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
     return _campaign("gradient", config, system, trial, fails=lambda margin: margin < 0, notes=notes)
 
 
+def _capped_dirichlet(rng, size: int, total: int, cap: float) -> np.ndarray:
+    """total split over size entries by a Dirichlet draw, redrawn until every
+    entry is below cap (at most 1000 draws), else evenly; not drawn at all
+    where no draw could pass or every draw is the same: size * cap <= total,
+    or total = 0."""
+    if total > 0 and size * cap > total:
+        for _ in range(1000):
+            split = rng.dirichlet(np.ones(size)) * total
+            if split.max() < cap:
+                return split
+    return np.full(size, total / size)
+
+
 def _boundary_occupations(rng, nb, n, statistics, variant):
     if variant == "zero_pinned":
-        if statistics is Statistics.FERMION and nb - 1 == n:
-            rest = np.ones(nb - 1)
-        else:
-            for _ in range(1000):
-                rest = rng.dirichlet(np.ones(nb - 1)) * n
-                if statistics is Statistics.BOSON or rest.max() < 1:
-                    break
-            else:
-                rest = np.ones(nb - 1) * (n / (nb - 1))
-        occ = np.concatenate([[0.0], rest])
+        cap = 1.0 if statistics is Statistics.FERMION else np.inf
+        occ = np.concatenate([[0.0], _capped_dirichlet(rng, nb - 1, n, cap)])
     elif variant == "one_pinned":
-        if n == 1:
-            rest = np.zeros(nb - 1)
-        else:
-            for _ in range(1000):
-                rest = rng.dirichlet(np.ones(nb - 1)) * (n - 1)
-                if rest.max() < 1:
-                    break
-            else:
-                rest = np.ones(nb - 1) * ((n - 1) / (nb - 1))
-        occ = np.concatenate([[1.0], rest])
+        occ = np.concatenate([[1.0], _capped_dirichlet(rng, nb - 1, n - 1, 1.0)])
     elif variant == "idempotent":
         occ = np.zeros(nb)
         occ[rng.permutation(nb)[:n]] = 1.0
@@ -412,10 +393,7 @@ def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
         if variant == "interior":
             gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         else:
-            occ = _boundary_occupations(rng, m.nb, m.n, m.statistics, variant)
-            q = _haar_unitary(rng, m.nb)
-            g = (q * occ) @ q.conj().T
-            gamma = OneRdm((g + g.conj().T) / 2)
+            gamma = OneRdm(_haar_rotated(rng, _boundary_occupations(rng, m.nb, m.n, m.statistics, variant)))
         rho = construct(gamma, basis)
         err = record["error_norm"] = float(np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix))
         return config.coleman_tol - err
@@ -435,7 +413,7 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.fractional_v_scale))
 
         def finish(out):
-            occ = natural_spectrum(out[0][1]).occupations
+            occ = gibbs_occupations(out[0][1], system.basis)
             lowest = record["min_occupation"] = float(occ.min())
             head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
             return min(lowest, head) - config.fractional_floor
@@ -448,15 +426,14 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
 def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport:
     """The Gibbs state strictly beats every competitor density operator in
     the free-energy objective of its own Hamiltonian."""
-    pbasis = system.pbasis
-    tag, dim = system.basis.tag, system.basis.dim
+    pbasis, basis, dim = system.pbasis, system.basis, system.basis.dim
     maximally_mixed = np.eye(dim) / dim
 
     def gibbs_states(v):
-        """H_v = H0 + lift_one_body(v) and its Gibbs density for each potential
-        of a stack, as ManyBodyOperator and gibbs_state give them."""
-        h = np.array([ManyBodyOperator(h_v, tag).matrix for h_v in system.h0.matrix + _lifted(v, system.basis)])
-        return list(zip(h, _gibbs(h, config.beta, tag).density))
+        """H_v = H0 + lift(v) and its Gibbs density for each potential of a
+        stack, as _thermal gives them."""
+        h = system.h0.matrix + _lift(v.reshape(len(v), -1), basis)
+        return list(zip(h, _gibbs(h, config.beta, basis.tag).density))
 
     def free_energies(m):
         """DensityOperator's checks, then helmholtz, over rows of (state, H_v)."""

@@ -8,6 +8,7 @@ import csv
 import json
 import shutil
 import subprocess
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,16 @@ from rdmft.cli import main
 from rdmft.ensemble import EnsembleParams, OneRdm
 from rdmft.errors import NotRepresentableError
 from rdmft.fock import Statistics
-from rdmft.functional import omega_of_v, potential_basis, universal_functional
+from rdmft.functional import (
+    InversionReport,
+    IterationRecord,
+    invert_potential,
+    omega_of_v,
+    potential_basis,
+    universal_functional,
+)
 from rdmft.models import ModelSpec, build_system
-from rdmft.serialize import matrix_to_json, rdm_from_json
+from rdmft.serialize import canonical_json, inversion_report_to_json, matrix_to_json, rdm_from_json
 
 ZERO_MODEL = {"kind": "zero", "nb": 3, "n": 2, "statistics": "fermion"}
 ONE_ORBITAL = {"kind": "zero", "nb": 1, "n": 1, "statistics": "boson"}
@@ -198,6 +206,40 @@ class TestInvert:
         assert code == 2
         code, _ = run(tmp_path, "invert", {**cfg, "options": {"max_iter": "10"}})
         assert code == 2
+
+
+class TestRecordSchemas:
+    """The reports' keys and columns are the fields of their dataclasses."""
+
+    def test_inversion_report_and_trace(self, tmp_path):
+        code, out = run(tmp_path, "invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": 1}}})
+        assert code == 0
+        report = json.loads((out / "inversion_report.json").read_text())
+        assert set(report) == {f.name for f in fields(InversionReport)} | {"gradient"}
+        names = [f.name for f in fields(IterationRecord)]
+        assert report["trace"] and all(sorted(entry) == sorted(names) for entry in report["trace"])
+        header, rows = read_csv(out / "newton_trace.csv")
+        assert header == names
+        assert len(rows) == len(report["trace"])
+
+    def test_added_fields_reach_the_json(self):
+        @dataclass(frozen=True)
+        class Record(IterationRecord):
+            backtracks: int = 0
+
+        @dataclass(frozen=True, eq=False)
+        class Report(InversionReport):
+            stop_reason: str = "tolerance"
+
+        system = build_system(ModelSpec(**{**ZERO_MODEL, "statistics": Statistics.FERMION}))
+        report = invert_potential(OneRdm(np.diag([0.9, 0.6, 0.5])), system, EnsembleParams(1.0))
+        trace = tuple(Record(**asdict(r), backtracks=k) for k, r in enumerate(report.trace))
+        extended = Report(**{f.name: getattr(report, f.name) for f in fields(report)})
+        extended = replace(extended, trace=trace)
+        obj = json.loads(canonical_json(inversion_report_to_json(extended)))
+        assert obj["stop_reason"] == "tolerance"
+        assert [entry["backtracks"] for entry in obj["trace"]] == list(range(len(trace)))
+        assert obj["v_star"] == json.loads(canonical_json(inversion_report_to_json(report)))["v_star"]
 
 
 class TestFunctional:
@@ -584,6 +626,9 @@ NULL_SEEDS = {
         {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": None}}, "seed": 3},
         "inversion_report.json",
     ),
+    # no seed anywhere: the default seed, not the OS's entropy
+    "gibbs_unseeded": ("gibbs", {"model": {**ZERO_MODEL, "kind": "random_full"}, "beta": 1.0}, "gibbs_summary.csv"),
+    "invert_unseeded": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {}}}, "inversion_report.json"),
 }
 
 

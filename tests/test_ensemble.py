@@ -287,6 +287,28 @@ class TestNaturalSpectrum:
         assert np.sum(spec.occupations) == pytest.approx(2.0, abs=1e-10)
 
 
+class TestGibbsOccupations:
+    @pytest.mark.parametrize(
+        "nb,n,stat,diagonal,clipped",
+        [
+            (3, 2, F, [1.0, 1.0, -1e-17], [1.0, 1.0, 0.0]),
+            (3, 2, F, [1.0 + 1e-15, 0.6, 0.4], [1.0, 0.6, 0.4]),
+            (2, 3, B, [3.0 + 1e-12, -1e-12], [3.0, 0.0]),
+        ],
+    )
+    def test_residue_past_a_face_is_clipped(self, nb, n, stat, diagonal, clipped):
+        gamma = OneRdm(np.diag(diagonal))
+        raw = natural_spectrum(gamma).occupations
+        assert raw.min() < 0.0 or raw.max() > (1.0 if stat is F else n)
+        occupations = ensemble.gibbs_occupations(gamma, build_basis(nb, n, stat))
+        assert occupations.tolist() == clipped
+
+    def test_occupations_inside_pass_through(self):
+        gamma = OneRdm(np.diag([0.2, 0.9, 0.9]))
+        occupations = ensemble.gibbs_occupations(gamma, build_basis(3, 2, F))
+        assert occupations.tolist() == natural_spectrum(gamma).occupations.tolist()
+
+
 class TestClassifyRdm:
     def test_pinned_occupation_is_boundary(self):
         assert classify_rdm(np.diag([1.0, 0.5, 0.5]), F) is RdmClass.BOUNDARY

@@ -597,6 +597,12 @@ class TestReportSemantics:
         ]
         assert suite_failures(reports) == 5
 
+    def test_json_keys_are_the_fields(self):
+        report = run_check("injectivity", small_config(F, trials=2))
+        obj = theorem_report_to_json(report)
+        assert set(obj) == {f.name for f in dataclasses.fields(TheoremReport)} | {"passed"}
+        assert obj["passed"] is True
+
     def test_worst_margin_is_the_minimum(self):
         report = run_check("omega_concavity", small_config(F))
         margins = [row["margin"] for row in report.details]
