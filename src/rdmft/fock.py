@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from math import comb, prod, sqrt
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -208,23 +208,35 @@ class ConfigurationBasis:
         return {state: k for k, state in enumerate(self.states)}
 
     @cached_property
+    def occupations(self) -> np.ndarray:
+        """The states as one (dim, nb) integer array."""
+        return np.array(self.states, dtype=np.intp)
+
+    @cached_property
     def hop_terms(self) -> HopTable:
-        """Every nonzero matrix element of a+_i a_j, ordered by pair = i*nb + j."""
-        pair, rows, cols, amps = [], [], [], []
-        for i, j in itertools.product(range(self.nb), repeat=2):
-            for col, state in enumerate(self.states):
-                hop = _apply_hop(state, i, j, self.statistics)
-                if hop is not None:
-                    pair.append(i * self.nb + j)
-                    rows.append(self.index[hop[0]])
-                    cols.append(col)
-                    amps.append(hop[1])
-        return HopTable(
-            np.array(pair, dtype=np.intp),
-            np.array(rows, dtype=np.intp),
-            np.array(cols, dtype=np.intp),
-            np.array(amps, dtype=float),
-        )
+        """Every nonzero matrix element of a+_i a_j, by pair = i*nb + j, then column."""
+        nb, occ = self.nb, self.occupations
+        fermion = self.statistics is Statistics.FERMION
+        i, j = np.divmod(np.arange(nb * nb), nb)
+        hops = occ.T[j] > 0
+        if fermion:
+            hops &= (occ.T[i] == 0) | (i == j)[:, None]
+        pair, cols = np.nonzero(hops)
+        i, j = i[pair], j[pair]
+        if fermion:
+            # a_j counts the orbitals below j, then a+_i those below i without j
+            below = np.cumsum(occ, axis=1) - occ
+            amps = 1.0 - 2 * ((below[cols, j] + below[cols, i] - (j < i)) % 2)
+        else:
+            amps = np.sqrt(occ[cols, j]) * np.sqrt(occ[cols, i] + 1)
+        # number operators: exact integer amplitude, no sqrt round-off
+        amps = np.where(i == j, occ[cols, j], amps)
+        # the states' occupation digits, negated to ascend; ravel_multi_index raises
+        # rather than wraps past intp, and a+_i a_j moves one unit from digit j to i
+        dims = (2 if fermion else self.n + 1,) * nb
+        codes, digit = -np.ravel_multi_index(occ.T, dims), np.ravel_multi_index(np.eye(nb, dtype=np.intp), dims)
+        rows = np.searchsorted(codes, codes[cols] + digit[j] - digit[i])
+        return HopTable(pair, rows, cols, amps)
 
     @cached_property
     def hop_blocks(self) -> HopBlocks:
@@ -240,27 +252,6 @@ class ConfigurationBasis:
             entries = starts[:, None] + np.arange(k)
             blocks.append(HopTable(*(field[entries] for field in table)))
         return HopBlocks(*blocks)
-
-
-def _apply_hop(state: tuple[int, ...], i: int, j: int, statistics: Statistics):
-    """Target and amplitude of a+_i a_j on a configuration, or None."""
-    occ = list(state)
-    if occ[j] == 0:
-        return None
-    if i == j:
-        # number operator: exact integer amplitude, no sqrt round-off
-        return state, float(occ[j])
-    if statistics is Statistics.FERMION:
-        if occ[i]:
-            return None
-        # a_j counts the orbitals below j, then a+_i those below i without j
-        sign = -1.0 if (sum(occ[:j]) + sum(occ[:i]) - (j < i)) % 2 else 1.0
-        occ[j], occ[i] = 0, 1
-        return tuple(occ), sign
-    amp = sqrt(occ[j]) * sqrt(occ[i] + 1)
-    occ[j] -= 1
-    occ[i] += 1
-    return tuple(occ), amp
 
 
 def _boson_states(nb: int, n: int) -> list[tuple[int, ...]]:

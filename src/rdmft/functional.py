@@ -46,7 +46,6 @@ from .errors import (
 from .fock import (
     ONE_BODY_HERMITICITY_TOL,
     ConfigurationBasis,
-    HopBlocks,
     ManyBodyOperator,
     _as_square,
     _hermiticity_defect,

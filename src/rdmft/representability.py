@@ -13,7 +13,7 @@ Vertices use 0-based orbital indices throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -159,31 +159,22 @@ def coleman_fermionic(
     _check_target(target, basis, Statistics.FERMION, tol)
     spectrum = natural_spectrum(target)
     decomp = polytope_decompose(np.clip(spectrum.occupations, 0.0, 1.0), basis.n)
-    orbitals = spectrum.orbitals
-    occupied_rows = [np.flatnonzero(state) for state in basis.states]
-    dim = len(basis.states)
-    rho = np.zeros((dim, dim), dtype=complex)
+    # minors[s, a, p]: orbital p's coefficient on configuration s's a-th occupied orbital
+    minors = spectrum.orbitals[np.nonzero(basis.occupations)[1].reshape(basis.dim, basis.n)]
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     for mu, vertex in decomp.terms:
-        cols = np.array(vertex, dtype=int)
-        vec = np.array([np.linalg.det(orbitals[np.ix_(rows, cols)]) for rows in occupied_rows])
+        vec = np.linalg.det(minors[:, :, list(vertex)])
         vec /= np.linalg.norm(vec)
         rho += mu * np.outer(vec, vec.conj())
     return DensityOperator((rho + rho.conj().T) / 2, basis.tag)
 
 
 def _condensate_vector(orbital: np.ndarray, basis: ConfigurationBasis) -> np.ndarray:
-    # <s|phi^(x)N> = sqrt(N!/prod s_p!) * prod c_p^(s_p)
-    n = basis.n
-    root_nfac = sqrt(factorial(n))
-    amps = np.empty(len(basis.states), dtype=complex)
-    for m, state in enumerate(basis.states):
-        weight = root_nfac / sqrt(prod(factorial(s) for s in state))
-        value = 1.0 + 0.0j
-        for p, s in enumerate(state):
-            if s:
-                value *= orbital[p] ** s
-        amps[m] = weight * value
-    return amps
+    # <s|phi^(x)N> = sqrt(N!/prod s_p!) * prod c_p^(s_p), the factorials as exact integers
+    occ = basis.occupations
+    factorials = np.array([factorial(s) for s in range(basis.n + 1)], dtype=object)
+    weights = sqrt(factorial(basis.n)) / np.sqrt(factorials[occ].prod(axis=1).astype(float))
+    return weights * np.prod(orbital ** occ, axis=1)
 
 
 def coleman_bosonic(
@@ -203,7 +194,7 @@ def coleman_bosonic(
         return DensityOperator(target.matrix.copy(), basis.tag)
     spectrum = natural_spectrum(target)
     occ = np.clip(spectrum.occupations, 0.0, None)
-    psi = np.zeros(len(basis.states), dtype=complex)
+    psi = np.zeros(basis.dim, dtype=complex)
     for j in range(basis.nb):
         if occ[j] == 0.0:
             continue

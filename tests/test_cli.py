@@ -11,6 +11,7 @@ import subprocess
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from rdmft.cli import main
@@ -18,9 +19,11 @@ from rdmft.ensemble import EnsembleParams, OneRdm
 from rdmft.errors import NotRepresentableError
 from rdmft.fock import Statistics
 from rdmft.functional import (
+    InversionOptions,
     InversionReport,
     IterationRecord,
     invert_potential,
+    invert_potentials,
     omega_of_v,
     potential_basis,
     universal_functional,
@@ -195,6 +198,13 @@ class TestInvert:
             reports.append((out / "inversion_report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_max_iterations_exits_1(self, tmp_path):
+        cfg = {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5]}, "options": {"max_iter": 1}}
+        code, out = run(tmp_path, "invert", cfg)
+        assert code == 1
+        report = json.loads((out / "inversion_report.json").read_text())
+        assert report["verdict"] == "max_iterations"
+
     def test_unknown_option_exits_2(self, tmp_path):
         cfg = {
             "model": ZERO_MODEL,
@@ -299,6 +309,18 @@ class TestFunctional:
         with pytest.raises(NotRepresentableError) as exc:
             universal_functional(OneRdm(np.diag([1.0, 1.0, 0.0])), system, EnsembleParams(1.0))
         assert capsys.readouterr().err == f"not representable: target 0: {exc.value}\n"
+
+    def test_stopped_inversion_exits_1(self, tmp_path, capsys, monkeypatch):
+        # an interior target whose inversion stops short is neither a config
+        # error nor non-representable: main's generic exit 1
+        def one_step(targets, system, params):
+            return invert_potentials(targets, system, params, InversionOptions(max_iter=1))
+
+        monkeypatch.setattr("rdmft.cli.invert_potentials", one_step)
+        cfg = {"model": ZERO_MODEL, "beta": 1.0, "targets": [{"occupations": [0.9, 0.6, 0.5]}]}
+        code, _ = run(tmp_path, "functional", cfg)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: target 0: ")
 
     def test_needs_some_target_stanza(self, tmp_path):
         code, _ = run(tmp_path, "functional", {"model": ZERO_MODEL, "beta": 1.0})
@@ -534,6 +556,43 @@ MALFORMED = {
         {"model": ZERO_MODEL, "beta": 1.0, "samples": {"count": 1, "seed": 2}, "segments": {}},
         "segments",
     ),
+    # every other config error a command raises, each with its fragment
+    "gibbs_model_without_nb": (
+        "gibbs",
+        {"model": {"kind": "zero", "n": 2, "statistics": "fermion"}, "beta": 1.0},
+        "model config",
+    ),
+    "verify_model_without_kind": ("verify", {**TestVerify.TINY, "models": [{"u": 1.0}]}, "'kind'"),
+    "gibbs_beta_zero": ("gibbs", {"model": ZERO_MODEL, "beta": 0.0}, "bad beta grid"),
+    "gibbs_random_potentials_nb_one": (
+        "gibbs",
+        {"model": ONE_ORBITAL, "beta": 1.0, "potentials": {"count": 2}},
+        "nb >= 2",
+    ),
+    "gibbs_potentials_number": ("gibbs", {"model": ZERO_MODEL, "beta": 1.0, "potentials": 5}, "object or a list"),
+    "invert_target_number": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": 5}, "JSON object"),
+    "invert_occupations_short": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [1.0, 1.0]}},
+        "length nb=3",
+    ),
+    "invert_target_empty": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {}}, "'sample'"),
+    "invert_matrix_2x2": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"matrix": matrix_to_json(np.eye(2))}},
+        "2x2",
+    ),
+    "functional_segment_one_point": (
+        "functional",
+        {"model": ZERO_MODEL, "beta": 1.0, "segment": {"points": 1}},
+        "at least 2 points",
+    ),
+    "polytope_no_input": ("polytope", {"statistics": "fermion", "n": 2}, "'occupations' or 'gamma'"),
+    "polytope_gamma_short": (
+        "polytope",
+        {"statistics": "fermion", "n": 1, "gamma": {"shape": [2, 2], "data": [1.0, 0.0]}},
+        "does not match shape",
+    ),
     "polytope_unknown_key": (
         "polytope",
         {"statistics": "fermion", "n": 2, "occupations": [1.0, 0.5, 0.5], "gama": []},
@@ -578,6 +637,23 @@ class TestPolytope:
         assert code == 0
         _, rows = read_csv(out / "decomposition.csv")
         assert [(r[1], r[2]) for r in rows] == [(repr(0.5), "0 0 0 0 0"), (repr(0.5), "1 1 1 1 1")]
+
+    def test_fermion_gamma_counts_natural_orbitals(self, tmp_path):
+        # natural occupations 0.5 +- sqrt(0.02), vertex 0 the larger
+        gamma = matrix_to_json(np.array([[0.6, 0.1], [0.1, 0.4]]))
+        code, out = run(tmp_path, "polytope", {"statistics": "fermion", "n": 1, "gamma": gamma})
+        assert code == 0
+        _, rows = read_csv(out / "decomposition.csv")
+        assert [r[2] for r in rows] == ["0", "1"]
+        npt.assert_allclose([float(r[1]) for r in rows], [0.5 + np.sqrt(0.02), 0.5 - np.sqrt(0.02)], rtol=1e-12)
+
+    def test_boson_gamma_splits_over_corners(self, tmp_path):
+        gamma = matrix_to_json(np.diag([1.0, 0.5, 0.5]))
+        code, out = run(tmp_path, "polytope", {"statistics": "boson", "n": 2, "gamma": gamma})
+        assert code == 0
+        _, rows = read_csv(out / "decomposition.csv")
+        assert [r[2] for r in rows] == ["0 0", "1 1", "2 2"]
+        npt.assert_allclose([float(r[1]) for r in rows], [0.5, 0.25, 0.25], rtol=1e-12)
 
     def test_infeasible_exits_3(self, tmp_path):
         cfg = {"statistics": "fermion", "n": 2, "occupations": [1.2, 0.5, 0.3]}

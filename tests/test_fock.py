@@ -85,6 +85,47 @@ class TestBuildBasis:
             assert basis.index[state] == k
 
 
+# nb = 1 bosons, every fermion basis up to nb = 8, and bosons with n >= 3
+HOP_BASES = [(1, 1, B), (1, 3, B)]
+HOP_BASES += [(nb, n, F) for nb in range(2, 9) for n in range(1, nb)]
+HOP_BASES += [(2, 3, B), (3, 3, B), (3, 5, B), (4, 3, B), (5, 4, B)]
+
+
+class TestHopTable:
+    @pytest.mark.parametrize("nb,n,stat", HOP_BASES)
+    def test_entries_match_the_string_oracle(self, nb, n, stat):
+        basis = build_basis(nb, n, stat)
+        expected = [
+            (i * nb + j, basis.index[hit[0]], col, hit[1])
+            for i in range(nb)
+            for j in range(nb)
+            for col, state in enumerate(basis.states)
+            if (hit := orc.apply_string(state, [("+", i), ("-", j)], stat is F)) is not None
+        ]
+        pair, rows, cols, amps = (np.array(field) for field in zip(*expected))
+        table = basis.hop_terms
+        assert [field.dtype for field in table] == [np.intp, np.intp, np.intp, np.float64]
+        assert np.array_equal(table.pair, pair)
+        assert np.array_equal(table.rows, rows)
+        assert np.array_equal(table.cols, cols)
+        i, j = np.divmod(table.pair, nb)
+        hop = i != j
+        assert np.array_equal(table.amps[hop], amps[hop])
+        # the oracle's a+_j a_j is sqrt(n_j)**2; the table keeps n_j exactly
+        npt.assert_allclose(table.amps[~hop], amps[~hop], rtol=1e-15, atol=0)
+        assert np.array_equal(table.amps[~hop], basis.occupations[table.cols[~hop], j[~hop]])
+
+    def test_codes_raise_rather_than_wrap(self):
+        # codes run below base**nb, which must itself fit int64: 2**62 does, 2**63 not
+        basis = build_basis(62, 1, F)
+        hits = [orc.apply_string(state, [("+", 0), ("-", 61)], True) for state in basis.states]
+        table = basis.hop_terms
+        k = np.flatnonzero(table.pair == 61)
+        assert [basis.states[r] for r in table.rows[k]] == [hit[0] for hit in hits if hit is not None]
+        with pytest.raises(ValueError):
+            build_basis(63, 1, F).hop_terms
+
+
 class TestLiftOneBody:
     def test_diagonal_gives_occupation_sums(self):
         basis = build_basis(3, 2, F)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import tracemalloc
 import weakref
+from dataclasses import replace
 from math import log
 
 import numpy as np
@@ -1087,3 +1088,15 @@ def test_omega_dimension_guard():
         omega_of_v(
             TracelessPotential(np.diag([1.0, -1.0])), system, EnsembleParams(beta=1.0)
         )
+
+
+@pytest.mark.parametrize("h_scale", [1.0, 2.5])
+def test_random_onebody_is_random_full_without_its_two_body_part(h_scale):
+    """The one-body part is drawn first, so random_onebody's h is random_full's
+    for the same seed and h_scale, scaled to Frobenius norm h_scale."""
+    spec = ModelSpec(kind="random_onebody", nb=4, n=2, statistics=F, seed=17, h_scale=h_scale)
+    h, w = build_operators(spec)
+    full = build_operators(replace(spec, kind="random_full"))[0]
+    assert w is None
+    assert h.matrix.tobytes() == full.matrix.tobytes()
+    assert np.linalg.norm(h.matrix) == pytest.approx(h_scale, rel=1e-14)

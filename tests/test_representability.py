@@ -1,5 +1,7 @@
 """Occupation polytope decomposition and Coleman-style state construction."""
 
+from math import factorial, prod, sqrt
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,8 +19,9 @@ from rdmft.ensemble import (
     one_rdm,
 )
 from rdmft.errors import InfeasibleOccupations, InvalidArguments, NotRepresentableError
-from rdmft.fock import Statistics, build_basis, lift_one_body, slater_state
+from rdmft.fock import Statistics, build_basis, slater_state
 from rdmft.representability import (
+    _condensate_vector,
     coleman_bosonic,
     coleman_fermionic,
     polytope_decompose,
@@ -143,6 +146,21 @@ class TestColemanFermionic:
             rebuilt = one_rdm(rho, basis).matrix
             assert np.all(np.diag(rebuilt).real <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("nb,n", [(5, 2), (6, 3)])
+    def test_slater_amplitudes_are_the_per_configuration_minors(self, nb, n):
+        basis = build_basis(nb, n, F)
+        gamma = random_rdm(nb, n, F, seed=nb)
+        spectrum = natural_spectrum(gamma)
+        decomp = polytope_decompose(np.clip(spectrum.occupations, 0.0, 1.0), n)
+        rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for mu, vertex in decomp.terms:
+            minors = [spectrum.orbitals[np.ix_(np.flatnonzero(state), vertex)] for state in basis.states]
+            vec = np.array([np.linalg.det(m) for m in minors])
+            vec /= np.linalg.norm(vec)
+            rho += mu * np.outer(vec, vec.conj())
+        assert len(decomp.terms) > 1
+        npt.assert_array_equal(coleman_fermionic(gamma, basis).matrix, (rho + rho.conj().T) / 2)
+
     def test_outside_input_rejected(self):
         basis = build_basis(3, 2, F)
         with pytest.raises(NotRepresentableError):
@@ -187,6 +205,18 @@ class TestColemanBosonic:
             assert np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix) <= 1e-10
             purity = np.trace(rho.matrix @ rho.matrix).real
             assert purity == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("nb,n", [(3, 3), (4, 4)])
+    def test_condensate_amplitudes_follow_the_per_state_formula(self, nb, n):
+        basis = build_basis(nb, n, B)
+        orbital = natural_spectrum(random_rdm(nb, n, B, seed=n)).orbitals[:, 0]
+        # <s|phi^(x)N> = sqrt(N!/prod s_p!) * prod c_p^(s_p), with powers up to N
+        expected = [
+            sqrt(factorial(n)) / sqrt(prod(factorial(s) for s in state)) * prod(c**s for c, s in zip(orbital, state))
+            for state in basis.states
+        ]
+        assert max(max(state) for state in basis.states) == n
+        npt.assert_array_equal(_condensate_vector(orbital, basis), expected)
 
     def test_outside_input_rejected(self):
         basis = build_basis(2, 2, B)
