@@ -52,6 +52,7 @@ from .serialize import (
     inversion_report_to_json,
     load_json,
     matrix_from_json,
+    matrix_to_json,
     potential_to_json,
     rdm_to_json,
     suite_report_json,
@@ -316,7 +317,7 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         rows = []
         for lam, gamma, report in zip(lambdas, gammas, invert_potentials(gammas, system, params)):
             require_converged(report, gamma, system)
-            rows.append((float(lam), report.f_value, float(np.linalg.norm(report.gradient.matrix))))
+            rows.append((float(lam), report.f_value, report.gradient.norm))
         write_csv(out / "segment.csv", ["lambda", "f_value", "gradient_norm"], rows, meta)
         print(f"functional: segment scan of {points} points written to {out}")
         return 0
@@ -417,6 +418,7 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
     n_particles = _convert(int, cfg["n"], "n")
     if n_particles < 1:
         raise ConfigError(f"n must be at least 1, got {n_particles}")
+    spectrum = None
     if "occupations" in cfg:
         occupations = np.array(_convert(tuple[float, ...], cfg["occupations"], "occupations"))
         if not occupations.size:
@@ -426,7 +428,8 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
             gamma = OneRdm(matrix_from_json(cfg["gamma"]))
         except RdmftError as exc:
             raise ConfigError(f"bad gamma: {exc}") from exc
-        occupations = natural_spectrum(gamma).occupations
+        spectrum = natural_spectrum(gamma)
+        occupations = spectrum.occupations
     else:
         raise ConfigError("polytope config needs 'occupations' or 'gamma'")
     if statistics is Statistics.FERMION:
@@ -445,8 +448,11 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
         ],
         meta,
     )
-    nb = occupations.size
-    if nb == 3:
+    if spectrum is not None:
+        # column k of the orbitals is the natural orbital that vertex index k counts
+        orbitals = {"occupations": occupations, "orbitals": matrix_to_json(spectrum.orbitals)}
+        dump_json(out / "natural_orbitals.json", orbitals)
+    if occupations.size == 3:
         rows = [("input", *(float(x) / n_particles for x in occupations))]
         for i, (_, vertex) in enumerate(decomposition.terms):
             corner = np.zeros(3)
@@ -454,10 +460,7 @@ def cmd_polytope(cfg, out: Path, seed) -> int:
                 corner[index] += 1 / n_particles
             rows.append((f"vertex_{i}", *(float(x) for x in corner)))
         write_csv(out / "barycentric.csv", ["point", "b0", "b1", "b2"], rows, meta)
-    print(
-        f"polytope: {len(decomposition.terms)} terms, "
-        f"reconstruction residual {decomposition.residual:.2e}"
-    )
+    print(f"polytope: {len(decomposition.terms)} terms, reconstruction residual {decomposition.residual:.2e}")
     return 0
 
 

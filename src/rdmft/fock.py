@@ -272,6 +272,9 @@ def build_basis(nb: int, n: int, statistics: Statistics) -> ConfigurationBasis:
     """
     if nb < 1 or n < 1:
         raise InvalidArguments(f"need nb >= 1 and n >= 1, got nb={nb}, n={n}")
+    base = 2 if statistics is Statistics.FERMION else n + 1
+    if base**nb > np.iinfo(np.intp).max:
+        raise InvalidArguments(f"{nb} orbitals need {base}**{nb} configuration codes, past the index range")
     if statistics is Statistics.FERMION:
         if nb <= n:
             raise InvalidArguments(f"fermions need nb > n, got nb={nb}, n={n}")

@@ -91,7 +91,19 @@ class TracelessPotential:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return float(_norm(self.matrix))
+
+
+def _norm(a: np.ndarray, axis=None):
+    """np.linalg.norm(a, axis=axis), the same bits where that is finite; where only its
+    sum of squares overflows, the largest entry's magnitude times the norm of a over it."""
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(a, axis=axis)
+        if np.isinf(norm).any():
+            peak = np.max(np.abs(a), axis=axis, keepdims=True)
+            rescaled = np.squeeze(peak, axis) * np.linalg.norm(a / peak, axis=axis)
+            norm = np.where(np.isinf(norm) & np.isfinite(rescaled), rescaled, norm)
+    return norm
 
 
 def _check_traceless(m: np.ndarray) -> None:
@@ -101,12 +113,13 @@ def _check_traceless(m: np.ndarray) -> None:
     if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
         raise NonHermitianInput("potential is not Hermitian within 1e-13")
     trace = np.trace(m, axis1=-2, axis2=-1)
-    # relative to scale: a large potential cannot express an exactly
-    # zero trace below the ulp of its own diagonal entries
-    traced = np.abs(trace) > TRACE_TOL * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    if traced.any():
-        first = np.ravel(trace)[np.ravel(traced)][0]
-        raise InvalidArguments(f"potential trace {first!r} exceeds 1e-12; remove the gauge part")
+    # relative to scale: a large potential cannot express an exactly zero trace
+    # below the ulp of its own diagonal entries; one within 1e-12 passes at any scale
+    if (np.abs(trace) > TRACE_TOL).any():
+        traced = np.abs(trace) > TRACE_TOL * np.maximum(1.0, _norm(m, axis=(-2, -1)))
+        if traced.any():
+            first = np.ravel(trace)[np.ravel(traced)][0]
+            raise InvalidArguments(f"potential trace {first!r} exceeds 1e-12; remove the gauge part")
 
 
 def _checked(matrix: np.ndarray) -> TracelessPotential:
@@ -623,7 +636,7 @@ def _dual_newton(
             run, step, slope, ascends = stop(run, ~keep), step[keep], slope[keep], ascends[keep]
             if not run.ids.size:
                 break
-        length, taken = np.linalg.norm(step, axis=-1), np.zeros(run.ids.size)
+        length, taken = _norm(step, axis=-1), np.zeros(run.ids.size)
         before = (run.c.copy(), run.grad.copy(), run.residual.copy()) if reuse else None
 
         # every row still searching has halved its step as often; searching

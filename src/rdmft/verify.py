@@ -10,7 +10,7 @@ identical report.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import product, repeat
@@ -127,17 +127,15 @@ def _caught(fn, *args):
         return exc
 
 
-@dataclass(frozen=True)
-class _Request:
-    """What a trial hands back when its margin needs a kernel: its rows of the
-    kernel's input, and finish, which maps their outputs, in row order, to
-    the margin or to a further _Request.  kernel(rows) gives each row its
-    output, or the RdmftError that row fails with, or raises an RdmftError
-    if some row fails."""
-
-    kernel: Callable[[list], list]
-    rows: list
-    finish: Callable[[list], float | _Request]
+def _step(run, outputs: list | None = None):
+    """A plain trial's outcome as it is; a generator trial sent outputs: (run, kernel,
+    rows) at its next yield, its margin once it returns, or the RdmftError it raises."""
+    try:
+        return (run, *run.send(outputs)) if isinstance(run, Generator) else run
+    except StopIteration as stop:
+        return stop.value
+    except RdmftError as exc:
+        return exc
 
 
 def _stacked(compute: Callable[[np.ndarray], list], system: System) -> Callable[[list], list]:
@@ -190,38 +188,43 @@ def _campaign(
     """Run config.trials trials of one check on its own substream.
 
     trial(rng, k, record) fills in the fields of record, which starts as
-    {"trial": k}, and returns the signed margin, or a _Request for it.
-    Once all trials have drawn their inputs in trial order, the campaign
-    runs in rounds: each calls every kernel that pending requests name once,
-    on the rows of all of them in trial order, and hands each trial its
-    outputs.  So a round inverts every pending target in one
-    invert_potentials call, and evaluates every pending Gibbs state, or
-    density operator's checks with its entropy or free energy, in one
-    stacked call.  Each output is the same bits alone and in any stack, so
-    the rounds change only the batching; a kernel that raises is called
-    again on each row alone, so that a row that fails fails only its own
-    trial.  fails(margin) says whether the claim broke.  A trial whose
-    computation raises RdmftError, or one of whose rows fails, fails with
+    {"trial": k}, and returns the signed margin; a trial whose margin needs
+    a kernel is a generator that yields (kernel, rows), is sent the rows'
+    outputs in row order, and may yield again before it returns the margin.
+    kernel(rows) gives each row its output, or the RdmftError that row
+    fails with, or raises an RdmftError if some row fails.  Each trial runs
+    to its first yield, in trial order, so all draw their inputs before any
+    kernel runs; then the campaign runs in rounds: each calls every kernel
+    that pending trials yielded once, on the rows of all of them in trial
+    order, and sends each trial its outputs.  So a round inverts every
+    pending target in one invert_potentials call, and evaluates every
+    pending Gibbs state, or density operator's checks with its entropy or
+    free energy, in one stacked call.  Each output is the same bits alone
+    and in any stack, so the rounds change only the batching; a kernel that
+    raises is called again on each row alone, so that a row that fails
+    fails only its own trial.  fails(margin) says whether the claim broke.
+    A trial that raises RdmftError, or one of whose rows fails, fails with
     no margin and the error's text: that of its first failing row, in row
     order, where each row runs all of its own checks before the next.
     """
     rng = _rng(config, check)
     records = [{"trial": k} for k in range(config.trials)]
-    outcomes = [_caught(trial, rng, k, record) for k, record in enumerate(records)]
-    while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, _Request)]:
+    outcomes = [_step(_caught(trial, rng, k, record)) for k, record in enumerate(records)]
+    while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]:
         by_kernel = {}
         for k in pending:
-            by_kernel.setdefault(outcomes[k].kernel, []).append(k)
+            by_kernel.setdefault(outcomes[k][1], []).append(k)
         for kernel, trials in by_kernel.items():
-            rows = [row for k in trials for row in outcomes[k].rows]
+            rows = [row for k in trials for row in outcomes[k][2]]
             try:
                 outputs = iter(kernel(rows))
             except RdmftError:
                 outputs = iter([_caught(lambda row: kernel([row])[0], row) for row in rows])
             for k in trials:
-                mine = [next(outputs) for _ in outcomes[k].rows]
+                run, _, own = outcomes[k]
+                mine = [next(outputs) for _ in own]
                 failed = [output for output in mine if isinstance(output, RdmftError)]
-                outcomes[k] = failed[0] if failed else _caught(outcomes[k].finish, mine)
+                outcomes[k] = failed[0] if failed else _step(run, mine)
     margins, failures = [], 0
     for record, outcome in zip(records, outcomes):
         if isinstance(outcome, RdmftError):
@@ -252,8 +255,8 @@ def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
         t = record["t"] = _mix_parameter(rng, config)
-        v = [pbasis.potential(c).matrix for c in (c1, c2, t * c1 + (1 - t) * c2)]
-        return _Request(omegas, v, lambda out: out[2][0] - t * out[0][0] - (1 - t) * out[1][0])
+        out = yield omegas, [pbasis.potential(c).matrix for c in (c1, c2, t * c1 + (1 - t) * c2)]
+        return out[2][0] - t * out[0][0] - (1 - t) * out[1][0]
 
     return _campaign("omega_concavity", config, system, trial)
 
@@ -265,12 +268,9 @@ def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
-
-        def finish(out):
-            distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1].matrix - out[1][1].matrix))
-            return distance - config.injectivity_floor
-
-        return _Request(omegas, [pbasis.potential(c1).matrix, pbasis.potential(c2).matrix], finish)
+        out = yield omegas, [pbasis.potential(c1).matrix, pbasis.potential(c2).matrix]
+        distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1].matrix - out[1][1].matrix))
+        return distance - config.injectivity_floor
 
     return _campaign("injectivity", config, system, trial)
 
@@ -288,8 +288,8 @@ def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremRepor
     def trial(rng, k, record):
         rho_1, rho_2 = _separated_pair(lambda: _random_density(rng, dim), config.separation, "density operators")
         t = record["t"] = _mix_parameter(rng, config)
-        rows = [rho_1, rho_2, t * rho_1 + (1 - t) * rho_2]
-        return _Request(entropies, rows, lambda s: s[2] - t * s[0] - (1 - t) * s[1])
+        s = yield entropies, [rho_1, rho_2, t * rho_1 + (1 - t) * rho_2]
+        return s[2] - t * s[0] - (1 - t) * s[1]
 
     return _campaign("entropy_concavity", config, system, trial)
 
@@ -306,8 +306,8 @@ def check_f_convexity(config: CheckConfig, system: System) -> TheoremReport:
         gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         t = record["t"] = _mix_parameter(rng, config)
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
-        rows = [(gamma, cold) for gamma in (gamma_0, gamma_1, mixed)]
-        return _Request(inversions, rows, lambda r: t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value)
+        r = yield inversions, [(gamma, cold) for gamma in (gamma_0, gamma_1, mixed)]
+        return t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value
 
     return _campaign("f_convexity", config, system, trial, fails=lambda margin: margin < -config.convexity_slack)
 
@@ -318,9 +318,7 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
     v = 0, round 2 its +eps and -eps neighbours warm-started at its v*.  A
     base that fails has drawn its directions all the same (neither the
     default grid nor perfbench's pinned one has such a failure)."""
-    m = config.model
-    pbasis = system.pbasis
-    eps = config.fd_step
+    m, pbasis, eps = config.model, system.pbasis, config.fd_step
     cold = np.zeros(pbasis.size)
     inversions = _inversions(system, config.beta)
 
@@ -328,22 +326,16 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
         gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
         directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
         neighbours = [OneRdm(gamma.matrix + sign * eps * pbasis.assemble(d)) for d in directions for sign in (1, -1)]
-
-        def differentiate(base):
-            cv = pbasis.coefficients(base[0].v_star)
-
-            def finish(reports):
-                worst_dev = 0.0
-                for d, plus, minus in zip(directions, reports[0::2], reports[1::2]):
-                    fd = (plus.f_value - minus.f_value) / (2 * eps)
-                    exact = -float(np.dot(cv, d))
-                    worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
-                record["max_rel_dev"] = float(worst_dev)
-                return config.gradient_tol - worst_dev
-
-            return _Request(inversions, [(neighbour, cv) for neighbour in neighbours], finish)
-
-        return _Request(inversions, [(gamma, cold)], differentiate)
+        (base,) = yield inversions, [(gamma, cold)]
+        cv = pbasis.coefficients(base.v_star)
+        reports = yield inversions, [(neighbour, cv) for neighbour in neighbours]
+        worst_dev = 0.0
+        for d, plus, minus in zip(directions, reports[0::2], reports[1::2]):
+            fd = (plus.f_value - minus.f_value) / (2 * eps)
+            exact = -float(np.dot(cv, d))
+            worst_dev = max(worst_dev, abs(fd - exact) / max(1.0, float(np.linalg.norm(cv))))
+        record["max_rel_dev"] = float(worst_dev)
+        return config.gradient_tol - worst_dev
 
     notes = "a well-defined derivative also certifies that the subgradient set is a single element"
     return _campaign("gradient", config, system, trial, fails=lambda margin: margin < 0, notes=notes)
@@ -411,14 +403,11 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
     def trial(rng, k, record):
         beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
         v = pbasis.potential(_coeff_draw(rng, pbasis, config.fractional_v_scale))
-
-        def finish(out):
-            occ = gibbs_occupations(out[0][1], system.basis)
-            lowest = record["min_occupation"] = float(occ.min())
-            head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
-            return min(lowest, head) - config.fractional_floor
-
-        return _Request(omegas[beta], [v.matrix], finish)
+        ((_, gamma),) = yield omegas[beta], [v.matrix]
+        occ = gibbs_occupations(gamma, system.basis)
+        lowest = record["min_occupation"] = float(occ.min())
+        head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
+        return min(lowest, head) - config.fractional_floor
 
     return _campaign("fractional_occupations", config, system, trial)
 
@@ -447,21 +436,13 @@ def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
         random_state = _random_density(rng, dim)
-
-        def compete(out):
-            ((h_v, rho),) = out
-            # the Gibbs state, then mixed_1pct, maximally_mixed and random_state
-            states = [rho, 0.99 * rho + 0.01 * np.outer(psi, psi.conj()), maximally_mixed, random_state]
-
-            def finish(out):
-                base, *others = out
-                gaps = dict(zip(("mixed_1pct", "maximally_mixed", "random_state"), (f - base for f in others)))
-                record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
-                return min(gaps.values())
-
-            return _Request(free, [(state, h_v) for state in states], finish)
-
-        return _Request(gibbs, [v.matrix], compete)
+        ((h_v, rho),) = yield gibbs, [v.matrix]
+        # the Gibbs state, then mixed_1pct, maximally_mixed and random_state
+        states = [rho, 0.99 * rho + 0.01 * np.outer(psi, psi.conj()), maximally_mixed, random_state]
+        base, *others = yield free, [(state, h_v) for state in states]
+        gaps = dict(zip(("mixed_1pct", "maximally_mixed", "random_state"), (f - base for f in others)))
+        record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
+        return min(gaps.values())
 
     return _campaign("gibbs_minimality", config, system, trial)
 

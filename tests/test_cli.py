@@ -29,7 +29,7 @@ from rdmft.functional import (
     universal_functional,
 )
 from rdmft.models import ModelSpec, build_system
-from rdmft.serialize import canonical_json, inversion_report_to_json, matrix_to_json, rdm_from_json
+from rdmft.serialize import canonical_json, inversion_report_to_json, matrix_from_json, matrix_to_json, rdm_from_json
 
 ZERO_MODEL = {"kind": "zero", "nb": 3, "n": 2, "statistics": "fermion"}
 ONE_ORBITAL = {"kind": "zero", "nb": 1, "n": 1, "statistics": "boson"}
@@ -327,6 +327,47 @@ class TestFunctional:
         assert code == 2
 
 
+HUBBARD_4_2 = {"kind": "hubbard_ring", "nb": 4, "n": 2, "statistics": "fermion"}
+
+
+class TestNormsPastTheSquareRange:
+    """Potentials near 1e300 are representable although their sums of
+    squares overflow: at beta = 1e-300 v* is of that size, and so is a
+    random potential of norm 1e300."""
+
+    CASES = {
+        "invert": ("invert", {"model": HUBBARD_4_2, "beta": 1e-300, "target": {"sample": {"seed": 1}}}),
+        "samples": ("functional", {"model": HUBBARD_4_2, "beta": 1e-300, "samples": {"count": 2, "seed": 1}}),
+        "segment": (
+            "functional",
+            {
+                "model": HUBBARD_4_2,
+                "beta": 1e-300,
+                "segment": {"from": {"sample": {"seed": 1}}, "to": {"sample": {"seed": 2}}, "points": 3},
+            },
+        ),
+        "gibbs": ("gibbs", {"model": HUBBARD_4_2, "beta": 1.0, "potentials": {"count": 2, "norm": 1e300}}),
+    }
+    NORM_COLUMNS = ("potential_norm", "v_star_norm", "gradient_norm", "step_norm")
+
+    @pytest.mark.parametrize("command,cfg", CASES.values(), ids=CASES.keys())
+    def test_outputs_are_finite_json_and_warn_nothing(self, tmp_path, command, cfg, recwarn):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=refuse)
+        norms = []
+        for path in out.glob("*.csv"):
+            header, rows = read_csv(path)
+            norms += [float(row[k]) for row in rows for k, name in enumerate(header) if name in self.NORM_COLUMNS]
+        assert norms and np.all(np.isfinite(norms)) and max(norms) > 1e154
+
+
 class TestVerify:
     TINY = {
         "checks": ["omega_concavity", "injectivity"],
@@ -395,6 +436,9 @@ MALFORMED = {
         "nb >= 2",
     ),
     "verify_checks_string": ("verify", {**TestVerify.TINY, "checks": "coleman"}, "checks must be"),
+    # configuration codes must fit the index range: base 2 for fermions, n + 1 for bosons
+    "gibbs_codes_overflow": ("gibbs", {"model": {**ZERO_MODEL, "nb": 63, "n": 1}, "beta": 1.0}, "2**63"),
+    "verify_codes_overflow": ("verify", {**TestVerify.TINY, "systems": [[63, 1, "fermion"]]}, "bad suite grid"),
     # model parameters: Frobenius norms are non-negative, and the lifted
     # Hamiltonian must be finite, whether the point runs here or in a worker
     "gibbs_h_scale_negative": (
@@ -646,6 +690,22 @@ class TestPolytope:
         _, rows = read_csv(out / "decomposition.csv")
         assert [r[2] for r in rows] == ["0", "1"]
         npt.assert_allclose([float(r[1]) for r in rows], [0.5 + np.sqrt(0.02), 0.5 - np.sqrt(0.02)], rtol=1e-12)
+
+    def test_gamma_writes_the_natural_orbitals_vertices_count(self, tmp_path):
+        gamma = np.array([[0.6, 0.1], [0.1, 0.4]])
+        code, out = run(tmp_path, "polytope", {"statistics": "fermion", "n": 1, "gamma": matrix_to_json(gamma)})
+        assert code == 0
+        natural = json.loads((out / "natural_orbitals.json").read_text())
+        occ, orbitals = np.array(natural["occupations"]), matrix_from_json(natural["orbitals"])
+        assert occ[0] > occ[1]
+        # column k is the orbital that vertex index k counts
+        npt.assert_allclose(gamma @ orbitals, orbitals @ np.diag(occ), rtol=0, atol=1e-12)
+        npt.assert_allclose(orbitals.conj().T @ orbitals, np.eye(2), rtol=0, atol=1e-12)
+
+    def test_occupations_write_no_natural_orbitals(self, tmp_path):
+        code, out = run(tmp_path, "polytope", {"statistics": "fermion", "n": 2, "occupations": [1.0, 0.5, 0.5]})
+        assert code == 0
+        assert not (out / "natural_orbitals.json").exists()
 
     def test_boson_gamma_splits_over_corners(self, tmp_path):
         gamma = matrix_to_json(np.diag([1.0, 0.5, 0.5]))

@@ -116,14 +116,21 @@ class TestHopTable:
         assert np.array_equal(table.amps[~hop], basis.occupations[table.cols[~hop], j[~hop]])
 
     def test_codes_raise_rather_than_wrap(self):
-        # codes run below base**nb, which must itself fit int64: 2**62 does, 2**63 not
+        # codes run below base**nb, which must itself fit int64: 2**62 does, 2**63 not,
+        # so build_basis refuses the basis before any code could wrap
         basis = build_basis(62, 1, F)
         hits = [orc.apply_string(state, [("+", 0), ("-", 61)], True) for state in basis.states]
         table = basis.hop_terms
         k = np.flatnonzero(table.pair == 61)
         assert [basis.states[r] for r in table.rows[k]] == [hit[0] for hit in hits if hit is not None]
-        with pytest.raises(ValueError):
-            build_basis(63, 1, F).hop_terms
+        with pytest.raises(InvalidArguments, match="2\\*\\*63"):
+            build_basis(63, 1, F)
+
+    def test_boson_code_base_is_n_plus_1(self):
+        # 3**39 fits int64 and 3**40 does not
+        assert build_basis(39, 2, B).hop_terms.pair.size == 39**3
+        with pytest.raises(InvalidArguments, match="3\\*\\*40"):
+            build_basis(40, 2, B)
 
 
 class TestLiftOneBody:

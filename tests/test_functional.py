@@ -86,6 +86,16 @@ class TestTracelessPotential:
         v = TracelessPotential(np.diag([1.0, -1.0]))
         assert v.norm == pytest.approx(np.sqrt(2))
 
+    def test_norm_and_trace_check_past_the_square_range(self):
+        # the sums of squares overflow at 1e200; the norms and the check's scale must not
+        v = TracelessPotential(np.diag([1e200, -1e200]))
+        assert v.norm == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+        with pytest.raises(InvalidArguments):
+            TracelessPotential(np.diag([1e200, -1e200 + 1e190]))
+        stack = np.array([[3e200, 4e200], [3.0, 4.0]])
+        norms = functional._norm(stack, axis=-1)
+        assert norms[0] == pytest.approx(5e200, rel=1e-15) and norms[1] == np.linalg.norm(stack[1])
+
 
 class TestPotentialBasis:
     @pytest.mark.parametrize("nb,count", [(2, 3), (3, 8), (4, 15)])

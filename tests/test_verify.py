@@ -9,7 +9,7 @@ import pytest
 
 from rdmft import functional, verify
 from rdmft.ensemble import EnsembleParams, OneRdm, entropy, gibbs_state, helmholtz, natural_spectrum
-from rdmft.errors import ConfigError, ConvergenceFailure, InvalidArguments, InvalidDensityOperator
+from rdmft.errors import ConfigError, ConvergenceFailure, InvalidArguments, InvalidDensityOperator, RdmftError
 from rdmft.fock import DensityOperator, ManyBodyOperator, Statistics, lift_one_body
 from rdmft.functional import InversionOptions, invert_potential, omega_of_v, require_converged
 from rdmft.models import ModelSpec, build_system
@@ -323,6 +323,70 @@ def _single_objects(check, config):
 
 
 STACKED_CHECKS = ("omega_concavity", "injectivity", "fractional_occupations", "entropy_concavity", "gibbs_minimality")
+
+
+class TestTrialGenerators:
+    def test_campaign_drives_generator_and_plain_trials(self):
+        """Every trial draws before the first kernel call, in trial order; each
+        round calls each kernel once, on its pending trials' rows in trial
+        order; a failing row or a raise before the first yield fails only its
+        own trial, with its own text."""
+        config = small_config(F, trials=4)
+        log = []
+
+        def kernel(name):
+            def call(rows):
+                log.append((name, list(rows)))
+                return [RdmftError(f"row {row} failed") if row == "bad" else f"{name}({row})" for row in rows]
+
+            return call
+
+        first, second = kernel("first"), kernel("second")
+
+        def draw(rng, k, record):
+            record["draw"] = float(rng.uniform())
+            log.append(("draw", k))
+
+        def two_kernels(rng, k, record):
+            draw(rng, k, record)
+            (out,) = yield first, ["r0"]
+            record["seen"] = yield second, [out, "s0"]
+            return 1.0
+
+        def failing_row(rng, k, record):
+            draw(rng, k, record)
+            yield second, ["r1"]
+            yield second, ["s1", "bad"]
+            return 2.0
+
+        def raising(rng, k, record):
+            draw(rng, k, record)
+            raise RdmftError("trial 2 draws nothing")
+            yield first, ["never"]
+
+        def plain(rng, k, record):
+            draw(rng, k, record)
+            return 0.5
+
+        trials = (two_kernels, failing_row, raising, plain)
+        report = verify._campaign(
+            "gradient", config, build_system(config.model), lambda rng, k, record: trials[k](rng, k, record)
+        )
+        assert log == [
+            *(("draw", k) for k in range(4)),
+            ("first", ["r0"]),
+            ("second", ["r1"]),
+            ("second", ["first(r0)", "s0", "s1", "bad"]),
+        ]
+        rng = verify._rng(config, "gradient")
+        draws = [float(rng.uniform()) for _ in range(4)]
+        assert list(report.details) == [
+            {"trial": 0, "draw": draws[0], "seen": ["second(first(r0))", "second(s0)"], "margin": 1.0},
+            {"trial": 1, "draw": draws[1], "margin": None, "error": "row bad failed"},
+            {"trial": 2, "draw": draws[2], "margin": None, "error": "trial 2 draws nothing"},
+            {"trial": 3, "draw": draws[3], "margin": 0.5},
+        ]
+        assert (report.trials, report.failures, report.worst_margin) == (4, 2, 0.5)
 
 
 class TestStackedChecks:
