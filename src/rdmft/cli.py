@@ -34,11 +34,12 @@ from .errors import (
     NotRepresentableError,
     RdmftError,
 )
-from .fock import ManyBodyOperator, Statistics, lift_one_body
+from .fock import ConfigurationBasis, ManyBodyOperator, Statistics, lift_one_body
 from .functional import (
     InversionOptions,
     InversionVerdict,
     IterationRecord,
+    System,
     TracelessPotential,
     invert_potential,
     invert_potentials,
@@ -96,15 +97,20 @@ def _convert(hint, value, where: str):
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
+def _known(obj: dict, keys, what: str) -> None:
+    """A ConfigError naming the keys of obj outside keys, if there are any."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+
+
 def _fields_from(cls, obj, what: str) -> dict:
     """Keyword arguments of dataclass cls from a JSON object, each value
     read as its field's annotation; unknown keys are a ConfigError, and a
     null reads as an absent key."""
     obj = _convert(dict, obj, what)
     hints = get_type_hints(cls)
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
+    _known(obj, {f.name for f in fields(cls)}, what)
     return {key: _convert(hints[key], value, f"{what} {key}") for key, value in obj.items() if value is not None}
 
 
@@ -113,10 +119,12 @@ def _get(obj: dict, key: str, hint, default):
     return default if obj.get(key) is None else _convert(hint, obj[key], key)
 
 
-def _model_from(obj, fallback_seed: int) -> ModelSpec:
-    spec = {"seed": fallback_seed, **_fields_from(ModelSpec, obj, "model")}
+def _system_from(cfg, seed) -> System:
+    """The System of the config's model, whose seed defaults to the command's;
+    a missing field or a model the library refuses is a ConfigError."""
+    spec = {"seed": seed, **_fields_from(ModelSpec, cfg.get("model"), "model")}
     try:
-        return ModelSpec(**spec)
+        return build_system(ModelSpec(**spec))
     except TypeError as exc:  # a required field is missing
         raise ConfigError(f"model config: {exc}") from None
     except RdmftError as exc:
@@ -129,13 +137,6 @@ def _model_entry(entry) -> tuple[str, dict]:
     if "kind" not in params:
         raise ConfigError("each model needs a 'kind'")
     return params.pop("kind"), params
-
-
-def _build_system_checked(model: ModelSpec):
-    try:
-        return build_system(model)
-    except RdmftError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _betas_from(cfg) -> list[float]:
@@ -156,19 +157,14 @@ def _betas_from(cfg) -> list[float]:
 
 
 def _inversion_setup(cfg, seed):
-    """The model, System and beta of a command that inverts targets."""
-    model = _model_from(cfg.get("model"), fallback_seed=seed)
-    if model.nb < 2:
-        raise ConfigError(f"inverting a target needs a potential space, nb >= 2; got nb={model.nb}")
-    return model, _build_system_checked(model), _params_from(cfg)
-
-
-def _params_from(cfg) -> EnsembleParams:
-    """The one temperature of a command that runs at a single beta."""
+    """The System and the one beta of a command that inverts targets."""
+    system = _system_from(cfg, seed)
+    if system.basis.nb < 2:
+        raise ConfigError(f"inverting a target needs a potential space, nb >= 2; got nb={system.basis.nb}")
     betas = _betas_from(cfg)
     if len(betas) != 1:
         raise ConfigError(f"this command runs at one beta, got betas {betas}")
-    return EnsembleParams(betas[0])
+    return system, EnsembleParams(betas[0])
 
 
 def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
@@ -177,6 +173,7 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     if spec_obj is None:
         return [TracelessPotential(np.zeros((nb, nb), dtype=complex))]
     if isinstance(spec_obj, dict):
+        _known(spec_obj, ("count", "norm", "seed"), "potentials")
         count = _get(spec_obj, "count", int, 1)
         norm = _get(spec_obj, "norm", float, 1.0)
         if count < 1:
@@ -197,34 +194,33 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     raise ConfigError("'potentials' must be an object or a list of matrices")
 
 
-def _target_rdm(obj, model: ModelSpec, seed) -> OneRdm:
+def _target_rdm(obj, basis: ConfigurationBasis, seed) -> OneRdm:
     if not isinstance(obj, dict):
         raise ConfigError("target must be a JSON object")
+    _known(obj, ("matrix", "occupations", "sample"), "target")
+    if len(obj) > 1:
+        raise ConfigError(f"target takes one of 'matrix', 'occupations' and 'sample', got {sorted(obj)}")
     try:
         if "matrix" in obj:
             gamma = OneRdm(matrix_from_json(obj["matrix"]))
         elif "occupations" in obj:
             occ = np.array(_convert(tuple[float, ...], obj["occupations"], "occupations"))
-            if occ.size != model.nb:
-                raise ConfigError(f"occupations must have length nb={model.nb}")
+            if occ.size != basis.nb:
+                raise ConfigError(f"occupations must have length nb={basis.nb}")
             gamma = OneRdm(np.diag(occ).astype(complex))
         elif "sample" in obj:
             sample = _convert(dict | None, obj["sample"], "sample") or {}
-            gamma = random_rdm(
-                model.nb,
-                model.n,
-                model.statistics,
-                interior=_get(sample, "interior", bool, True),
-                seed=_get(sample, "seed", int, seed),
-            )
+            _known(sample, ("interior", "seed"), "sample")
+            interior, sample_seed = _get(sample, "interior", bool, True), _get(sample, "seed", int, seed)
+            gamma = random_rdm(basis.nb, basis.n, basis.statistics, interior=interior, seed=sample_seed)
         else:
             raise ConfigError("target needs 'matrix', 'occupations', or 'sample'")
     except RdmftError as exc:
         raise ConfigError(f"bad target: {exc}") from exc
-    if gamma.nb != model.nb:
-        raise ConfigError(f"target is {gamma.nb}x{gamma.nb}, model has nb={model.nb}")
-    if abs(gamma.trace - model.n) > 1e-10:
-        raise ConfigError(f"target trace {gamma.trace} does not match n={model.n}")
+    if gamma.nb != basis.nb:
+        raise ConfigError(f"target is {gamma.nb}x{gamma.nb}, model has nb={basis.nb}")
+    if abs(gamma.trace - basis.n) > 1e-10:
+        raise ConfigError(f"target trace {gamma.trace} does not match n={basis.n}")
     return gamma
 
 
@@ -242,22 +238,29 @@ def _options_from(cfg, system) -> InversionOptions:
 
 
 def cmd_gibbs(cfg, out: Path, seed) -> int:
-    model = _model_from(cfg.get("model"), fallback_seed=seed)
-    system = _build_system_checked(model)
+    """thermal states, free energies, and occupation tables over a (beta, v) grid"""
+    system = _system_from(cfg, seed)
     basis = system.basis
     betas = _betas_from(cfg)
     potentials = _potentials_from(cfg, system, seed)
+    hamiltonians = []
+    for v_id, v in enumerate(potentials):
+        # a finite potential can still overflow in its lift, as a model's H0 can in build_system
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_v = system.h0.matrix + lift_one_body(v.matrix, basis).matrix
+        if not np.isfinite(h_v).all():
+            raise ConfigError(f"potential {v_id} overflows the floats once lifted and added to H0")
+        hamiltonians.append(ManyBodyOperator(h_v, basis.tag))
     meta = {"command": "gibbs", "config_hash": config_hash(cfg)}
     summary_rows, occupation_rows = [], []
-    for run_id, (beta, (v_id, v)) in enumerate(product(betas, enumerate(potentials))):
+    for run_id, (beta, (v_id, h_v)) in enumerate(product(betas, enumerate(hamiltonians))):
         params = EnsembleParams(beta)
-        h_v = ManyBodyOperator(system.h0.matrix + lift_one_body(v.matrix, basis).matrix, basis.tag)
         solution = gibbs_state(h_v, params)
         s = entropy(solution.rho)
         energy = float(np.real(np.trace(solution.rho.matrix @ h_v.matrix)))
         gamma = one_rdm(solution.rho, basis)
         occupations = gibbs_occupations(gamma, basis)
-        summary_rows.append((run_id, beta, v_id, v.norm, solution.omega, s, energy, solution.log_z))
+        summary_rows.append((run_id, beta, v_id, potentials[v_id].norm, solution.omega, s, energy, solution.log_z))
         distances = face_distances(occupations, basis.statistics)
         occupation_rows.extend(
             (run_id, beta, orbital, float(x), float(d)) for orbital, (x, d) in enumerate(zip(occupations, distances))
@@ -280,8 +283,9 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
 
 
 def cmd_invert(cfg, out: Path, seed) -> int:
-    model, system, params = _inversion_setup(cfg, seed)
-    target = _target_rdm(cfg.get("target"), model, seed)
+    """recover the potential generating a target 1RDM"""
+    system, params = _inversion_setup(cfg, seed)
+    target = _target_rdm(cfg.get("target"), system.basis, seed)
     opts = _options_from(cfg, system)
     report = invert_potential(target, system, params, opts)
     dump_json(out / "inversion_report.json", inversion_report_to_json(report))
@@ -295,69 +299,64 @@ def cmd_invert(cfg, out: Path, seed) -> int:
         f"invert: {report.verdict.value} after {report.iterations} iterations ({report.jacobians} Jacobians), "
         f"residual {report.residual:.3e}"
     )
-    if report.verdict is InversionVerdict.CONVERGED:
-        return 0
-    if report.verdict is InversionVerdict.NON_REPRESENTABLE:
-        return 3
-    return 1
+    return {InversionVerdict.CONVERGED: 0, InversionVerdict.NON_REPRESENTABLE: 3}.get(report.verdict, 1)
 
 
 def cmd_functional(cfg, out: Path, seed) -> int:
-    model, system, params = _inversion_setup(cfg, seed)
-    meta = {"command": "functional", "config_hash": config_hash(cfg)}
+    """evaluate the universal functional and its gradient"""
+    system, params = _inversion_setup(cfg, seed)
+    basis = system.basis
     if "segment" in cfg:
         seg = _convert(dict, cfg["segment"], "segment")
+        _known(seg, ("from", "to", "points"), "segment")
         points = _get(seg, "points", int, 11)
         if points < 2:
             raise ConfigError("segment needs at least 2 points")
-        start = _target_rdm(seg.get("from"), model, seed)
-        stop = _target_rdm(seg.get("to"), model, seed + 1)
+        start = _target_rdm(seg.get("from"), basis, seed)
+        stop = _target_rdm(seg.get("to"), basis, seed + 1)
         lambdas = np.linspace(0.0, 1.0, points)
-        gammas = [OneRdm((1 - lam) * start.matrix + lam * stop.matrix) for lam in lambdas]
-        rows = []
-        for lam, gamma, report in zip(lambdas, gammas, invert_potentials(gammas, system, params)):
-            require_converged(report, gamma, system)
-            rows.append((float(lam), report.f_value, report.gradient.norm))
-        write_csv(out / "segment.csv", ["lambda", "f_value", "gradient_norm"], rows, meta)
-        print(f"functional: segment scan of {points} points written to {out}")
-        return 0
-    if "targets" in cfg:
+        targets = [OneRdm((1 - lam) * start.matrix + lam * stop.matrix) for lam in lambdas]
+    elif "targets" in cfg:
         entries = _convert(tuple[dict, ...], cfg["targets"], "targets")
         if not entries:
             raise ConfigError("'targets' list is empty")
-        targets = [_target_rdm(t, model, seed) for t in entries]
+        targets = [_target_rdm(t, basis, seed) for t in entries]
     elif "samples" in cfg:
         sample = _convert(dict, cfg["samples"], "samples")
+        _known(sample, ("count", "seed"), "samples")
         count = _get(sample, "count", int, 10)
         if count < 1:
             raise ConfigError(f"samples count must be at least 1, got {count}")
         rng = np.random.default_rng(_get(sample, "seed", int, seed))
-        targets = [
-            random_rdm(model.nb, model.n, model.statistics, interior=True, seed=rng)
-            for _ in range(count)
-        ]
+        targets = [random_rdm(basis.nb, basis.n, basis.statistics, interior=True, seed=rng) for _ in range(count)]
     else:
         raise ConfigError("functional config needs 'segment', 'targets', or 'samples'")
-    rows, gradients = [], []
-    for index, (gamma, report) in enumerate(zip(targets, invert_potentials(targets, system, params))):
+    reports = invert_potentials(targets, system, params)
+    for index, (gamma, report) in enumerate(zip(targets, reports)):
         try:
             require_converged(report, gamma, system)
         except RdmftError as exc:
             raise type(exc)(f"target {index}: {exc}") from exc
-        rows.append((index, report.f_value, report.v_star.norm, report.iterations, report.residual))
-        gradients.append(potential_to_json(report.gradient))
+    meta = {"command": "functional", "config_hash": config_hash(cfg)}
+    if "segment" in cfg:
+        rows = [(float(lam), r.f_value, r.gradient.norm) for lam, r in zip(lambdas, reports)]
+        write_csv(out / "segment.csv", ["lambda", "f_value", "gradient_norm"], rows, meta)
+        print(f"functional: segment scan of {points} points written to {out}")
+        return 0
     write_csv(
         out / "functional_values.csv",
         ["index", "f_value", "v_star_norm", "iterations", "residual"],
-        rows,
+        [(index, r.f_value, r.v_star.norm, r.iterations, r.residual) for index, r in enumerate(reports)],
         meta,
     )
+    gradients = [potential_to_json(r.gradient) for r in reports]
     dump_json(out / "gradients.json", {"format_version": 1, "gradients": gradients})
-    print(f"functional: {len(rows)} evaluations written to {out}")
+    print(f"functional: {len(reports)} evaluations written to {out}")
     return 0
 
 
 def cmd_verify(cfg, out: Path, seed) -> int:
+    """run seeded theorem-check campaigns"""
     hints = get_type_hints(SuiteConfig)
     grid = {key: _convert(hints[key], cfg[key], key) for key in ("checks", "systems", "trials") if key in cfg}
     if "beta" in cfg or "betas" in cfg:
@@ -379,39 +378,38 @@ def cmd_verify(cfg, out: Path, seed) -> int:
         "tolerances": suite.overrides,
     }
     dump_json(out / "theorem_reports.json", suite_report_json(reports, resolved))
+    rows = [
+        (
+            r.theorem_id,
+            r.config["nb"],
+            r.config["n"],
+            r.config["statistics"],
+            r.config["beta"],
+            r.config["model"]["kind"],
+            r.trials,
+            r.failures,
+            r.worst_margin,
+        )
+        for r in reports
+    ]
     write_csv(
         out / "verify_summary.csv",
         ["theorem_id", "nb", "n", "statistics", "beta", "model", "trials", "failures", "worst_margin"],
-        [
-            (
-                r.theorem_id,
-                r.config["nb"],
-                r.config["n"],
-                r.config["statistics"],
-                r.config["beta"],
-                r.config["model"]["kind"],
-                r.trials,
-                r.failures,
-                "" if r.worst_margin is None else r.worst_margin,
-            )
-            for r in reports
-        ],
+        rows,  # a worst margin of None writes as an empty cell
         {"command": "verify", "config_hash": config_hash(resolved)},
     )
     print(f"{'check':24} {'system':10} {'beta':>6} {'model':16} {'fail':>5} {'worst margin':>14}")
-    for r in reports:
-        tag = f"({r.config['nb']},{r.config['n']},{r.config['statistics'][0].upper()})"
-        worst = "n/a" if r.worst_margin is None else f"{r.worst_margin:+.3e}"
-        print(
-            f"{r.theorem_id:24} {tag:10} {r.config['beta']:>6g} "
-            f"{r.config['model']['kind']:16} {r.failures:>5d} {worst:>14}"
-        )
+    for theorem_id, nb, n, statistics, beta, kind, _, failures, worst in rows:
+        tag = f"({nb},{n},{statistics[0].upper()})"
+        worst = "n/a" if worst is None else f"{worst:+.3e}"
+        print(f"{theorem_id:24} {tag:10} {beta:>6g} {kind:16} {failures:>5d} {worst:>14}")
     failures = suite_failures(reports)
     print(f"verify: {len(reports)} checks, {failures} trial failures")
     return 1 if failures else 0
 
 
 def cmd_polytope(cfg, out: Path, seed) -> int:
+    """decompose occupations into polytope vertices"""
     statistics = _convert(Statistics, cfg.get("statistics", "fermion"), "statistics")
     if "n" not in cfg:
         raise ConfigError("polytope config needs 'n'")
@@ -480,15 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-basis thermal 1RDM functional toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "gibbs": "thermal states, free energies, and occupation tables over a (beta, v) grid",
-        "invert": "recover the potential generating a target 1RDM",
-        "functional": "evaluate the universal functional and its gradient",
-        "verify": "run seeded theorem-check campaigns",
-        "polytope": "decompose occupations into polytope vertices",
-    }
-    for name, text in descriptions.items():
-        p = sub.add_parser(name, help=text)
+    for name, (command, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -502,9 +493,7 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be a JSON object")
         command, keys = _COMMANDS[args.command]
-        unknown = sorted(set(cfg) - keys - {"seed"})
-        if unknown:
-            raise ConfigError(f"unknown {args.command} config keys: {unknown}")
+        _known(cfg, keys | {"seed"}, f"{args.command} config")
         # a null reads as an absent key
         cfg = {key: value for key, value in cfg.items() if value is not None}
         out = Path(args.out)

@@ -82,6 +82,8 @@ class TracelessPotential:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
+        if not np.isfinite(m).all():
+            raise InvalidArguments("potential entries must be finite")
         _check_traceless(m)
         object.__setattr__(self, "matrix", m)
 

@@ -322,6 +322,17 @@ class TestFunctional:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: target 0: ")
 
+    def test_stopped_segment_point_is_named(self, tmp_path, capsys, monkeypatch):
+        # a segment point whose inversion stops short is named like a target
+        def one_step(targets, system, params):
+            return invert_potentials(targets, system, params, InversionOptions(max_iter=1))
+
+        monkeypatch.setattr("rdmft.cli.invert_potentials", one_step)
+        segment = {"from": {"occupations": [0.9, 0.6, 0.5]}, "to": {"occupations": [0.5, 0.75, 0.75]}, "points": 3}
+        code, _ = run(tmp_path, "functional", {"model": ZERO_MODEL, "beta": 1.0, "segment": segment})
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: target 0: ")
+
     def test_needs_some_target_stanza(self, tmp_path):
         code, _ = run(tmp_path, "functional", {"model": ZERO_MODEL, "beta": 1.0})
         assert code == 2
@@ -642,6 +653,48 @@ MALFORMED = {
         {"statistics": "fermion", "n": 2, "occupations": [1.0, 0.5, 0.5], "gama": []},
         "gama",
     ),
+    # misspelled keys of nested objects, which ran on their defaults
+    "gibbs_potentials_unknown_key": (
+        "gibbs",
+        {"model": ZERO_MODEL, "beta": 1.0, "potentials": {"count": 2, "nrom": 5.0}},
+        "nrom",
+    ),
+    "invert_sample_unknown_key": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {"seed": 3, "interiour": False}}},
+        "interiour",
+    ),
+    "invert_target_unknown_key": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupation": [0.9, 0.6, 0.5]}},
+        "unknown target keys: ['occupation']",
+    ),
+    "functional_samples_unknown_key": ("functional", {"model": ZERO_MODEL, "beta": 1.0, "samples": {"cuont": 3}}, "cuont"),
+    "functional_segment_unknown_key": (
+        "functional",
+        {
+            "model": ZERO_MODEL,
+            "beta": 1.0,
+            "segment": {"from": {"occupations": [0.9, 0.6, 0.5]}, "to": {"occupations": [0.5, 0.75, 0.75]}, "pionts": 3},
+        },
+        "pionts",
+    ),
+    # a target names one form, where it used to take the first it found
+    "invert_target_two_forms": (
+        "invert",
+        {"model": ZERO_MODEL, "beta": 1.0, "target": {"occupations": [0.9, 0.6, 0.5], "sample": {"seed": 3}}},
+        "['occupations', 'sample']",
+    ),
+    # (v + v+)/2 overflows in the lift, which wrote nan for omega, energy and log_z
+    "gibbs_potential_overflow": (
+        "gibbs",
+        {
+            "model": {"kind": "zero", "nb": 2, "n": 1, "statistics": "fermion"},
+            "beta": 1.0,
+            "potentials": [{"shape": [2, 2], "data": [1e308, 0, 0, 0, 0, 0, -1e308, 0]}],
+        },
+        "potential 0 overflows",
+    ),
 }
 
 
@@ -765,6 +818,8 @@ NULL_SEEDS = {
     # no seed anywhere: the default seed, not the OS's entropy
     "gibbs_unseeded": ("gibbs", {"model": {**ZERO_MODEL, "kind": "random_full"}, "beta": 1.0}, "gibbs_summary.csv"),
     "invert_unseeded": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": {}}}, "inversion_report.json"),
+    # a null sample is the default sample
+    "invert_null_sample": ("invert", {"model": ZERO_MODEL, "beta": 1.0, "target": {"sample": None}}, "inversion_report.json"),
 }
 
 

@@ -82,6 +82,17 @@ class TestTracelessPotential:
         with pytest.raises(NonHermitianInput):
             TracelessPotential(m)
 
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([np.inf, -np.inf]), np.diag([np.nan, 0.0]), np.array([[0.0, np.inf], [np.inf, 0.0]])],
+        ids=["inf_diagonal", "nan_diagonal", "inf_off_diagonal"],
+    )
+    def test_non_finite_entries_rejected(self, m):
+        # NaN compares false, so the Hermiticity and trace tests alone let these
+        # through; the check runs first, before any arithmetic that would warn
+        with pytest.raises(InvalidArguments, match="finite"):
+            TracelessPotential(m)
+
     def test_norm_property(self):
         v = TracelessPotential(np.diag([1.0, -1.0]))
         assert v.norm == pytest.approx(np.sqrt(2))
