@@ -88,10 +88,7 @@ class OneRdm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square(self.matrix)
-        if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
-            raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _hermitian_rdms(_as_square(self.matrix)))
 
     @property
     def nb(self) -> int:
@@ -100,6 +97,21 @@ class OneRdm:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def _hermitian_rdms(m: np.ndarray) -> np.ndarray:
+    """m, a complex matrix or (B, nb, nb) stack, once OneRdm's check passes on all of it."""
+    if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
+        raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
+    return m
+
+
+def _one_rdms(m: np.ndarray) -> list[OneRdm]:
+    """A OneRdm around each matrix of a complex (B, nb, nb) stack, checked once as a stack."""
+    rdms = [object.__new__(OneRdm) for _ in _hermitian_rdms(m)]
+    for rdm, row in zip(rdms, m):
+        object.__setattr__(rdm, "matrix", row)
+    return rdms
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +232,7 @@ def classify_rdm(gamma, statistics: Statistics, tol: float = CLASSIFY_DEFAULT_TO
     Interior: d > tol, every occupation clears its faces.  Boundary:
     |d| <= tol.  Outside: d < -tol, an occupation lies past a face.
     """
-    g = OneRdm(gamma)
+    g = gamma if isinstance(gamma, OneRdm) else OneRdm(gamma)
     return _rdm_class(float(np.min(face_distances(np.linalg.eigvalsh(g.matrix), statistics))), tol)
 
 

@@ -82,8 +82,6 @@ class TracelessPotential:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        if not np.isfinite(m).all():
-            raise InvalidArguments("potential entries must be finite")
         _check_traceless(m)
         object.__setattr__(self, "matrix", m)
 
@@ -110,8 +108,10 @@ def _norm(a: np.ndarray, axis=None):
 
 def _check_traceless(m: np.ndarray) -> None:
     """The rule of TracelessPotential for a complex matrix or a (..., nb, nb)
-    stack of them: each one Hermitian within 1e-13 and traceless within
-    1e-12 relative to its norm."""
+    stack of them: each one finite, Hermitian within 1e-13 and traceless
+    within 1e-12 relative to its norm."""
+    if not np.isfinite(m).all():
+        raise InvalidArguments("potential entries must be finite")
     if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
         raise NonHermitianInput("potential is not Hermitian within 1e-13")
     trace = np.trace(m, axis1=-2, axis2=-1)

@@ -155,7 +155,7 @@ def coleman_fermionic(
     the Slater determinant of the corresponding natural orbitals, whose
     configuration amplitudes are N x N minors of the orbital matrix.
     """
-    target = OneRdm(gamma)
+    target = gamma if isinstance(gamma, OneRdm) else OneRdm(gamma)
     _check_target(target, basis, Statistics.FERMION, tol)
     spectrum = natural_spectrum(target)
     decomp = polytope_decompose(np.clip(spectrum.occupations, 0.0, 1.0), basis.n)
@@ -187,7 +187,7 @@ def coleman_bosonic(
     superposition of natural-orbital condensates suffices: the cross
     terms between different condensates carry no one-body weight.
     """
-    target = OneRdm(gamma)
+    target = gamma if isinstance(gamma, OneRdm) else OneRdm(gamma)
     _check_target(target, basis, Statistics.BOSON, tol)
     if basis.n == 1:
         # descending-lex single-particle configurations align with orbitals
@@ -203,15 +203,41 @@ def coleman_bosonic(
     return DensityOperator(np.outer(psi, psi.conj()), basis.tag)
 
 
-def _haar_rotated(rng: np.random.Generator, spectrum: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix with this spectrum in a Haar-random eigenbasis."""
-    dim = len(spectrum)
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / sqrt(2)
+def _haar_normals(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The complex Gaussian matrix whose QR gives a Haar-random unitary."""
+    return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / sqrt(2)
+
+
+def _haar_rotations(spectra: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with each spectrum of a (B, dim) stack in the Haar basis that QR with R's phases
+    fixed makes of the same row of z (Mezzadri, Notices AMS 54, 592 (2007)); the same bits in any stack."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    m = (q * spectrum) @ q.conj().T
-    return (m + m.conj().T) / 2
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    m = (q * spectra[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _rdm_draw(rng: np.random.Generator, nb: int, n_particles: int, statistics: Statistics, interior: bool):
+    """random_rdm's draws from rng: its occupations and Haar normals."""
+    if nb < 1 or n_particles < 1:
+        raise InvalidArguments(f"need nb >= 1 and n >= 1, got nb={nb}, n={n_particles}")
+    if statistics is Statistics.FERMION and n_particles >= nb:
+        raise InvalidArguments(f"fermions need nb > n, got nb={nb}, n={n_particles}")
+    margin = 0.01 if interior else 0.0
+    fermion, drawn = statistics is Statistics.FERMION, 0
+    while drawn < 100000:
+        block, state = min(drawn + 1, 100000 - drawn), rng.bit_generator.state
+        occ = rng.dirichlet(np.ones(nb), size=block) * n_particles
+        rejected = (occ.min(-1) < margin) & interior | (occ.max(-1) > 1 - margin) & fermion
+        if not rejected.all():
+            first = int(rejected.argmin())
+            if first < block - 1:
+                rng.bit_generator.state = state
+                rng.dirichlet(np.ones(nb), size=first + 1)
+            return occ[first], _haar_normals(rng, nb)
+        drawn += block
+    raise InvalidArguments(f"no occupation draw satisfied the margins for nb={nb}, n={n_particles}")
 
 
 def random_rdm(
@@ -233,25 +259,5 @@ def random_rdm(
     1, 2, 4, ... vectors; a block whose accepted vector is not its last is
     drawn again, from the generator state at its start, up to that vector.
     """
-    if nb < 1 or n_particles < 1:
-        raise InvalidArguments(f"need nb >= 1 and n >= 1, got nb={nb}, n={n_particles}")
-    if statistics is Statistics.FERMION and n_particles >= nb:
-        raise InvalidArguments(f"fermions need nb > n, got nb={nb}, n={n_particles}")
-    rng = np.random.default_rng(seed)
-    margin = 0.01 if interior else 0.0
-    fermion, drawn = statistics is Statistics.FERMION, 0
-    while drawn < 100000:
-        block, state = min(drawn + 1, 100000 - drawn), rng.bit_generator.state
-        occ = rng.dirichlet(np.ones(nb), size=block) * n_particles
-        rejected = (occ.min(-1) < margin) & interior | (occ.max(-1) > 1 - margin) & fermion
-        if not rejected.all():
-            first = int(rejected.argmin())
-            if first < block - 1:
-                rng.bit_generator.state = state
-                rng.dirichlet(np.ones(nb), size=first + 1)
-            occ = occ[first]
-            break
-        drawn += block
-    else:
-        raise InvalidArguments(f"no occupation draw satisfied the margins for nb={nb}, n={n_particles}")
-    return OneRdm(_haar_rotated(rng, occ))
+    occ, z = _rdm_draw(np.random.default_rng(seed), nb, n_particles, statistics, interior)
+    return OneRdm(_haar_rotations(occ[None], z[None])[0])

@@ -17,7 +17,7 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, gibbs_occupations, one_rdm
+from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, _one_rdms, gibbs_occupations, one_rdm
 from .errors import ConfigError, InvalidArguments, RdmftError
 from .fock import Statistics, _check_densities, _lift, _rdm_matrix, build_basis
 from .functional import (
@@ -30,7 +30,7 @@ from .functional import (
     require_converged,
 )
 from .models import ModelSpec, build_system
-from .representability import _haar_rotated, coleman_bosonic, coleman_fermionic, random_rdm
+from .representability import _haar_normals, _haar_rotations, _rdm_draw, coleman_bosonic, coleman_fermionic
 
 @dataclass(frozen=True)
 class CheckConfig:
@@ -55,6 +55,9 @@ class CheckConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArguments(f"trials must be at least 1, got {self.trials}")
+        EnsembleParams(self.beta)
+        if not self.separation >= 0.0:
+            raise InvalidArguments(f"separation must be nonnegative, got {self.separation}")
         for name in ("fd_step", "v_scale", "fractional_v_scale"):
             value = getattr(self, name)
             if not 0.0 < value < float("inf"):
@@ -106,10 +109,10 @@ def _coeff_draw(rng: np.random.Generator, pbasis: PotentialBasis, norm: float) -
     return c * (norm / length) if length > 0 else c
 
 
-def _separated_pair(draw, separation: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two arrays from draw() at least separation apart in norm, by rejection."""
+def _separated_pair(draw, separation: float, what: str, build=list) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays build([draw(), draw()]) at least separation apart in norm, by rejection."""
     for _ in range(1000):
-        a, b = draw(), draw()
+        a, b = build([draw(), draw()])
         if np.linalg.norm(a - b) >= separation:
             return a, b
     raise RdmftError(f"could not draw {what} separated by {separation}")
@@ -138,16 +141,24 @@ def _step(run, outputs: list | None = None):
         return exc
 
 
-def _stacked(compute: Callable[[np.ndarray], list], system: System) -> Callable[[list], list]:
-    """The kernel that calls compute on its rows stacked as complex matrices,
-    as the single-object constructors take them, _stack_rows at a time.  A
-    row that is a tuple of matrices stacks as one more axis."""
+def _stacked(compute: Callable[..., list], system: System, dtype=complex) -> Callable[[list], list]:
+    """The kernel that calls compute on its rows stacked in dtype, _stack_rows
+    at a time: by default as complex matrices, as the single-object
+    constructors take them.  A row that is a tuple stacks each of its parts,
+    and compute takes the stacks in that order."""
 
     def kernel(rows):
         step = _stack_rows(system.basis)
-        return [out for a in range(0, len(rows), step) for out in compute(np.stack(rows[a : a + step], dtype=complex))]
+        chunks = (rows[a : a + step] for a in range(0, len(rows), step))
+        stacks = (zip(*chunk) if isinstance(chunk[0], tuple) else [chunk] for chunk in chunks)
+        return [out for parts in stacks for out in compute(*(np.stack(part, dtype=dtype) for part in parts))]
 
     return kernel
+
+
+def _rotations(system: System, wrap=list) -> Callable[[list], list]:
+    """The kernel that builds rows of (spectrum, Haar normals) as random_rdm does, each stack through wrap."""
+    return _stacked(lambda w, z: wrap(_haar_rotations(w, z)), system)
 
 
 def _inversions(system: System, beta: float) -> Callable[[list], list]:
@@ -163,13 +174,13 @@ def _inversions(system: System, beta: float) -> Callable[[list], list]:
 
 
 def _omega_kernel(system: System, beta: float) -> Callable[[list], list]:
-    """omega_of_v stacked over potential matrices: Omega and the 1RDM."""
+    """omega_of_v stacked over rows of potential coefficients: Omega and the 1RDM."""
 
-    def compute(v):
-        state = _thermal(v.reshape(len(v), -1), system, EnsembleParams(beta))
-        return list(zip(state.omega.tolist(), map(OneRdm, _rdm_matrix(state.density, system.basis))))
+    def compute(c):
+        state = _thermal(system.pbasis.traceless(c).reshape(len(c), -1), system, EnsembleParams(beta))
+        return list(zip(state.omega.tolist(), _one_rdms(_rdm_matrix(state.density, system.basis))))
 
-    return _stacked(compute, system)
+    return _stacked(compute, system, float)
 
 
 def _entropy_kernel(system: System) -> Callable[[list], list]:
@@ -193,19 +204,20 @@ def _campaign(
     outputs in row order, and may yield again before it returns the margin.
     kernel(rows) gives each row its output, or the RdmftError that row
     fails with, or raises an RdmftError if some row fails.  Each trial runs
-    to its first yield, in trial order, so all draw their inputs before any
-    kernel runs; then the campaign runs in rounds: each calls every kernel
-    that pending trials yielded once, on the rows of all of them in trial
-    order, and sends each trial its outputs.  So a round inverts every
-    pending target in one invert_potentials call, and evaluates every
-    pending Gibbs state, or density operator's checks with its entropy or
-    free energy, in one stacked call.  Each output is the same bits alone
-    and in any stack, so the rounds change only the batching; a kernel that
-    raises is called again on each row alone, so that a row that fails
-    fails only its own trial.  fails(margin) says whether the claim broke.
-    A trial that raises RdmftError, or one of whose rows fails, fails with
-    no margin and the error's text: that of its first failing row, in row
-    order, where each row runs all of its own checks before the next.
+    to its first yield, in trial order, so all make their random draws
+    before any kernel runs; then the campaign runs in rounds: each calls
+    every kernel that pending trials yielded once, on the rows of all of
+    them in trial order, and sends each trial its outputs.  So trials draw
+    their inputs and kernels build them in stacks: a round builds every
+    pending Haar rotation, potential and Gibbs state, runs each check of
+    those objects once on the stack, and inverts every pending target in one
+    invert_potentials call.  Each output is the same bits alone and in any
+    stack, so the rounds change only the batching; a kernel that raises is
+    called again on each row alone, so that a row that fails fails only its
+    own trial.  fails(margin) says whether the claim broke.  A trial that
+    raises RdmftError, or one of whose rows fails, fails with no margin and
+    the error's text: that of its first failing row, in row order, where
+    each row runs all of its own checks before the next.
     """
     rng = _rng(config, check)
     records = [{"trial": k} for k in range(config.trials)]
@@ -249,13 +261,12 @@ def _campaign(
 def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
     """Strict concavity of the potential-to-free-energy map on chords with
     a minimum endpoint separation."""
-    pbasis = system.pbasis
-    omegas = _omega_kernel(system, config.beta)
+    pbasis, omegas = system.pbasis, _omega_kernel(system, config.beta)
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
         t = record["t"] = _mix_parameter(rng, config)
-        out = yield omegas, [pbasis.potential(c).matrix for c in (c1, c2, t * c1 + (1 - t) * c2)]
+        out = yield omegas, [c1, c2, t * c1 + (1 - t) * c2]
         return out[2][0] - t * out[0][0] - (1 - t) * out[1][0]
 
     return _campaign("omega_concavity", config, system, trial)
@@ -263,30 +274,31 @@ def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
 
 def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
     """Distinct potentials produce distinct Gibbs 1RDMs."""
-    pbasis = system.pbasis
-    omegas = _omega_kernel(system, config.beta)
+    pbasis, omegas = system.pbasis, _omega_kernel(system, config.beta)
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
-        out = yield omegas, [pbasis.potential(c1).matrix, pbasis.potential(c2).matrix]
+        out = yield omegas, [c1, c2]
         distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1].matrix - out[1][1].matrix))
         return distance - config.injectivity_floor
 
     return _campaign("injectivity", config, system, trial)
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A random full-rank density matrix: Dirichlet weights in a Haar basis."""
-    return _haar_rotated(rng, rng.dirichlet(np.ones(dim)))
+def _density_draw(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random full-rank density matrix's draws: Dirichlet weights, and its Haar basis's normals."""
+    return rng.dirichlet(np.ones(dim)), _haar_normals(rng, dim)
 
 
 def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremReport:
     """Strict concavity of the von Neumann entropy on separated pairs of
     random full-rank density operators."""
-    dim, entropies = system.basis.dim, _entropy_kernel(system)
+    dim, entropies, rotations = system.basis.dim, _entropy_kernel(system), _rotations(system)
 
     def trial(rng, k, record):
-        rho_1, rho_2 = _separated_pair(lambda: _random_density(rng, dim), config.separation, "density operators")
+        # a pair too close together is drawn again, so each pair is built as it is drawn
+        pair = _separated_pair(lambda: _density_draw(rng, dim), config.separation, "density operators", rotations)
+        rho_1, rho_2 = pair
         t = record["t"] = _mix_parameter(rng, config)
         s = yield entropies, [rho_1, rho_2, t * rho_1 + (1 - t) * rho_2]
         return s[2] - t * s[0] - (1 - t) * s[1]
@@ -299,12 +311,12 @@ def check_f_convexity(config: CheckConfig, system: System) -> TheoremReport:
     segments, with slack for the two inversion tolerances."""
     m = config.model
     cold = np.zeros(system.pbasis.size)
-    inversions = _inversions(system, config.beta)
+    inversions, rdms = _inversions(system, config.beta), _rotations(system, _one_rdms)
 
     def trial(rng, k, record):
-        gamma_0 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-        gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+        draws = [_rdm_draw(rng, m.nb, m.n, m.statistics, True) for _ in range(2)]
         t = record["t"] = _mix_parameter(rng, config)
+        gamma_0, gamma_1 = yield rdms, draws
         mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
         r = yield inversions, [(gamma, cold) for gamma in (gamma_0, gamma_1, mixed)]
         return t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value
@@ -320,12 +332,16 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
     default grid nor perfbench's pinned one has such a failure)."""
     m, pbasis, eps = config.model, system.pbasis, config.fd_step
     cold = np.zeros(pbasis.size)
-    inversions = _inversions(system, config.beta)
+    inversions, rdms = _inversions(system, config.beta), _rotations(system, _one_rdms)
+    orthonormal = _stacked(lambda x: list(np.linalg.qr(x)[0].swapaxes(-1, -2)), system, float)
 
     def trial(rng, k, record):
-        gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-        directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
-        neighbours = [OneRdm(gamma.matrix + sign * eps * pbasis.assemble(d)) for d in directions for sign in (1, -1)]
+        draw = _rdm_draw(rng, m.nb, m.n, m.statistics, True)
+        normals = rng.normal(size=(pbasis.size, 5))
+        (gamma,) = yield rdms, [draw]
+        (directions,) = yield orthonormal, [normals]
+        shifts = np.array([eps, -eps])[:, None, None] * pbasis.assemble(directions)[:, None]
+        neighbours = _one_rdms(gamma.matrix + shifts.reshape(-1, m.nb, m.nb))
         (base,) = yield inversions, [(gamma, cold)]
         cv = pbasis.coefficients(base.v_star)
         reports = yield inversions, [(neighbour, cv) for neighbour in neighbours]
@@ -379,13 +395,15 @@ def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
         variants = ("interior", "zero_pinned", "one_pinned", "idempotent")
     else:
         variants = ("interior", "zero_pinned", "condensate")
+    rdms = _rotations(system, _one_rdms)
 
     def trial(rng, k, record):
         variant = record["variant"] = variants[k % len(variants)]
         if variant == "interior":
-            gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+            draw = _rdm_draw(rng, m.nb, m.n, m.statistics, True)
         else:
-            gamma = OneRdm(_haar_rotated(rng, _boundary_occupations(rng, m.nb, m.n, m.statistics, variant)))
+            draw = _boundary_occupations(rng, m.nb, m.n, m.statistics, variant), _haar_normals(rng, m.nb)
+        (gamma,) = yield rdms, [draw]
         rho = construct(gamma, basis)
         err = record["error_norm"] = float(np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix))
         return config.coleman_tol - err
@@ -396,14 +414,12 @@ def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
 def check_fractional_occupations(config: CheckConfig, system: System) -> TheoremReport:
     """Gibbs 1RDMs keep every natural occupation strictly off the polytope
     faces across a temperature sweep."""
-    m = config.model
-    pbasis = system.pbasis
+    m, pbasis = config.model, system.pbasis
     omegas = {beta: _omega_kernel(system, beta) for beta in config.fractional_betas}
 
     def trial(rng, k, record):
         beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
-        v = pbasis.potential(_coeff_draw(rng, pbasis, config.fractional_v_scale))
-        ((_, gamma),) = yield omegas[beta], [v.matrix]
+        ((_, gamma),) = yield omegas[beta], [_coeff_draw(rng, pbasis, config.fractional_v_scale)]
         occ = gibbs_occupations(gamma, system.basis)
         lowest = record["min_occupation"] = float(occ.min())
         head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
@@ -418,25 +434,25 @@ def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport
     pbasis, basis, dim = system.pbasis, system.basis, system.basis.dim
     maximally_mixed = np.eye(dim) / dim
 
-    def gibbs_states(v):
-        """H_v = H0 + lift(v) and its Gibbs density for each potential of a
-        stack, as _thermal gives them."""
-        h = system.h0.matrix + _lift(v.reshape(len(v), -1), basis)
+    def gibbs_states(c):
+        """H_v = H0 + lift(v) and its Gibbs density for the potential v of each
+        coefficient row, as _thermal gives them."""
+        h = system.h0.matrix + _lift(pbasis.traceless(c).reshape(len(c), -1), basis)
         return list(zip(h, _gibbs(h, config.beta, basis.tag).density))
 
-    def free_energies(m):
+    def free_energies(states, h):
         """DensityOperator's checks, then helmholtz, over rows of (state, H_v)."""
-        _check_densities(m[:, 0])
-        return _free_energies(m[:, 0], m[:, 1], config.beta).tolist()
+        _check_densities(states)
+        return _free_energies(states, h, config.beta).tolist()
 
-    gibbs, free = _stacked(gibbs_states, system), _stacked(free_energies, system)
+    gibbs, free, densities = _stacked(gibbs_states, system, float), _stacked(free_energies, system), _rotations(system)
 
     def trial(rng, k, record):
-        v = pbasis.potential(_coeff_draw(rng, pbasis, config.v_scale))
+        c = _coeff_draw(rng, pbasis, config.v_scale)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        random_state = _random_density(rng, dim)
-        ((h_v, rho),) = yield gibbs, [v.matrix]
+        (random_state,) = yield densities, [_density_draw(rng, dim)]
+        ((h_v, rho),) = yield gibbs, [c]
         # the Gibbs state, then mixed_1pct, maximally_mixed and random_state
         states = [rho, 0.99 * rho + 0.01 * np.outer(psi, psi.conj()), maximally_mixed, random_state]
         base, *others = yield free, [(state, h_v) for state in states]

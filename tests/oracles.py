@@ -243,9 +243,18 @@ def random_rdm_one_draw_at_a_time(nb: int, n: int, fermion: bool, interior: bool
         break
     else:
         raise ValueError("no occupation draw satisfied the margins")
-    z = (rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))) / sqrt(2)
+    return haar_rotated(rng, occ)
+
+
+def haar_rotated(rng, spectrum: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with this spectrum in a Haar-random eigenbasis,
+    built alone: the Q of the QR of a complex Gaussian matrix drawn from rng,
+    each column phase-fixed by R's diagonal (Mezzadri, Notices AMS 54, 592
+    (2007))."""
+    dim = len(spectrum)
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    gamma = (q * occ) @ q.conj().T
-    return (gamma + gamma.conj().T) / 2
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2

@@ -30,7 +30,7 @@ from rdmft.functional import (
     universal_functional,
 )
 from rdmft.models import ModelSpec, build_system
-from rdmft.representability import _haar_rotated, random_rdm
+from rdmft.representability import random_rdm
 from rdmft.verify import (
     CheckConfig,
     check_coleman,
@@ -281,7 +281,7 @@ def test_criterion_08_pinned_targets_flagged(criterion_log, inversion_panel):
         rng = np.random.default_rng([808, j])
         occ = np.zeros(nb)
         occ[rng.permutation(nb)[:n]] = 1.0
-        gamma = OneRdm(_haar_rotated(rng, occ))
+        gamma = OneRdm(orc.haar_rotated(rng, occ))
         report = invert_potential(gamma, system, EnsembleParams(1.0))
         if report.verdict is InversionVerdict.NON_REPRESENTABLE:
             flagged += 1

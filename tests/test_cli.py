@@ -564,6 +564,7 @@ MALFORMED = {
             ("fractional_betas_negative", {"fractional_betas": [-1.0]}, "fractional_betas"),
             ("v_scale_zero", {"v_scale": 0}, "v_scale"),
             ("fractional_v_scale_negative", {"fractional_v_scale": -0.3}, "fractional_v_scale"),
+            ("separation_negative", {"separation": -0.1}, "separation"),
         ]
     },
     # particle numbers and occupation vectors that used to exit 1

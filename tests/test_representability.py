@@ -28,6 +28,7 @@ from rdmft.representability import (
     random_rdm,
     simplex_decompose,
 )
+from rdmft.verify import DEFAULT_SYSTEMS
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -255,6 +256,15 @@ class TestRandomRdm:
             assert random_rdm(nb, n, stat, interior=interior, seed=rng).matrix.tobytes() == matrix.tobytes()
             assert rng.random() == expected.random()
             assert random_rdm(nb, n, stat, interior=interior, seed=seed).matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("nb, n, stat", [*DEFAULT_SYSTEMS, (10, 5, F)])
+    def test_keeps_the_bytes_of_a_matrix_built_alone(self, nb, n, stat):
+        """random_rdm, the batch of one of verify's stacked Haar build, gives
+        the matrix of drawing and building one 1RDM alone, on the default
+        verify systems and at (10, 5, F)."""
+        for k in range(10):
+            expected = orc.random_rdm_one_draw_at_a_time(nb, n, stat is F, True, np.random.default_rng(k))
+            assert random_rdm(nb, n, stat, seed=k).matrix.tobytes() == expected.tobytes()
 
     def test_trace_is_particle_number(self):
         for seed in range(20):

@@ -5,15 +5,30 @@ import multiprocessing
 import tracemalloc
 
 import numpy as np
+import oracles as orc
 import pytest
 
 from rdmft import functional, verify
-from rdmft.ensemble import EnsembleParams, OneRdm, entropy, gibbs_state, helmholtz, natural_spectrum
-from rdmft.errors import ConfigError, ConvergenceFailure, InvalidArguments, InvalidDensityOperator, RdmftError
+from rdmft.ensemble import EnsembleParams, OneRdm, entropy, gibbs_state, helmholtz, natural_spectrum, one_rdm
+from rdmft.errors import (
+    ConfigError,
+    ConvergenceFailure,
+    InvalidArguments,
+    InvalidDensityOperator,
+    NonHermitianInput,
+    RdmftError,
+)
 from rdmft.fock import DensityOperator, ManyBodyOperator, Statistics, lift_one_body
-from rdmft.functional import InversionOptions, invert_potential, omega_of_v, require_converged
+from rdmft.functional import (
+    InversionOptions,
+    PotentialBasis,
+    invert_potential,
+    omega_of_v,
+    potential_basis,
+    require_converged,
+)
 from rdmft.models import ModelSpec, build_system
-from rdmft.representability import random_rdm
+from rdmft.representability import coleman_bosonic, coleman_fermionic
 from rdmft.serialize import canonical_json, suite_report_json, theorem_report_to_json
 from rdmft.verify import (
     ALL_CHECKS,
@@ -46,6 +61,16 @@ def small_config(statistics, seed=9, trials=6, **overrides):
 def run_check(name, config):
     """One check on a System of its own, as each grid point gets one."""
     return CHECK_REGISTRY[name](config, build_system(config.model))
+
+
+def run_check_keeping_rng(monkeypatch, name, config):
+    """run_check, and the state its campaign left its generator in."""
+    made, rng = [], verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda config, check: made.append(rng(config, check)) or made[-1])
+    report = run_check(name, config)
+    monkeypatch.setattr(verify, "_rng", rng)
+    (generator,) = made
+    return report, generator.bit_generator.state
 
 
 class TestIndividualChecks:
@@ -199,7 +224,8 @@ class TestIndividualChecks:
 
 def _one_at_a_time(check, config):
     """The details of a gradient or f_convexity campaign, rebuilt from the
-    check's draws with every target inverted alone by invert_potential."""
+    check's draws with every 1RDM built and every target inverted alone,
+    and the state the draws leave the check's generator in."""
     m = config.model
     system = build_system(m)
     params = EnsembleParams(config.beta)
@@ -209,17 +235,19 @@ def _one_at_a_time(check, config):
     def inverted(gamma, start=None):
         return require_converged(invert_potential(gamma, system, params, InversionOptions(initial=start)), gamma, system)
 
+    def drawn():
+        return OneRdm(orc.random_rdm_one_draw_at_a_time(m.nb, m.n, m.statistics is F, True, rng))
+
     details = []
     for k in range(config.trials):
         if check == "f_convexity":
-            gamma_0 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
-            gamma_1 = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+            gamma_0, gamma_1 = drawn(), drawn()
             t = verify._mix_parameter(rng, config)
             mixed = OneRdm(t * gamma_0.matrix + (1 - t) * gamma_1.matrix)
             f = [inverted(gamma).f_value for gamma in (gamma_0, gamma_1, mixed)]
             details.append({"trial": k, "t": t, "margin": float(t * f[0] + (1 - t) * f[1] - f[2])})
             continue
-        gamma = random_rdm(m.nb, m.n, m.statistics, interior=True, seed=rng)
+        gamma = drawn()
         directions = np.linalg.qr(rng.normal(size=(pbasis.size, 5)))[0].T
         cv = pbasis.coefficients(inverted(gamma).v_star)
         eps, worst = config.fd_step, 0.0
@@ -229,7 +257,29 @@ def _one_at_a_time(check, config):
             deviation = abs((f_plus - f_minus) / (2 * eps) + float(np.dot(cv, d)))
             worst = max(worst, deviation / max(1.0, float(np.linalg.norm(cv))))
         details.append({"trial": k, "max_rel_dev": worst, "margin": config.gradient_tol - worst})
-    return details
+    return details, rng.bit_generator.state
+
+
+def _coleman_one_at_a_time(config):
+    """The details of a coleman campaign, rebuilt from the check's draws with
+    every 1RDM built alone, and the state the draws leave its generator in."""
+    m, basis = config.model, build_system(config.model).basis
+    rng = verify._rng(config, "coleman")
+    construct = coleman_fermionic if m.statistics is F else coleman_bosonic
+    if m.statistics is F:
+        variants = ("interior", "zero_pinned", "one_pinned", "idempotent")
+    else:
+        variants = ("interior", "zero_pinned", "condensate")
+    details = []
+    for k in range(config.trials):
+        variant = variants[k % len(variants)]
+        if variant == "interior":
+            gamma = OneRdm(orc.random_rdm_one_draw_at_a_time(m.nb, m.n, m.statistics is F, True, rng))
+        else:
+            gamma = OneRdm(orc.haar_rotated(rng, verify._boundary_occupations(rng, m.nb, m.n, m.statistics, variant)))
+        error = float(np.linalg.norm(one_rdm(construct(gamma, basis), basis).matrix - gamma.matrix))
+        details.append({"trial": k, "variant": variant, "error_norm": error, "margin": config.coleman_tol - error})
+    return details, rng.bit_generator.state
 
 
 class TestRounds:
@@ -246,7 +296,7 @@ class TestRounds:
     def test_rounds_change_only_the_batching(self, monkeypatch, check, rounds, model, beta):
         """Each trial's details are, bit for bit, those of inverting its targets
         one at a time, and each round is one invert_potentials call over every
-        trial's targets."""
+        trial's targets; the campaign leaves its generator where those draws do."""
         config = CheckConfig(model=model, beta=beta, seed=2026, trials=4)
         sizes = []
         batched = verify.invert_potentials
@@ -256,16 +306,22 @@ class TestRounds:
             return batched(targets, *args)
 
         monkeypatch.setattr(verify, "invert_potentials", spy)
-        report = run_check(check, config)
+        report, state = run_check_keeping_rng(monkeypatch, check, config)
         assert sizes == [per_trial * config.trials for per_trial in rounds]
         assert report.failures == 0
-        assert list(report.details) == _one_at_a_time(check, config)
+        assert (list(report.details), state) == _one_at_a_time(check, config)
+
+
+def random_density(rng, dim):
+    """A random full-rank density matrix built alone: Dirichlet weights in a Haar basis."""
+    return orc.haar_rotated(rng, rng.dirichlet(np.ones(dim)))
 
 
 def _single_objects(check, config):
     """The details of a check that stacks its Gibbs states or entropies,
     rebuilt trial by trial from the check's draws through the single-object
-    API, and whether an entropy met an eigenvalue clipped to zero."""
+    API, whether an entropy met an eigenvalue clipped to zero, and the state
+    the draws leave the check's generator in."""
     system = build_system(config.model)
     params = EnsembleParams(config.beta)
     pbasis, basis = system.pbasis, system.basis
@@ -298,7 +354,7 @@ def _single_objects(check, config):
             lowest = record["min_occupation"] = float(occ.min())
             margin = min(lowest, float(1 - occ.max()) if basis.statistics is F else np.inf) - config.fractional_floor
         elif check == "entropy_concavity":
-            pair = verify._separated_pair(lambda: verify._random_density(rng, basis.dim), config.separation, "")
+            pair = verify._separated_pair(lambda: random_density(rng, basis.dim), config.separation, "")
             rho_1, rho_2 = (DensityOperator(m, basis.tag) for m in pair)
             t = record["t"] = verify._mix_parameter(rng, config)
             mixed = DensityOperator(t * rho_1.matrix + (1 - t) * rho_2.matrix, basis.tag)
@@ -313,13 +369,13 @@ def _single_objects(check, config):
             competitors = {
                 "mixed_1pct": 0.99 * gibbs.rho.matrix + 0.01 * np.outer(psi, psi.conj()),
                 "maximally_mixed": np.eye(basis.dim) / basis.dim,
-                "random_state": verify._random_density(rng, basis.dim),
+                "random_state": random_density(rng, basis.dim),
             }
             gaps = {name: free_energy(DensityOperator(m, basis.tag), h_v) - base for name, m in competitors.items()}
             record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
             margin = min(gaps.values())
         details.append({**record, "margin": float(margin)})
-    return details, clipped
+    return details, clipped, rng.bit_generator.state
 
 
 STACKED_CHECKS = ("omega_concavity", "injectivity", "fractional_occupations", "entropy_concavity", "gibbs_minimality")
@@ -400,14 +456,17 @@ class TestStackedChecks:
         ids=["hubbard_4_2_F", "random_full_3_2_B"],
     )
     @pytest.mark.parametrize("check", STACKED_CHECKS)
-    def test_stacks_change_only_the_batching(self, check, model, beta):
-        """Each trial's details are, bit for bit, those of computing its
-        Gibbs states, density operators and entropies one at a time.  At
-        beta = 1000 the Gibbs states have populations that are exactly zero,
-        so their entropy sums run over fewer terms than dim."""
+    def test_stacks_change_only_the_batching(self, monkeypatch, check, model, beta):
+        """Each trial's details are, bit for bit, those of building its
+        potentials and density operators and computing its Gibbs states and
+        entropies one at a time, and the campaign leaves its generator where
+        those draws do.  At beta = 1000 the Gibbs states have populations
+        that are exactly zero, so their entropy sums run over fewer terms
+        than dim."""
         config = CheckConfig(model=model, beta=beta, seed=2026, trials=6)
-        details, clipped = _single_objects(check, config)
-        assert list(run_check(check, config).details) == details
+        details, clipped, state = _single_objects(check, config)
+        report, end = run_check_keeping_rng(monkeypatch, check, config)
+        assert (list(report.details), end) == (details, state)
         if check == "gibbs_minimality" and beta == 1000.0:
             assert clipped
 
@@ -418,19 +477,19 @@ class TestStackedChecks:
         other trials, which draw from the same stream, are a clean run's."""
         config = CheckConfig(model=ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5), trials=3)
         clean = run_check(check, config)
-        draw, calls, expected = verify._random_density, [], {}
+        draw, calls, expected = verify._density_draw, [], {}
 
         def negative(rng, dim):
-            m = draw(rng, dim)
+            w, z = draw(rng, dim)
             if len(calls) == call:
-                m = m + np.diag([0.5, -0.5] + [0.0] * (dim - 2))
+                w = w + np.array([0.5, -0.5] + [0.0] * (dim - 2))
                 with pytest.raises(InvalidDensityOperator) as alone:
-                    DensityOperator(m, build_system(config.model).basis.tag)
+                    DensityOperator(verify._haar_rotations(w[None], z[None])[0], build_system(config.model).basis.tag)
                 expected["error"] = str(alone.value)
             calls.append(dim)
-            return m
+            return w, z
 
-        monkeypatch.setattr(verify, "_random_density", negative)
+        monkeypatch.setattr(verify, "_density_draw", negative)
         report = run_check(check, config)
         assert len(calls) == {"entropy_concavity": 6, "gibbs_minimality": 3}[check]
         assert report.failures == 1
@@ -449,13 +508,15 @@ class TestStackedChecks:
         assert run_check(check, config).details == whole.details
 
     def test_stacks_are_chunked_within_the_budget(self, monkeypatch):
-        """At nb=6/n=3 (dim 20), 40 Gibbs states or 40 entropies under a
-        budget of 4 rows' workspace peak near that budget, where one stack of
-        all 40 peaks far above it, and give the same bits."""
+        """At nb=6/n=3 (dim 20), 40 Gibbs states, 40 entropies or 40 Haar
+        rotations under a budget of 4 rows' workspace peak near that budget,
+        where one stack of all 40 peaks far above it, and give the same bits.
+        The rotations' peak counts their 40 output matrices besides."""
         system = build_system(ModelSpec(kind="hubbard_ring", nb=6, n=3, statistics=F, u=4.0, t_hop=0.5))
         rng, pbasis = np.random.default_rng(0), system.pbasis
-        potentials = [pbasis.potential(verify._coeff_draw(rng, pbasis, 1.0)).matrix for _ in range(40)]
-        densities = [verify._random_density(rng, system.basis.dim) for _ in range(40)]
+        potentials = [verify._coeff_draw(rng, pbasis, 1.0) for _ in range(40)]
+        draws = [verify._density_draw(rng, system.basis.dim) for _ in range(40)]
+        densities = verify._haar_rotations(*map(np.array, zip(*draws)))
         budget = 4 * 128 * system.basis.dim**2
 
         def traced(kernel, rows, workspace):
@@ -467,14 +528,138 @@ class TestStackedChecks:
                 peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
-            return [(row[0], row[1].matrix.tobytes()) if isinstance(row, tuple) else row for row in out], peak
+            bits = [(row[0], row[1].matrix.tobytes()) if isinstance(row, tuple) else np.array(row).tobytes() for row in out]
+            return bits, peak
 
-        for kernel, rows in ((verify._omega_kernel(system, 1.0), potentials), (verify._entropy_kernel(system), densities)):
+        kernels = (verify._omega_kernel(system, 1.0), verify._entropy_kernel(system), verify._rotations(system))
+        outputs = (0, 0, densities.nbytes)
+        for kernel, rows, output in zip(kernels, (potentials, list(densities), draws), outputs):
             chunked, peak = traced(kernel, rows, budget)
             assert functional._stack_rows(system.basis) == 4
             whole, whole_peak = traced(kernel, rows, 1 << 40)
             assert chunked == whole
-            assert peak <= 2 * budget < whole_peak
+            assert peak - output <= 2 * budget < whole_peak - output
+
+    @pytest.mark.parametrize("statistics", [F, B])
+    def test_coleman_builds_change_only_the_batching(self, monkeypatch, statistics):
+        """Each coleman trial's details are, bit for bit, those of building its
+        1RDM alone, and the campaign leaves its generator where those draws do."""
+        config = small_config(statistics, trials=8)
+        report, state = run_check_keeping_rng(monkeypatch, "coleman", config)
+        assert (list(report.details), state) == _coleman_one_at_a_time(config)
+
+    def test_nan_coefficient_fails_only_its_trial(self, monkeypatch):
+        """Trial 3 of omega_concavity mixes its chord at t = NaN: its third
+        coefficient row fails the stack's potential check, the stack is run
+        again row by row, and only trial 3 fails, with the text
+        PotentialBasis.potential raises for that row alone."""
+        config = small_config(F, trials=5)
+        clean = run_check("omega_concavity", config)
+        mix, calls = verify._mix_parameter, []
+
+        def nan_for_trial_3(rng, config):
+            calls.append(mix(rng, config))  # trial 3 still takes its draw
+            return float("nan") if len(calls) == 4 else calls[-1]
+
+        monkeypatch.setattr(verify, "_mix_parameter", nan_for_trial_3)
+        report = run_check("omega_concavity", config)
+        pbasis = build_system(config.model).pbasis
+        with pytest.raises(InvalidArguments) as alone:
+            pbasis.potential(np.full(pbasis.size, np.nan))
+        assert str(alone.value) == "potential entries must be finite"
+        assert report.failures == 1
+        assert (report.details[3]["margin"], report.details[3]["error"]) == (None, str(alone.value))
+        assert [report.details[k] for k in (0, 1, 2, 4)] == [clean.details[k] for k in (0, 1, 2, 4)]
+
+    def test_non_hermitian_neighbour_fails_only_its_trial(self, monkeypatch):
+        """One direction of trial 3 of gradient assembles to a non-Hermitian
+        matrix: the stack of that trial's neighbours fails its 1RDM check, so
+        trial 3 fails before its inversions with the text OneRdm raises for
+        such a neighbour alone, and the other trials are a clean run's."""
+        config = small_config(F, trials=5)
+        clean = run_check("gradient", config)
+        assemble, stacks, expected = PotentialBasis.assemble, [], {}
+
+        def skewed(self, coeffs):
+            m = assemble(self, coeffs)
+            if np.shape(coeffs) == (5, self.size):
+                stacks.append(m)
+                if len(stacks) == 4:
+                    m[2, 0, 1] += 1e-3
+                    with pytest.raises(NonHermitianInput) as alone:
+                        OneRdm(np.eye(self.nb) + config.fd_step * m[2])
+                    expected["error"] = str(alone.value)
+            return m
+
+        sizes, batched = [], verify.invert_potentials
+
+        def spy(targets, *args):
+            sizes.append(len(targets))
+            return batched(targets, *args)
+
+        monkeypatch.setattr(PotentialBasis, "assemble", skewed)
+        monkeypatch.setattr(verify, "invert_potentials", spy)
+        report = run_check("gradient", config)
+        assert sizes == [4, 40]
+        assert report.failures == 1
+        assert report.details[3] == {"trial": 3, "margin": None, "error": expected["error"]}
+        assert expected["error"] == "1RDM is not Hermitian within 1e-12"
+        assert [report.details[k] for k in (0, 1, 2, 4)] == [clean.details[k] for k in (0, 1, 2, 4)]
+
+    def test_rotation_that_fails_its_check_fails_only_its_trial(self, monkeypatch):
+        """The 1RDM built for trial 3 of coleman is made non-Hermitian: the
+        stack's OneRdm check fails, its rows are built again one by one, and
+        only trial 3 fails, with the text OneRdm raises for that matrix alone."""
+        config = small_config(F, trials=5)
+        clean = run_check("coleman", config)
+        build, bad, expected, calls = verify._haar_rotations, {}, {}, []
+
+        def skewed(w, z):
+            m = build(w, z)
+            calls.append(len(z))
+            bad["z"] = bad.get("z") or z[3].tobytes()  # trial 3's row of the first, whole stack
+            for j in [j for j, row in enumerate(z) if row.tobytes() == bad["z"]]:
+                m[j, 0, 1] += 1e-3
+                with pytest.raises(NonHermitianInput) as alone:
+                    OneRdm(m[j])
+                expected["error"] = str(alone.value)
+            return m
+
+        monkeypatch.setattr(verify, "_haar_rotations", skewed)
+        report = run_check("coleman", config)
+        assert calls == [5] + [1] * 5
+        assert report.failures == 1
+        assert report.details[3] == {"trial": 3, "variant": "idempotent", "margin": None, "error": expected["error"]}
+        assert expected["error"] == "1RDM is not Hermitian within 1e-12"
+        assert [report.details[k] for k in (0, 1, 2, 4)] == [clean.details[k] for k in (0, 1, 2, 4)]
+
+
+class TestStackedBuilds:
+    """The stacked builds give each row the bits of building it alone."""
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_rotation_rows_match_per_object(self, dim):
+        """Rows of the rotation kernel are the matrices the Mezzadri recipe
+        builds one at a time from the same draws, which leave the generator
+        in the same state."""
+        system = build_system(ModelSpec(kind="zero", nb=3, n=2, statistics=F))
+        alone, stacked = np.random.default_rng(dim), np.random.default_rng(dim)
+        expected = [orc.haar_rotated(alone, alone.dirichlet(np.ones(dim))) for _ in range(7)]
+        rows = verify._rotations(system)([verify._density_draw(stacked, dim) for _ in range(7)])
+        assert [row.tobytes() for row in rows] == [m.tobytes() for m in expected]
+        assert stacked.bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("nb", range(2, 11))
+    def test_traceless_rows_match_potential(self, nb):
+        pbasis = potential_basis(nb)
+        c = np.random.default_rng(nb).normal(size=(7, pbasis.size))
+        assert [row.tobytes() for row in pbasis.traceless(c)] == [pbasis.potential(x).matrix.tobytes() for x in c]
+
+    @pytest.mark.parametrize("nb", range(2, 11))
+    def test_direction_rows_match_per_object_qr(self, nb):
+        """gradient orthonormalizes every trial's directions in one QR call."""
+        x = np.random.default_rng(nb).normal(size=(7, nb * nb - 1, 5))
+        assert [q.tobytes() for q in np.linalg.qr(x)[0]] == [np.linalg.qr(m)[0].tobytes() for m in x]
 
 
 class TestSharedSystem:
@@ -627,6 +812,33 @@ class TestRunSuite:
         )
         (report,) = run_suite(config)
         assert all(row["t"] == 0.5 for row in report.details)
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            ({"betas": (-1.0,)}, "beta must be positive and finite, got -1.0"),
+            ({"betas": (0.0,)}, "beta must be positive and finite, got 0.0"),
+            ({"betas": (float("inf"),)}, "beta must be positive and finite, got inf"),
+            ({"betas": (float("nan"),)}, "beta must be positive and finite, got nan"),
+            ({"overrides": {"separation": -0.1}}, "separation must be nonnegative, got -0.1"),
+            ({"overrides": {"separation": float("nan")}}, "separation must be nonnegative, got nan"),
+        ],
+    )
+    def test_bad_beta_or_separation_rejected_before_any_check(self, monkeypatch, grid, reason):
+        """The grid's betas and a separation override are checked with the
+        rest of the grid, so no check runs on a point that has no ensemble."""
+        ran = []
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(verify, "_run_point", lambda *args: ran.append(args))
+        config = SuiteConfig(systems=((3, 2, F),), models=(("zero", {}),), trials=2)
+        with pytest.raises(ConfigError) as error:
+            run_suite(dataclasses.replace(config, **grid))
+        assert str(error.value) == f"bad suite grid: {reason}"
+        assert ran == []
+
+    @pytest.mark.parametrize("separation", [0.0, float("inf")])
+    def test_zero_and_unreachable_separations_accepted(self, separation):
+        assert small_config(F, separation=separation).separation == separation
 
     def test_empty_checks_rejected(self):
         with pytest.raises(ConfigError):
