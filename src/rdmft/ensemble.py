@@ -100,7 +100,9 @@ class OneRdm:
 
 
 def _hermitian_rdms(m: np.ndarray) -> np.ndarray:
-    """m, a complex matrix or (B, nb, nb) stack, once OneRdm's check passes on all of it."""
+    """m, a complex matrix or (B, nb, nb) stack, once OneRdm's checks pass on all of it."""
+    if not np.isfinite(m).all():
+        raise InvalidArguments("1RDM entries must be finite")
     if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
         raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
     return m

@@ -141,6 +141,8 @@ class DensityOperator:
 def _check_densities(m: np.ndarray) -> None:
     """DensityOperator's checks, in order, on every matrix of a (B, dim, dim)
     complex stack: raises the first one that some matrix fails."""
+    if not np.isfinite(m).all():
+        raise InvalidDensityOperator("density matrix entries must be finite")
     if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
         raise InvalidDensityOperator("density matrix is not Hermitian within 1e-12")
     trace = np.trace(m, axis1=-2, axis2=-1)

@@ -13,6 +13,7 @@ import os
 from collections.abc import Callable, Generator
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import product, repeat
 
 import numpy as np
@@ -20,15 +21,8 @@ import numpy as np
 from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, _one_rdms, gibbs_occupations, one_rdm
 from .errors import ConfigError, InvalidArguments, RdmftError
 from .fock import Statistics, _check_densities, _lift, _rdm_matrix, build_basis
-from .functional import (
-    InversionOptions,
-    PotentialBasis,
-    System,
-    _stack_rows,
-    _thermal,
-    invert_potentials,
-    require_converged,
-)
+from .functional import InversionOptions, PotentialBasis, System, _stack_rows, _thermal
+from .functional import invert_potentials, require_converged
 from .models import ModelSpec, build_system
 from .representability import _haar_normals, _haar_rotations, _rdm_draw, coleman_bosonic, coleman_fermionic
 
@@ -162,8 +156,7 @@ def _rotations(system: System, wrap=list) -> Callable[[list], list]:
 
 
 def _inversions(system: System, beta: float) -> Callable[[list], list]:
-    """The kernel that inverts rows of (target, start), in one
-    invert_potentials call, into converged reports."""
+    """The kernel that inverts rows of (target, start), in one invert_potentials call, into converged reports."""
 
     def kernel(rows):
         targets, starts = [target for target, _ in rows], np.array([start for _, start in rows])
@@ -193,35 +186,59 @@ def _entropy_kernel(system: System) -> Callable[[list], list]:
     return _stacked(compute, system)
 
 
-def _campaign(
-    check: str, config: CheckConfig, system: System, trial, fails=lambda m: m <= 0, notes=""
-) -> TheoremReport:
-    """Run config.trials trials of one check on its own substream.
+CHECK_REGISTRY, _PLANS = {}, {}
 
-    trial(rng, k, record) fills in the fields of record, which starts as
-    {"trial": k}, and returns the signed margin; a trial whose margin needs
-    a kernel is a generator that yields (kernel, rows), is sent the rows'
-    outputs in row order, and may yield again before it returns the margin.
-    kernel(rows) gives each row its output, or the RdmftError that row
-    fails with, or raises an RdmftError if some row fails.  Each trial runs
-    to its first yield, in trial order, so all make their random draws
-    before any kernel runs; then the campaign runs in rounds: each calls
-    every kernel that pending trials yielded once, on the rows of all of
-    them in trial order, and sends each trial its outputs.  So trials draw
-    their inputs and kernels build them in stacks: a round builds every
-    pending Haar rotation, potential and Gibbs state, runs each check of
-    those objects once on the stack, and inverts every pending target in one
-    invert_potentials call.  Each output is the same bits alone and in any
-    stack, so the rounds change only the batching; a kernel that raises is
-    called again on each row alone, so that a row that fails fails only its
-    own trial.  fails(margin) says whether the claim broke.  A trial that
-    raises RdmftError, or one of whose rows fails, fails with no margin and
-    the error's text: that of its first failing row, in row order, where
-    each row runs all of its own checks before the next.
+
+def _check(fails=lambda margin, config: margin <= 0, notes=""):
+    """Register a check under the name of its plan(config, system, kernel) -> trial, less "check_":
+    in _PLANS the plan, the rule fails(margin, config) of when its claim broke, and its notes; in
+    CHECK_REGISTRY, in the order of definition, the check, which runs the plan as a one-check campaign."""
+
+    def register(plan):
+        name = plan.__name__.removeprefix("check_")
+        _PLANS[name] = plan, fails, notes
+
+        def check(config: CheckConfig, system: System) -> TheoremReport:
+            return _campaign(config, system, (name,))[0]
+
+        # the plan's names, so that the check pickles by them; functools.wraps would also give it the plan's signature
+        check.__name__, check.__qualname__, check.__doc__ = plan.__name__, plan.__qualname__, plan.__doc__
+        CHECK_REGISTRY[name] = check
+        return check
+
+    return register
+
+
+def _campaign(config: CheckConfig, system: System, checks) -> list[TheoremReport]:
+    """Run config.trials trials of each of checks, each on its own substream,
+    in shared rounds, into one report per check.
+
+    Each check's plan gives its trial, and kernel(make, *args) gives it
+    make(system, *args), built once per campaign, so that checks share
+    their kernels of one kind and beta.  trial(rng, k, record) fills in the
+    fields of record, which starts as {"trial": k}, and returns the signed
+    margin; a trial whose margin needs a kernel is a generator that yields
+    (kernel, rows), is sent the rows' outputs in row order, and may yield
+    again before it returns the margin.  kernel(rows) gives each row its
+    output, or the RdmftError that row fails with, or raises an RdmftError
+    if some row fails.  Each trial runs to its first yield, check by check
+    in trial order, so all make their draws before any kernel runs; then
+    each round calls every kernel that pending trials of any check yielded
+    once, on all of their rows in that order, and sends each trial its
+    outputs: it builds every pending Haar rotation, potential and Gibbs
+    state of the point in stacks, checks them once per stack, and inverts
+    every pending target in one invert_potentials call.  Each output is the
+    same bits alone and in any stack, so the rounds change only the
+    batching; a kernel that raises is called again on each row alone, so
+    that a row that fails fails only its own trial.  A trial that raises
+    RdmftError, or one of whose rows fails, fails with no margin and the
+    error of its first failing row, each row checked in full, in row order.
     """
-    rng = _rng(config, check)
-    records = [{"trial": k} for k in range(config.trials)]
-    outcomes = [_step(_caught(trial, rng, k, record)) for k, record in enumerate(records)]
+    shared = cache(lambda make, *args: make(system, *args))
+    plans = [(plan(config, system, shared), fails, notes) for plan, fails, notes in (_PLANS[c] for c in checks)]
+    records = [[{"trial": k} for k in range(config.trials)] for _ in checks]
+    starts = zip(plans, [_rng(config, check) for check in checks], records)
+    outcomes = [_step(_caught(trial, rng, k, own[k])) for (trial, *_), rng, own in starts for k in range(config.trials)]
     while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]:
         by_kernel = {}
         for k in pending:
@@ -237,31 +254,28 @@ def _campaign(
                 mine = [next(outputs) for _ in own]
                 failed = [output for output in mine if isinstance(output, RdmftError)]
                 outcomes[k] = failed[0] if failed else _step(run, mine)
-    margins, failures = [], 0
-    for record, outcome in zip(records, outcomes):
-        if isinstance(outcome, RdmftError):
-            record.update(margin=None, error=str(outcome))
-            failures += 1
-            continue
-        record["margin"] = float(outcome)
-        margins.append(outcome)
-        if fails(outcome):
-            failures += 1
-    return TheoremReport(
-        theorem_id=check,
-        trials=len(records),
-        failures=failures,
-        worst_margin=float(min(margins)) if margins else None,
-        config=config.describe(),
-        details=tuple(records),
-        notes=notes,
-    )
+    reports = []
+    for check, (_, fails, notes), own, start in zip(checks, plans, records, range(0, len(outcomes), config.trials)):
+        margins, failures = [], 0
+        for record, outcome in zip(own, outcomes[start:]):
+            if isinstance(outcome, RdmftError):
+                record.update(margin=None, error=str(outcome))
+                failures += 1
+                continue
+            record["margin"] = float(outcome)
+            margins.append(outcome)
+            if fails(outcome, config):
+                failures += 1
+        worst = float(min(margins)) if margins else None
+        reports.append(TheoremReport(check, len(own), failures, worst, config.describe(), tuple(own), notes))
+    return reports
 
 
-def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
+@_check()
+def check_omega_concavity(config: CheckConfig, system: System, kernel) -> Callable:
     """Strict concavity of the potential-to-free-energy map on chords with
     a minimum endpoint separation."""
-    pbasis, omegas = system.pbasis, _omega_kernel(system, config.beta)
+    pbasis, omegas = system.pbasis, kernel(_omega_kernel, config.beta)
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
@@ -269,12 +283,13 @@ def check_omega_concavity(config: CheckConfig, system: System) -> TheoremReport:
         out = yield omegas, [c1, c2, t * c1 + (1 - t) * c2]
         return out[2][0] - t * out[0][0] - (1 - t) * out[1][0]
 
-    return _campaign("omega_concavity", config, system, trial)
+    return trial
 
 
-def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
+@_check()
+def check_injectivity(config: CheckConfig, system: System, kernel) -> Callable:
     """Distinct potentials produce distinct Gibbs 1RDMs."""
-    pbasis, omegas = system.pbasis, _omega_kernel(system, config.beta)
+    pbasis, omegas = system.pbasis, kernel(_omega_kernel, config.beta)
 
     def trial(rng, k, record):
         c1, c2 = _separated_pair(lambda: _coeff_draw(rng, pbasis, config.v_scale), config.separation, "potentials")
@@ -282,7 +297,7 @@ def check_injectivity(config: CheckConfig, system: System) -> TheoremReport:
         distance = record["rdm_distance"] = float(np.linalg.norm(out[0][1].matrix - out[1][1].matrix))
         return distance - config.injectivity_floor
 
-    return _campaign("injectivity", config, system, trial)
+    return trial
 
 
 def _density_draw(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,10 +305,11 @@ def _density_draw(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.nd
     return rng.dirichlet(np.ones(dim)), _haar_normals(rng, dim)
 
 
-def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremReport:
+@_check()
+def check_entropy_concavity(config: CheckConfig, system: System, kernel) -> Callable:
     """Strict concavity of the von Neumann entropy on separated pairs of
     random full-rank density operators."""
-    dim, entropies, rotations = system.basis.dim, _entropy_kernel(system), _rotations(system)
+    dim, entropies, rotations = system.basis.dim, kernel(_entropy_kernel), kernel(_rotations)
 
     def trial(rng, k, record):
         # a pair too close together is drawn again, so each pair is built as it is drawn
@@ -303,15 +319,16 @@ def check_entropy_concavity(config: CheckConfig, system: System) -> TheoremRepor
         s = yield entropies, [rho_1, rho_2, t * rho_1 + (1 - t) * rho_2]
         return s[2] - t * s[0] - (1 - t) * s[1]
 
-    return _campaign("entropy_concavity", config, system, trial)
+    return trial
 
 
-def check_f_convexity(config: CheckConfig, system: System) -> TheoremReport:
+@_check(lambda margin, config: margin < -config.convexity_slack)
+def check_f_convexity(config: CheckConfig, system: System, kernel) -> Callable:
     """Convexity of the universal functional along random interior
     segments, with slack for the two inversion tolerances."""
     m = config.model
     cold = np.zeros(system.pbasis.size)
-    inversions, rdms = _inversions(system, config.beta), _rotations(system, _one_rdms)
+    inversions, rdms = kernel(_inversions, config.beta), kernel(_rotations, _one_rdms)
 
     def trial(rng, k, record):
         draws = [_rdm_draw(rng, m.nb, m.n, m.statistics, True) for _ in range(2)]
@@ -321,28 +338,33 @@ def check_f_convexity(config: CheckConfig, system: System) -> TheoremReport:
         r = yield inversions, [(gamma, cold) for gamma in (gamma_0, gamma_1, mixed)]
         return t * r[0].f_value + (1 - t) * r[1].f_value - r[2].f_value
 
-    return _campaign("f_convexity", config, system, trial, fails=lambda margin: margin < -config.convexity_slack)
+    return trial
 
 
-def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
+@_check(
+    lambda margin, config: margin < 0,
+    "a well-defined derivative also certifies that the subgradient set is a single element",
+)
+def check_gradient(config: CheckConfig, system: System, kernel) -> Callable:
     """Central differences of the functional along orthonormal traceless
-    directions against the recovered potential: round 1 inverts gamma from
-    v = 0, round 2 its +eps and -eps neighbours warm-started at its v*.  A
-    base that fails has drawn its directions all the same (neither the
-    default grid nor perfbench's pinned one has such a failure)."""
+    directions against the recovered potential: gamma is inverted from v = 0
+    in the round that inverts f_convexity's targets, where both checks run,
+    then its +eps and -eps neighbours warm-started at its v*.  A base that
+    fails has drawn its directions all the same (neither the default grid
+    nor perfbench's pinned one has such a failure)."""
     m, pbasis, eps = config.model, system.pbasis, config.fd_step
     cold = np.zeros(pbasis.size)
-    inversions, rdms = _inversions(system, config.beta), _rotations(system, _one_rdms)
+    inversions, rdms = kernel(_inversions, config.beta), kernel(_rotations, _one_rdms)
     orthonormal = _stacked(lambda x: list(np.linalg.qr(x)[0].swapaxes(-1, -2)), system, float)
 
     def trial(rng, k, record):
         draw = _rdm_draw(rng, m.nb, m.n, m.statistics, True)
         normals = rng.normal(size=(pbasis.size, 5))
         (gamma,) = yield rdms, [draw]
+        (base,) = yield inversions, [(gamma, cold)]
         (directions,) = yield orthonormal, [normals]
         shifts = np.array([eps, -eps])[:, None, None] * pbasis.assemble(directions)[:, None]
         neighbours = _one_rdms(gamma.matrix + shifts.reshape(-1, m.nb, m.nb))
-        (base,) = yield inversions, [(gamma, cold)]
         cv = pbasis.coefficients(base.v_star)
         reports = yield inversions, [(neighbour, cv) for neighbour in neighbours]
         worst_dev = 0.0
@@ -353,8 +375,7 @@ def check_gradient(config: CheckConfig, system: System) -> TheoremReport:
         record["max_rel_dev"] = float(worst_dev)
         return config.gradient_tol - worst_dev
 
-    notes = "a well-defined derivative also certifies that the subgradient set is a single element"
-    return _campaign("gradient", config, system, trial, fails=lambda margin: margin < 0, notes=notes)
+    return trial
 
 
 def _capped_dirichlet(rng, size: int, total: int, cap: float) -> np.ndarray:
@@ -385,7 +406,8 @@ def _boundary_occupations(rng, nb, n, statistics, variant):
     return occ[rng.permutation(nb)]
 
 
-def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
+@_check(lambda margin, config: margin < 0)
+def check_coleman(config: CheckConfig, system: System, kernel) -> Callable:
     """Reconstruction of interior and boundary 1RDMs by explicit density
     operators; every output must be a valid state with the right 1RDM."""
     m = config.model
@@ -395,7 +417,7 @@ def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
         variants = ("interior", "zero_pinned", "one_pinned", "idempotent")
     else:
         variants = ("interior", "zero_pinned", "condensate")
-    rdms = _rotations(system, _one_rdms)
+    rdms = kernel(_rotations, _one_rdms)
 
     def trial(rng, k, record):
         variant = record["variant"] = variants[k % len(variants)]
@@ -408,14 +430,15 @@ def check_coleman(config: CheckConfig, system: System) -> TheoremReport:
         err = record["error_norm"] = float(np.linalg.norm(one_rdm(rho, basis).matrix - gamma.matrix))
         return config.coleman_tol - err
 
-    return _campaign("coleman", config, system, trial, fails=lambda margin: margin < 0)
+    return trial
 
 
-def check_fractional_occupations(config: CheckConfig, system: System) -> TheoremReport:
+@_check()
+def check_fractional_occupations(config: CheckConfig, system: System, kernel) -> Callable:
     """Gibbs 1RDMs keep every natural occupation strictly off the polytope
     faces across a temperature sweep."""
     m, pbasis = config.model, system.pbasis
-    omegas = {beta: _omega_kernel(system, beta) for beta in config.fractional_betas}
+    omegas = {beta: kernel(_omega_kernel, beta) for beta in config.fractional_betas}
 
     def trial(rng, k, record):
         beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
@@ -425,10 +448,11 @@ def check_fractional_occupations(config: CheckConfig, system: System) -> Theorem
         head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
         return min(lowest, head) - config.fractional_floor
 
-    return _campaign("fractional_occupations", config, system, trial)
+    return trial
 
 
-def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport:
+@_check()
+def check_gibbs_minimality(config: CheckConfig, system: System, kernel) -> Callable:
     """The Gibbs state strictly beats every competitor density operator in
     the free-energy objective of its own Hamiltonian."""
     pbasis, basis, dim = system.pbasis, system.basis, system.basis.dim
@@ -445,7 +469,7 @@ def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport
         _check_densities(states)
         return _free_energies(states, h, config.beta).tolist()
 
-    gibbs, free, densities = _stacked(gibbs_states, system, float), _stacked(free_energies, system), _rotations(system)
+    gibbs, free, densities = _stacked(gibbs_states, system, float), _stacked(free_energies, system), kernel(_rotations)
 
     def trial(rng, k, record):
         c = _coeff_draw(rng, pbasis, config.v_scale)
@@ -460,19 +484,9 @@ def check_gibbs_minimality(config: CheckConfig, system: System) -> TheoremReport
         record.update((f"gap_{name}", float(gap)) for name, gap in gaps.items())
         return min(gaps.values())
 
-    return _campaign("gibbs_minimality", config, system, trial)
+    return trial
 
 
-CHECK_REGISTRY = {
-    "omega_concavity": check_omega_concavity,
-    "injectivity": check_injectivity,
-    "entropy_concavity": check_entropy_concavity,
-    "f_convexity": check_f_convexity,
-    "gradient": check_gradient,
-    "coleman": check_coleman,
-    "fractional_occupations": check_fractional_occupations,
-    "gibbs_minimality": check_gibbs_minimality,
-}
 ALL_CHECKS = tuple(CHECK_REGISTRY)
 
 # fixed stream tags so each check owns an independent substream per seed
@@ -514,12 +528,12 @@ def _usable_cpus() -> int:
 
 
 def _run_point(check_config: CheckConfig, checks: tuple[str, ...]) -> list[TheoremReport]:
-    """One grid point's checks on one System; a model that cannot be built is a config error."""
+    """One grid point's checks on one System, as one campaign; a model that cannot be built is a config error."""
     try:
         system = build_system(check_config.model)
     except RdmftError as exc:
         raise ConfigError(f"bad suite grid: {exc}") from exc
-    return [CHECK_REGISTRY[name](check_config, system) for name in checks]
+    return _campaign(check_config, system, checks)
 
 
 def run_suite(config: SuiteConfig) -> list[TheoremReport]:
@@ -528,10 +542,11 @@ def run_suite(config: SuiteConfig) -> list[TheoremReport]:
     Every grid point is built, and so validated, before the first check
     runs: each system needs a configuration basis and nb >= 2, so that it
     has a potential space.  The points run in min(points, usable CPUs)
-    forked worker processes, or in this one when that is 1, each on a
-    System of its own; reports come back in grid order, the same bits
-    either way.  A point that raises cancels those not yet started, and
-    its exception reaches the caller once every worker has exited.
+    forked worker processes, or in this one when that is 1, each on a System
+    of its own and as one campaign of its checks; reports come back in grid
+    order, the same bits either way and as each check run alone.  A point
+    that raises cancels those not yet started, and its exception reaches the
+    caller once every worker has exited.
     """
     for axis in ("checks", "systems", "betas", "models"):
         if not getattr(config, axis):
@@ -551,9 +566,7 @@ def run_suite(config: SuiteConfig) -> list[TheoremReport]:
             mparams = dict(raw_params)
             model_seed = mparams.pop("seed", combo_seed)
             model = ModelSpec(kind=kind, nb=nb, n=n, statistics=statistics, seed=model_seed, **mparams)
-            grid.append(
-                CheckConfig(model=model, beta=beta, seed=combo_seed, trials=config.trials, **config.overrides)
-            )
+            grid.append(CheckConfig(model=model, beta=beta, seed=combo_seed, trials=config.trials, **config.overrides))
     except (TypeError, RdmftError) as exc:
         # TypeError: a model parameter or an override names a field the grid sets
         raise ConfigError(f"bad suite grid: {exc}") from exc

@@ -309,6 +309,28 @@ class TestGibbsOccupations:
         assert occupations.tolist() == natural_spectrum(gamma).occupations.tolist()
 
 
+class TestNonFiniteMatrices:
+    """NaN compares false, so without a finiteness check a NaN matrix passed the
+    Hermiticity, trace and occupation checks, and classify_rdm and
+    DensityOperator raised numpy's LinAlgError, which is not an RdmftError."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_one_rdm_and_classify_rdm(self, value):
+        m = np.eye(3) * 2 / 3
+        m[0, 1] = value
+        with pytest.raises(InvalidArguments, match="^1RDM entries must be finite$"):
+            OneRdm(m)
+        with pytest.raises(InvalidArguments, match="^1RDM entries must be finite$"):
+            classify_rdm(m, F)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_density_operator(self, value):
+        m = np.eye(3) / 3
+        m[1, 1] = value
+        with pytest.raises(InvalidDensityOperator, match="^density matrix entries must be finite$"):
+            DensityOperator(m, build_basis(3, 2, F).tag)
+
+
 class TestClassifyRdm:
     def test_pinned_occupation_is_boundary(self):
         assert classify_rdm(np.diag([1.0, 0.5, 0.5]), F) is RdmClass.BOUNDARY

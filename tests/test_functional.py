@@ -491,6 +491,13 @@ class TestInvertPotential:
         with pytest.raises(InvalidArguments):
             invert_potential(OneRdm(np.eye(3)), system, EnsembleParams(beta=1.0))
 
+    def test_nan_target_rejected(self):
+        """NaN compares false, so without the finiteness check a NaN target
+        passed the Hermiticity and trace checks and reached eigh, whose
+        LinAlgError is not an RdmftError."""
+        with pytest.raises(InvalidArguments, match="^1RDM entries must be finite$"):
+            invert_potential(np.full((3, 3), np.nan), zero_system(3, 2, F), EnsembleParams(beta=1.0))
+
     @pytest.mark.parametrize(
         "options",
         [
@@ -572,6 +579,28 @@ def dual_newton_calls(monkeypatch):
 
 
 class TestInvertPotentials:
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ({2: np.eye(3), 4: np.eye(4) / 2}, "target trace 3.0 differs from n=2 beyond 1e-10"),
+            ({2: np.eye(4) / 2, 4: np.eye(3)}, "target on 4 orbitals, basis has 3"),
+            ({4: np.eye(3) * 0.5}, "target trace 1.5 differs from n=2 beyond 1e-10"),
+        ],
+        ids=["trace_first", "orbitals_first", "last_trace"],
+    )
+    def test_stacked_target_check_names_the_first_bad_target(self, bad, error):
+        """The targets are checked as one stack; where that fails, the error is
+        the one the first bad target, in list order, raises alone."""
+        targets = [np.eye(3) * 2 / 3] * 5
+        for k, m in bad.items():
+            targets[k] = m
+        with pytest.raises((InvalidArguments, DimensionMismatch)) as exc:
+            invert_potentials(targets, zero_system(3, 2, F), EnsembleParams(1.0))
+        assert str(exc.value) == error
+
+    def test_empty_batch(self):
+        assert invert_potentials([], zero_system(3, 2, F), EnsembleParams(1.0)) == []
+
     @staticmethod
     def mixed_batch(nb=4, n=2):
         """Hubbard nb/n F (half filling) at beta = 200: interior targets, the

@@ -1,6 +1,7 @@
 """Certification suite plumbing: margins, determinism, config errors."""
 
 import dataclasses
+import itertools
 import multiprocessing
 import tracemalloc
 
@@ -382,7 +383,7 @@ STACKED_CHECKS = ("omega_concavity", "injectivity", "fractional_occupations", "e
 
 
 class TestTrialGenerators:
-    def test_campaign_drives_generator_and_plain_trials(self):
+    def test_campaign_drives_generator_and_plain_trials(self, monkeypatch):
         """Every trial draws before the first kernel call, in trial order; each
         round calls each kernel once, on its pending trials' rows in trial
         order; a failing row or a raise before the first yield fails only its
@@ -425,9 +426,9 @@ class TestTrialGenerators:
             return 0.5
 
         trials = (two_kernels, failing_row, raising, plain)
-        report = verify._campaign(
-            "gradient", config, build_system(config.model), lambda rng, k, record: trials[k](rng, k, record)
-        )
+        plan = (lambda config, system, kernel: lambda rng, k, record: trials[k](rng, k, record))
+        monkeypatch.setitem(verify._PLANS, "gradient", (plan, lambda margin, config: margin <= 0, ""))
+        (report,) = verify._campaign(config, build_system(config.model), ("gradient",))
         assert log == [
             *(("draw", k) for k in range(4)),
             ("first", ["r0"]),
@@ -443,6 +444,144 @@ class TestTrialGenerators:
             {"trial": 3, "draw": draws[3], "margin": 0.5},
         ]
         assert (report.trials, report.failures, report.worst_margin) == (4, 2, 0.5)
+
+    def test_checks_share_rounds_and_kernels(self, monkeypatch):
+        """Two checks in one campaign: every trial of the first draws, then every
+        trial of the second, each check from its own substream; a kernel both
+        ask for is built once, and each round calls it once, on the rows of
+        both in check and trial order; each report keeps its check's fails
+        rule and notes."""
+        config = small_config(F, trials=2)
+        system = build_system(config.model)
+        log = []
+
+        def make(system_, tag):
+            log.append(("build", tag, system_ is system))
+            return lambda rows: log.append(("call", tag, list(rows))) or [f"{tag}({row})" for row in rows]
+
+        def plan(name, rounds):
+            def trial_plan(config, system, kernel):
+                shared = kernel(make, "shared")
+
+                def trial(rng, k, record):
+                    record["draw"] = float(rng.uniform())
+                    log.append(("draw", name, k))
+                    for r in range(rounds):
+                        (out,) = yield shared, [f"{name}{k}.{r}"]
+                        record[f"out{r}"] = out
+                    return k - 0.5
+
+                return trial
+
+            return trial_plan
+
+        monkeypatch.setitem(verify._PLANS, "omega_concavity", (plan("a", 2), lambda margin, config: margin < -1, "A"))
+        monkeypatch.setitem(verify._PLANS, "injectivity", (plan("b", 1), lambda margin, config: margin <= 0, ""))
+        a, b = verify._campaign(config, system, ("omega_concavity", "injectivity"))
+        assert log == [
+            ("build", "shared", True),
+            ("draw", "a", 0),
+            ("draw", "a", 1),
+            ("draw", "b", 0),
+            ("draw", "b", 1),
+            ("call", "shared", ["a0.0", "a1.0", "b0.0", "b1.0"]),
+            ("call", "shared", ["a0.1", "a1.1"]),
+        ]
+        for report, name, letter in ((a, "omega_concavity", "a"), (b, "injectivity", "b")):
+            rng = verify._rng(config, name)
+            assert report.theorem_id == name and report.trials == 2
+            assert [row["draw"] for row in report.details] == [float(rng.uniform()) for _ in range(2)]
+            assert [row["out0"] for row in report.details] == [f"shared({letter}{k}.0)" for k in range(2)]
+        assert (a.failures, a.notes, b.failures, b.notes) == (0, "A", 1, "")
+
+
+class TestSharedRounds:
+    """A grid point runs its checks as one campaign, whose shared rounds
+    change only the batching."""
+
+    @pytest.mark.parametrize("beta", [1.0, 50.0])
+    def test_point_matches_each_check_run_alone(self, beta):
+        """On the five default systems and three default models, a grid
+        point's reports are, as JSON bytes, those of each check run alone on a
+        System of its own; at beta = 50 some inversions climb the beta ladder."""
+        for (nb, n, statistics), (kind, params) in itertools.product(verify.DEFAULT_SYSTEMS, verify.DEFAULT_MODELS):
+            model = ModelSpec(kind=kind, nb=nb, n=n, statistics=statistics, **{"seed": 5, **params})
+            config = CheckConfig(model=model, beta=beta, seed=2026, trials=4)
+            point = verify._run_point(config, ALL_CHECKS)
+            alone = [run_check(name, config) for name in ALL_CHECKS]
+            assert [canonical_json(theorem_report_to_json(r)) for r in point] == [
+                canonical_json(theorem_report_to_json(r)) for r in alone
+            ]
+
+    def test_two_inversion_calls_per_grid_point(self, monkeypatch):
+        """The pinned benchmark grid (perfbench/verify_default.json) in one
+        process: each of its 45 points makes one invert_potentials call for
+        f_convexity's 60 cold targets and gradient's 20 cold bases, and one
+        for gradient's warm-started neighbours: two for each of its at most 5
+        directions, of which nb = 2 has 3."""
+        sizes, batched = [], verify.invert_potentials
+
+        def spy(targets, *args):
+            sizes.append(len(targets))
+            return batched(targets, *args)
+
+        monkeypatch.setattr(verify, "invert_potentials", spy)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        reports = run_suite(SuiteConfig(betas=(0.5, 1.0, 5.0), seed=2026, trials=20))
+        assert len(reports) == 360 and suite_failures(reports) == 0
+        per_point = [[80, 20 * 2 * min(5, nb * nb - 1)] for nb, _, _ in verify.DEFAULT_SYSTEMS for _ in range(9)]
+        assert sizes == [size for point in per_point for size in point] and len(sizes) == 90
+
+    def test_failing_row_in_a_merged_kernel_fails_only_its_trial(self, monkeypatch):
+        """invert_potentials raises for any batch holding gradient trial 1's
+        base, which shares its call with f_convexity's cold targets: the merged
+        call's rows are inverted one by one, only that trial fails, with that
+        error's text, and every other trial of both checks is a clean run's."""
+        config = small_config(F, trials=3)
+        system = build_system(config.model)
+        clean = verify._campaign(config, system, ("f_convexity", "gradient"))
+        batched, poisoned, calls = verify.invert_potentials, [], []
+
+        def raises_on_one(targets, system, params, opts):
+            poisoned[:] = poisoned or [targets[3 * config.trials + 1].matrix.tobytes()]
+            calls.append(len(targets))
+            if poisoned[0] in [target.matrix.tobytes() for target in targets]:
+                raise InvalidArguments("one bad target")
+            return batched(targets, system, params, opts)
+
+        monkeypatch.setattr(verify, "invert_potentials", raises_on_one)
+        convexity, gradient = verify._campaign(config, build_system(config.model), ("f_convexity", "gradient"))
+        assert calls == [12] + [1] * 12 + [20]
+        assert convexity.details == clean[0].details and convexity.failures == 0
+        assert gradient.failures == 1
+        assert gradient.details[1] == {"trial": 1, "margin": None, "error": "one bad target"}
+        assert [gradient.details[k] for k in (0, 2)] == [clean[1].details[k] for k in (0, 2)]
+
+    def test_nan_row_in_a_shared_kernel_fails_only_its_trial(self, monkeypatch):
+        """coleman's trial 0 draws NaN occupations: the stack of 1RDMs that the
+        rotation kernel builds for coleman, f_convexity and gradient fails its
+        finiteness check, the stack is built again row by row, and only that
+        trial fails, with the text OneRdm raises for its matrix alone."""
+        config = small_config(F, trials=3)
+        checks = ("f_convexity", "gradient", "coleman")
+        clean = verify._campaign(config, build_system(config.model), checks)
+        draw, calls = verify._rdm_draw, []
+
+        def nan_for_coleman(rng, *args):
+            occ, z = draw(rng, *args)
+            calls.append(len(calls))
+            # f_convexity draws 6, gradient 3, then coleman's interior trial 0
+            return (np.full_like(occ, np.nan) if len(calls) == 10 else occ), z
+
+        monkeypatch.setattr(verify, "_rdm_draw", nan_for_coleman)
+        reports = verify._campaign(config, build_system(config.model), checks)
+        with pytest.raises(InvalidArguments) as alone:
+            OneRdm(np.full((3, 3), np.nan))
+        assert str(alone.value) == "1RDM entries must be finite"
+        assert [r.details for r in reports[:2]] == [r.details for r in clean[:2]]
+        assert reports[2].failures == 1
+        assert reports[2].details[0] == {"trial": 0, "variant": "interior", "margin": None, "error": str(alone.value)}
+        assert reports[2].details[1:] == clean[2].details[1:]
 
 
 class TestStackedChecks:
@@ -495,6 +634,29 @@ class TestStackedChecks:
         assert report.failures == 1
         assert (report.details[1]["margin"], report.details[1]["error"]) == (None, expected["error"])
         assert expected["error"] == "density matrix has an eigenvalue below -1e-12"
+        assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
+
+    def test_nan_density_fails_only_its_trial(self, monkeypatch):
+        """Trial 1 of gibbs_minimality draws NaN weights for its random
+        competitor: the stack of free energies fails its finiteness check, the
+        stack is run again row by row, and only trial 1 fails, with the text
+        DensityOperator raises for that matrix alone."""
+        config = CheckConfig(model=ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5), trials=3)
+        clean = run_check("gibbs_minimality", config)
+        draw, calls = verify._density_draw, []
+
+        def nan_for_trial_1(rng, dim):
+            w, z = draw(rng, dim)
+            calls.append(dim)
+            return (np.full_like(w, np.nan) if len(calls) == 2 else w), z
+
+        monkeypatch.setattr(verify, "_density_draw", nan_for_trial_1)
+        report = run_check("gibbs_minimality", config)
+        with pytest.raises(InvalidDensityOperator) as alone:
+            DensityOperator(np.full((6, 6), np.nan), build_system(config.model).basis.tag)
+        assert str(alone.value) == "density matrix entries must be finite"
+        assert report.failures == 1
+        assert (report.details[1]["margin"], report.details[1]["error"]) == (None, str(alone.value))
         assert [report.details[k] for k in (0, 2)] == [clean.details[k] for k in (0, 2)]
 
     @pytest.mark.parametrize("check", STACKED_CHECKS)
@@ -574,15 +736,16 @@ class TestStackedChecks:
     def test_non_hermitian_neighbour_fails_only_its_trial(self, monkeypatch):
         """One direction of trial 3 of gradient assembles to a non-Hermitian
         matrix: the stack of that trial's neighbours fails its 1RDM check, so
-        trial 3 fails before its inversions with the text OneRdm raises for
-        such a neighbour alone, and the other trials are a clean run's."""
+        trial 3 fails after its base's inversion and before its neighbours'
+        with the text OneRdm raises for such a neighbour alone, and the other
+        trials are a clean run's."""
         config = small_config(F, trials=5)
         clean = run_check("gradient", config)
         assemble, stacks, expected = PotentialBasis.assemble, [], {}
 
         def skewed(self, coeffs):
             m = assemble(self, coeffs)
-            if np.shape(coeffs) == (5, self.size):
+            if np.shape(coeffs) == (5, self.size) and not inverting:  # a trial's directions
                 stacks.append(m)
                 if len(stacks) == 4:
                     m[2, 0, 1] += 1e-3
@@ -591,16 +754,20 @@ class TestStackedChecks:
                     expected["error"] = str(alone.value)
             return m
 
-        sizes, batched = [], verify.invert_potentials
+        sizes, batched, inverting = [], verify.invert_potentials, []
 
         def spy(targets, *args):
             sizes.append(len(targets))
-            return batched(targets, *args)
+            inverting.append(True)
+            try:
+                return batched(targets, *args)
+            finally:
+                inverting.pop()
 
         monkeypatch.setattr(PotentialBasis, "assemble", skewed)
         monkeypatch.setattr(verify, "invert_potentials", spy)
         report = run_check("gradient", config)
-        assert sizes == [4, 40]
+        assert sizes == [5, 40]
         assert report.failures == 1
         assert report.details[3] == {"trial": 3, "margin": None, "error": expected["error"]}
         assert expected["error"] == "1RDM is not Hermitian within 1e-12"
@@ -730,10 +897,10 @@ class TestPool:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="workers inherit the patch")
     def test_worker_error_reaches_caller(self, monkeypatch):
-        def broken(config, system):
+        def broken(config, system, kernel):
             raise ValueError(f"broken at nb={config.model.nb}")
 
-        monkeypatch.setitem(verify.CHECK_REGISTRY, "coleman", broken)
+        monkeypatch.setitem(verify._PLANS, "coleman", (broken, lambda margin, config: margin < 0, ""))
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         config = SuiteConfig(checks=("injectivity", "coleman"), betas=(1.0,), models=(("zero", {}),), trials=1)
         with pytest.raises(ValueError) as exc:
