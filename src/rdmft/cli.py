@@ -34,7 +34,7 @@ from .errors import (
     NotRepresentableError,
     RdmftError,
 )
-from .fock import ConfigurationBasis, ManyBodyOperator, Statistics, lift_one_body
+from .fock import ConfigurationBasis, ManyBodyOperator, Statistics, _as_square, lift_one_body
 from .functional import (
     InversionOptions,
     InversionVerdict,
@@ -187,10 +187,13 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     if isinstance(spec_obj, list):
         if not spec_obj:
             raise ConfigError("'potentials' list is empty")
-        try:
-            return [TracelessPotential(matrix_from_json(x)) for x in spec_obj]
-        except RdmftError as exc:
-            raise ConfigError(f"bad potential entry: {exc}") from exc
+        potentials = []
+        for v_id, x in enumerate(spec_obj):
+            try:
+                potentials.append(TracelessPotential(_as_square(matrix_from_json(x), nb)))
+            except RdmftError as exc:
+                raise ConfigError(f"bad potential entry {v_id}: {exc}") from exc
+        return potentials
     raise ConfigError("'potentials' must be an object or a list of matrices")
 
 

@@ -623,26 +623,20 @@ def _dual_newton(
         if not run.ids.size or iteration == opts.max_iter:
             break
 
-        # after the first step, which reads its J from the starts', the fresh
-        # rows take a fresh one, indexed by a slice if that is every row
-        fresh = run.fresh
-        if iteration > 1 and fresh.any():
-            rows = slice(None) if fresh.all() else fresh
+        # after the first step, which reads its J from the starts', the fresh rows take a fresh one
+        if iteration > 1 and run.fresh.any():
+            # a slice where that is every row, since a mask would copy their spectra and raise the peak RSS
+            rows = slice(None) if run.fresh.all() else run.fresh
             run.jac[rows] = _jacobian(run.energies[rows], run.vectors[rows], run.weights[rows], basis, params, pbasis)
-        jacobians[run.ids[fresh]] += 1
+        jacobians[run.ids[run.fresh]] += 1
         step = _newton_steps(run.jac, run.grad)
         slope = (run.grad * step).sum(-1)
         ascends = np.isfinite(slope) & (slope > 0.0)
-        if not ascends.all():
-            keep = ascends | ~fresh
-            run, step, slope, ascends = stop(run, ~keep), step[keep], slope[keep], ascends[keep]
-            if not run.ids.size:
-                break
         length, taken = _norm(step, axis=-1), np.zeros(run.ids.size)
         before = (run.c.copy(), run.grad.copy(), run.residual.copy()) if reuse else None
 
-        # every row still searching has halved its step as often; searching
-        # is None while that is every row, so that nothing is gathered
+        # the rows whose direction ascends search, each having halved its step as often; searching is
+        # None while that is every row, since gathering all of them at each trial point only costs time
         t, searching, trial = 1.0, None if ascends.all() else ascends, None
         while t >= MIN_STEP and (searching is None or searching.any()):
             rows = (run.c, run.value, run.residual, run.target, step, slope, length)
@@ -670,7 +664,7 @@ def _dual_newton(
                 taken[accept], searching[accept] = t, False
             t *= BACKTRACK_FACTOR
         del trial
-        # the rows that found no admissible step stop, or retake J if stale
+        # a row that took no step, for want of ascent or of an admissible step, stops if J was fresh, else retakes J
         stuck = taken == 0.0
         if reuse:
             c0, grad0, residual0 = before

@@ -10,7 +10,7 @@ identical report.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -56,6 +56,9 @@ class CheckConfig:
             value = getattr(self, name)
             if not 0.0 < value < float("inf"):
                 raise InvalidArguments(f"{name} must be positive and finite, got {value}")
+        for name in ("gradient_tol", "convexity_slack", "coleman_tol", "injectivity_floor", "fractional_floor"):
+            if not np.isfinite(getattr(self, name)):  # a NaN margin would fail no claim
+                raise InvalidArguments(f"{name} must be finite, got {getattr(self, name)}")
         if not self.fractional_betas:
             raise InvalidArguments("fractional_betas needs at least one beta")
         try:
@@ -125,10 +128,10 @@ def _caught(fn, *args):
 
 
 def _step(run, outputs: list | None = None):
-    """A plain trial's outcome as it is; a generator trial sent outputs: (run, kernel,
-    rows) at its next yield, its margin once it returns, or the RdmftError it raises."""
+    """A trial sent outputs: (run, kernel, rows) at its next yield, its margin
+    once it returns, or the RdmftError it raises."""
     try:
-        return (run, *run.send(outputs)) if isinstance(run, Generator) else run
+        return (run, *run.send(outputs))
     except StopIteration as stop:
         return stop.value
     except RdmftError as exc:
@@ -201,7 +204,7 @@ def _check(fails=lambda margin, config: margin <= 0, notes=""):
         def check(config: CheckConfig, system: System) -> TheoremReport:
             return _campaign(config, system, (name,))[0]
 
-        # the plan's names, so that the check pickles by them; functools.wraps would also give it the plan's signature
+        # the plan's names, which the module binds the check under, for help() and reprs; wraps would add the signature
         check.__name__, check.__qualname__, check.__doc__ = plan.__name__, plan.__qualname__, plan.__doc__
         CHECK_REGISTRY[name] = check
         return check
@@ -215,11 +218,11 @@ def _campaign(config: CheckConfig, system: System, checks) -> list[TheoremReport
 
     Each check's plan gives its trial, and kernel(make, *args) gives it
     make(system, *args), built once per campaign, so that checks share
-    their kernels of one kind and beta.  trial(rng, k, record) fills in the
-    fields of record, which starts as {"trial": k}, and returns the signed
-    margin; a trial whose margin needs a kernel is a generator that yields
-    (kernel, rows), is sent the rows' outputs in row order, and may yield
-    again before it returns the margin.  kernel(rows) gives each row its
+    their kernels of one kind and beta.  Each trial(rng, k, record) is a
+    generator that fills in the fields of record, which starts as
+    {"trial": k}, yields (kernel, rows), is sent the rows' outputs in row
+    order, may yield again, and returns the signed margin; calling it runs
+    none of its body, so it cannot raise.  kernel(rows) gives each row its
     output, or the RdmftError that row fails with, or raises an RdmftError
     if some row fails.  Each trial runs to its first yield, check by check
     in trial order, so all make their draws before any kernel runs; then
@@ -238,7 +241,7 @@ def _campaign(config: CheckConfig, system: System, checks) -> list[TheoremReport
     plans = [(plan(config, system, shared), fails, notes) for plan, fails, notes in (_PLANS[c] for c in checks)]
     records = [[{"trial": k} for k in range(config.trials)] for _ in checks]
     starts = zip(plans, [_rng(config, check) for check in checks], records)
-    outcomes = [_step(_caught(trial, rng, k, own[k])) for (trial, *_), rng, own in starts for k in range(config.trials)]
+    outcomes = [_step(trial(rng, k, own[k])) for (trial, *_), rng, own in starts for k in range(config.trials)]
     while pending := [k for k, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]:
         by_kernel = {}
         for k in pending:

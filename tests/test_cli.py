@@ -539,6 +539,15 @@ MALFORMED = {
         {"model": ZERO_MODEL, "beta": 1.0, "potentials": [{"shape": [3, 3], "data": [float("nan")] + [0.0] * 17}]},
         "finite",
     ),
+    "gibbs_potential_wrong_size": (
+        "gibbs",
+        {
+            "model": HUBBARD_4_2,
+            "beta": 1.0,
+            "potentials": [{"shape": [4, 4], "data": [0.0] * 32}, {"shape": [3, 3], "data": [0.0] * 18}],
+        },
+        "bad potential entry 1: expected a 4x4 matrix, got (3, 3)",
+    ),
     "gibbs_beta_past_float_range": ("gibbs", {"model": ZERO_MODEL, "beta": 10**400}, "finite"),
     "invert_occupations_nan": (
         "invert",

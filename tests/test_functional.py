@@ -771,6 +771,34 @@ class TestInvertPotentials:
         assert np.all(np.isnan(steps[0]))
         npt.assert_array_equal(steps[1], [1.0, 2.0])
 
+    @pytest.mark.parametrize("nb, n", [(4, 2), (8, 4)])
+    def test_non_ascending_fresh_row_stops_only_itself(self, monkeypatch, nb, n):
+        """Row 0's first direction, from a fresh J, is negated so that it does
+        not ascend: on hubbard 4/2 F, where J is not reused, and 8/4 F, where
+        it is, that row stops where it started and the others go on as alone."""
+        system, params = hubbard_system(nb, n, F), EnsembleParams(1.0)
+        targets = [random_rdm(nb, n, F, interior=True, seed=seed) for seed in range(3)]
+        cold, opts = np.zeros((1, system.pbasis.size)), InversionOptions()
+        solo = [functional._dual_newton([target], system, params, opts, cold)[0][0] for target in targets[1:]]
+        steps, calls = functional._newton_steps, []
+
+        def negate_first(jac, grad):
+            step = steps(jac, grad)
+            if not calls:
+                step[0] = -step[0]
+            calls.append(len(grad))
+            return step
+
+        monkeypatch.setattr(functional, "_newton_steps", negate_first)
+        batch, _ = functional._dual_newton(targets, system, params, opts, np.repeat(cold, 3, axis=0))
+        assert calls[0] == 3 and functional._reuses_jacobian(system.basis) == (nb == 8)
+        assert (batch[0].verdict, batch[0].iterations, batch[0].jacobians) == (InversionVerdict.MAX_ITERATIONS, 1, 1)
+        assert not batch[0].v_star.matrix.any()
+        for b, s in zip(batch[1:], solo):
+            assert s.verdict is InversionVerdict.CONVERGED
+            assert b.v_star.matrix.tobytes() == s.v_star.matrix.tobytes()
+            assert (b.trace, b.jacobians) == (s.trace, s.jacobians)
+
     def test_initial_shape_checked(self):
         system, params, targets, _ = self.mixed_batch()
         with pytest.raises(InvalidArguments, match="initial"):

@@ -383,11 +383,11 @@ STACKED_CHECKS = ("omega_concavity", "injectivity", "fractional_occupations", "e
 
 
 class TestTrialGenerators:
-    def test_campaign_drives_generator_and_plain_trials(self, monkeypatch):
+    def test_campaign_drives_generator_trials(self, monkeypatch):
         """Every trial draws before the first kernel call, in trial order; each
         round calls each kernel once, on its pending trials' rows in trial
         order; a failing row or a raise before the first yield fails only its
-        own trial, with its own text."""
+        own trial, with its own text; a trial may return without yielding."""
         config = small_config(F, trials=4)
         log = []
 
@@ -421,11 +421,12 @@ class TestTrialGenerators:
             raise RdmftError("trial 2 draws nothing")
             yield first, ["never"]
 
-        def plain(rng, k, record):
+        def no_kernel(rng, k, record):
             draw(rng, k, record)
             return 0.5
+            yield
 
-        trials = (two_kernels, failing_row, raising, plain)
+        trials = (two_kernels, failing_row, raising, no_kernel)
         plan = (lambda config, system, kernel: lambda rng, k, record: trials[k](rng, k, record))
         monkeypatch.setitem(verify._PLANS, "gradient", (plan, lambda margin, config: margin <= 0, ""))
         (report,) = verify._campaign(config, build_system(config.model), ("gradient",))
@@ -989,11 +990,17 @@ class TestRunSuite:
             ({"betas": (float("nan"),)}, "beta must be positive and finite, got nan"),
             ({"overrides": {"separation": -0.1}}, "separation must be nonnegative, got -0.1"),
             ({"overrides": {"separation": float("nan")}}, "separation must be nonnegative, got nan"),
+            ({"overrides": {"gradient_tol": float("nan")}}, "gradient_tol must be finite, got nan"),
+            ({"overrides": {"convexity_slack": float("nan")}}, "convexity_slack must be finite, got nan"),
+            ({"overrides": {"coleman_tol": float("inf")}}, "coleman_tol must be finite, got inf"),
+            ({"overrides": {"injectivity_floor": float("nan")}}, "injectivity_floor must be finite, got nan"),
+            ({"overrides": {"fractional_floor": -float("inf")}}, "fractional_floor must be finite, got -inf"),
         ],
     )
     def test_bad_beta_or_separation_rejected_before_any_check(self, monkeypatch, grid, reason):
-        """The grid's betas and a separation override are checked with the
-        rest of the grid, so no check runs on a point that has no ensemble."""
+        """The grid's betas and its separation and tolerance overrides are
+        checked with the rest of the grid, so no check runs on a point that
+        has no ensemble or whose margins could not fail."""
         ran = []
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(verify, "_run_point", lambda *args: ran.append(args))
@@ -1002,6 +1009,17 @@ class TestRunSuite:
             run_suite(dataclasses.replace(config, **grid))
         assert str(error.value) == f"bad suite grid: {reason}"
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "name", ["gradient_tol", "convexity_slack", "coleman_tol", "injectivity_floor", "fractional_floor"]
+    )
+    def test_non_finite_tolerances_rejected(self, name):
+        """A NaN tolerance makes every margin of its check NaN, and a NaN
+        margin fails no claim; a finite one may take either sign."""
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidArguments, match=f"^{name} must be finite, got {value}$"):
+                small_config(F, **{name: value})
+        assert getattr(small_config(F, **{name: -1.0}), name) == -1.0
 
     @pytest.mark.parametrize("separation", [0.0, float("inf")])
     def test_zero_and_unreachable_separations_accepted(self, separation):
