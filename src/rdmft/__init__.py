@@ -44,7 +44,6 @@ from .fock import (
     build_basis,
     lift_one_body,
     lift_two_body,
-    slater_state,
 )
 from .functional import (
     InversionOptions,

@@ -19,6 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .ensemble import (
+    RDM_TRACE_TOL,
     EnsembleParams,
     OneRdm,
     entropy,
@@ -197,12 +198,13 @@ def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
     raise ConfigError("'potentials' must be an object or a list of matrices")
 
 
-def _target_rdm(obj, basis: ConfigurationBasis, seed) -> OneRdm:
+def _target_rdm(obj, basis: ConfigurationBasis, seed, label="target") -> OneRdm:
+    """The 1RDM that obj describes; every error names it by label."""
     if not isinstance(obj, dict):
-        raise ConfigError("target must be a JSON object")
-    _known(obj, ("matrix", "occupations", "sample"), "target")
+        raise ConfigError(f"{label} must be a JSON object")
+    _known(obj, ("matrix", "occupations", "sample"), label)
     if len(obj) > 1:
-        raise ConfigError(f"target takes one of 'matrix', 'occupations' and 'sample', got {sorted(obj)}")
+        raise ConfigError(f"{label} takes one of 'matrix', 'occupations' and 'sample', got {sorted(obj)}")
     try:
         if "matrix" in obj:
             gamma = OneRdm(matrix_from_json(obj["matrix"]))
@@ -217,13 +219,13 @@ def _target_rdm(obj, basis: ConfigurationBasis, seed) -> OneRdm:
             interior, sample_seed = _get(sample, "interior", bool, True), _get(sample, "seed", int, seed)
             gamma = random_rdm(basis.nb, basis.n, basis.statistics, interior=interior, seed=sample_seed)
         else:
-            raise ConfigError("target needs 'matrix', 'occupations', or 'sample'")
+            raise ConfigError(f"{label} needs 'matrix', 'occupations', or 'sample'")
     except RdmftError as exc:
-        raise ConfigError(f"bad target: {exc}") from exc
+        raise ConfigError(f"bad {label}: {exc}") from exc
     if gamma.nb != basis.nb:
-        raise ConfigError(f"target is {gamma.nb}x{gamma.nb}, model has nb={basis.nb}")
-    if abs(gamma.trace - basis.n) > 1e-10:
-        raise ConfigError(f"target trace {gamma.trace} does not match n={basis.n}")
+        raise ConfigError(f"{label} is {gamma.nb}x{gamma.nb}, model has nb={basis.nb}")
+    if abs(gamma.trace - basis.n) > RDM_TRACE_TOL:
+        raise ConfigError(f"{label} trace {gamma.trace} does not match n={basis.n}")
     return gamma
 
 
@@ -323,7 +325,7 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         entries = _convert(tuple[dict, ...], cfg["targets"], "targets")
         if not entries:
             raise ConfigError("'targets' list is empty")
-        targets = [_target_rdm(t, basis, seed) for t in entries]
+        targets = [_target_rdm(t, basis, seed, f"target entry {k}") for k, t in enumerate(entries)]
     elif "samples" in cfg:
         sample = _convert(dict, cfg["samples"], "samples")
         _known(sample, ("count", "seed"), "samples")

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidArguments,
-    InvalidConfiguration,
     InvalidDensityOperator,
     NonHermitianInput,
     SymmetryViolation,
@@ -361,29 +360,3 @@ def _hermitized(m: np.ndarray) -> np.ndarray:
     if defect >= LIFTED_HERMITICITY_TOL:
         raise NonHermitianInput(f"lifted operator hermiticity defect {defect:.3e} exceeds 1e-12")
     return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
-def slater_state(orbitals, basis: ConfigurationBasis) -> DensityOperator:
-    """Projector onto a single configuration.
-
-    Fermions accept either an index set of n distinct orbitals or a 0/1
-    occupation vector of length nb; bosons take an occupation vector
-    summing to n.
-    """
-    spec = tuple(int(x) for x in sorted(orbitals)) if isinstance(orbitals, (set, frozenset)) else tuple(int(x) for x in orbitals)
-    state = None
-    if len(spec) == basis.nb and all(x >= 0 for x in spec) and sum(spec) == basis.n:
-        state = spec
-    elif basis.statistics is Statistics.FERMION and len(spec) == basis.n:
-        if len(set(spec)) != basis.n or not all(0 <= p < basis.nb for p in spec):
-            raise InvalidConfiguration(f"index set {spec!r} is not n distinct orbitals below nb")
-        vec = [0] * basis.nb
-        for p in spec:
-            vec[p] = 1
-        state = tuple(vec)
-    if state is None or state not in basis.index:
-        raise InvalidConfiguration(f"{spec!r} does not describe a configuration of {basis.tag}")
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    k = basis.index[state]
-    rho[k, k] = 1.0
-    return DensityOperator(rho, basis.tag)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .ensemble import (
     CLASSIFY_DEFAULT_TOL,
+    RDM_TRACE_TOL,
     EnsembleParams,
     GibbsSolution,
     OneRdm,
@@ -766,11 +767,13 @@ def invert_potentials(
     basis, size = system.basis, system.pbasis.size
     # checked as one stack; target by target only where that fails, for the first bad one's text
     stack = np.array([gamma.matrix for gamma in targets]) if all(gamma.nb == basis.nb for gamma in targets) else None
-    if stack is None or (abs(np.einsum("bii->b", stack.reshape(-1, basis.nb, basis.nb)).real - basis.n) > 1e-10).any():
+    if stack is None or (
+        abs(np.einsum("bii->b", stack.reshape(-1, basis.nb, basis.nb)).real - basis.n) > RDM_TRACE_TOL
+    ).any():
         for target in targets:
             if target.nb != basis.nb:
                 raise DimensionMismatch(f"target on {target.nb} orbitals, basis has {basis.nb}")
-            if abs(target.trace - basis.n) > 1e-10:
+            if abs(target.trace - basis.n) > RDM_TRACE_TOL:
                 raise InvalidArguments(f"target trace {target.trace} differs from n={basis.n} beyond 1e-10")
     starts = np.zeros(size) if opts.initial is None else np.array(opts.initial, dtype=float)
     if starts.shape not in ((size,), (len(targets), size)):

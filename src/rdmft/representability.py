@@ -19,6 +19,7 @@ import numpy as np
 
 from .ensemble import (
     CLASSIFY_DEFAULT_TOL,
+    RDM_TRACE_TOL,
     DensityOperator,
     OneRdm,
     RdmClass,
@@ -140,7 +141,7 @@ def _check_target(gamma: OneRdm, basis: ConfigurationBasis, statistics: Statisti
         raise InvalidArguments(f"basis holds {basis.statistics.value}s, construction is for {statistics.value}s")
     if gamma.nb != basis.nb:
         raise InvalidArguments(f"1RDM on {gamma.nb} orbitals, basis has {basis.nb}")
-    if abs(gamma.trace - basis.n) > 1e-10:
+    if abs(gamma.trace - basis.n) > RDM_TRACE_TOL:
         raise InvalidArguments(f"1RDM trace {gamma.trace} differs from n={basis.n} beyond 1e-10")
     if classify_rdm(gamma, statistics, tol) is RdmClass.OUTSIDE:
         raise NotRepresentableError("1RDM lies outside the admissible occupation set")

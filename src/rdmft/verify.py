@@ -195,19 +195,13 @@ CHECK_REGISTRY, _PLANS = {}, {}
 def _check(fails=lambda margin, config: margin <= 0, notes=""):
     """Register a check under the name of its plan(config, system, kernel) -> trial, less "check_":
     in _PLANS the plan, the rule fails(margin, config) of when its claim broke, and its notes; in
-    CHECK_REGISTRY, in the order of definition, the check, which runs the plan as a one-check campaign."""
+    CHECK_REGISTRY, in the order of definition, the plan.  A check runs only in a campaign."""
 
     def register(plan):
         name = plan.__name__.removeprefix("check_")
         _PLANS[name] = plan, fails, notes
-
-        def check(config: CheckConfig, system: System) -> TheoremReport:
-            return _campaign(config, system, (name,))[0]
-
-        # the plan's names, which the module binds the check under, for help() and reprs; wraps would add the signature
-        check.__name__, check.__qualname__, check.__doc__ = plan.__name__, plan.__qualname__, plan.__doc__
-        CHECK_REGISTRY[name] = check
-        return check
+        CHECK_REGISTRY[name] = plan
+        return plan
 
     return register
 

@@ -1,10 +1,12 @@
 """Independent reference implementations the tests compare against.
 
-Nothing in this module imports from rdmft.  Operator strings are expanded
+No reference here computes with rdmft.  Operator strings are expanded
 on explicit occupation vectors from scratch, the first-quantized oracle
 builds (anti)symmetrized product tensors, and the matrix exponential is a
 scaled Taylor series.  Agreement with the package is therefore evidence
-for both sides, not a tautology.
+for both sides, not a tautology.  The one exception, slater_state, is a
+fixture: it wraps a single configuration's projector in the package's own
+DensityOperator.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import itertools
 from math import factorial, sqrt
 
 import numpy as np
+
+from rdmft.errors import InvalidConfiguration
+from rdmft.fock import ConfigurationBasis, DensityOperator, Statistics
 
 
 def enumerate_configs(nb: int, n: int, fermion: bool) -> list[tuple[int, ...]]:
@@ -258,3 +263,71 @@ def haar_rotated(rng, spectrum: np.ndarray) -> np.ndarray:
     q = q * (d / np.abs(d))
     m = (q * spectrum) @ q.conj().T
     return (m + m.conj().T) / 2
+
+
+def _log_symmetric_polynomials(log_x: np.ndarray, n: int, fermion: bool) -> np.ndarray:
+    """log e_k(x) for fermions, log h_k(x) for bosons, k = 0..n: the
+    elementary or complete symmetric polynomials of x, built one level at a
+    time (e_k += x e_{k-1} from the old e_{k-1}, h_k += x h_{k-1} from the
+    new h_{k-1}), in log space, so that no term underflows at large beta."""
+    log_e = np.full(n + 1, -np.inf)
+    log_e[0] = 0.0
+    for lx in log_x:
+        if fermion:
+            log_e[1:] = np.logaddexp(log_e[1:], lx + log_e[:-1])
+        else:
+            for k in range(1, n + 1):
+                log_e[k] = np.logaddexp(log_e[k], lx + log_e[k - 1])
+    return log_e
+
+
+def noninteracting_gibbs(h: np.ndarray, n: int, beta: float, fermion: bool) -> tuple[float, np.ndarray]:
+    """Omega = -log(Z)/beta and the 1RDM gamma_ij = <a+_j a_i> of the canonical
+    Gibbs state of n particles under the one-body Hamiltonian h, with no
+    many-body basis (Borrmann & Franke, J. Chem. Phys. 98, 2484 (1993)).
+
+    With eps_i the eigenvalues of h and x_i = exp(-beta eps_i), Z = e_n(x)
+    for fermions and h_n(x) for bosons; h's eigenvectors are the natural
+    orbitals, with occupations x_i e_{n-1}(x without i) / e_n(x) and
+    sum_{k=1..n} x_i^k h_{n-k}(x) / h_n(x).  Borrmann and Franke's
+    recursion in n over the power sums sum_i x_i^k alternates in sign for
+    fermions and loses every digit at beta = 50 on non-degenerate levels;
+    the level-by-level recursion used here adds only positive terms.
+    Energies are measured from the lowest level, so log x <= 0.
+    """
+    eps, u = np.linalg.eigh(h)
+    log_x = -beta * (eps - eps[0])
+    log_z = _log_symmetric_polynomials(log_x, n, fermion)
+    if fermion:
+        others = [_log_symmetric_polynomials(np.delete(log_x, i), n - 1, True)[n - 1] for i in range(len(eps))]
+        occupations = np.exp(log_x + np.array(others) - log_z[n])
+    else:
+        k = np.arange(1, n + 1)
+        occupations = np.exp(k * log_x[:, None] + log_z[n - k] - log_z[n]).sum(axis=1)
+    return n * eps[0] - log_z[n] / beta, (u * occupations) @ u.conj().T
+
+
+def slater_state(orbitals, basis: ConfigurationBasis) -> DensityOperator:
+    """Projector onto a single configuration.
+
+    Fermions accept either an index set of n distinct orbitals or a 0/1
+    occupation vector of length nb; bosons take an occupation vector
+    summing to n.
+    """
+    spec = tuple(int(x) for x in sorted(orbitals)) if isinstance(orbitals, (set, frozenset)) else tuple(int(x) for x in orbitals)
+    state = None
+    if len(spec) == basis.nb and all(x >= 0 for x in spec) and sum(spec) == basis.n:
+        state = spec
+    elif basis.statistics is Statistics.FERMION and len(spec) == basis.n:
+        if len(set(spec)) != basis.n or not all(0 <= p < basis.nb for p in spec):
+            raise InvalidConfiguration(f"index set {spec!r} is not n distinct orbitals below nb")
+        vec = [0] * basis.nb
+        for p in spec:
+            vec[p] = 1
+        state = tuple(vec)
+    if state is None or state not in basis.index:
+        raise InvalidConfiguration(f"{spec!r} does not describe a configuration of {basis.tag}")
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    k = basis.index[state]
+    rho[k, k] = 1.0
+    return DensityOperator(rho, basis.tag)

@@ -31,14 +31,7 @@ from rdmft.functional import (
 )
 from rdmft.models import ModelSpec, build_system
 from rdmft.representability import random_rdm
-from rdmft.verify import (
-    CheckConfig,
-    check_coleman,
-    check_entropy_concavity,
-    check_f_convexity,
-    check_fractional_occupations,
-    check_omega_concavity,
-)
+from rdmft.verify import CheckConfig, _run_point
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -56,9 +49,9 @@ def record(log, number, label, passed, detail):
     assert passed, line
 
 
-def run_check(check, config):
-    """One verify check on a System of its own."""
-    return check(config, build_system(config.model))
+def run_check(name, config):
+    """One verify check alone: a one-check grid point, on a System of its own."""
+    return _run_point(config, (name,))[0]
 
 
 def model(kind, nb, n, statistics, seed):
@@ -186,8 +179,8 @@ def test_criterion_04_strict_concavity(criterion_log):
         CheckConfig(model=model("random_full", 3, 2, B, 3), beta=1.0, seed=43, trials=25, midpoint=True),
         CheckConfig(model=model("hubbard_ring", 4, 3, F, 4), beta=5.0, seed=44, trials=25, midpoint=True),
     ]
-    omega_reports = [run_check(check_omega_concavity, c) for c in configs]
-    entropy_reports = [run_check(check_entropy_concavity, c) for c in configs]
+    omega_reports = [run_check("omega_concavity", c) for c in configs]
+    entropy_reports = [run_check("entropy_concavity", c) for c in configs]
     omega_trials = sum(r.trials for r in omega_reports)
     entropy_trials = sum(r.trials for r in entropy_reports)
     failures = sum(r.failures for r in omega_reports + entropy_reports)
@@ -211,7 +204,7 @@ def test_criterion_05_functional_convexity(criterion_log):
         CheckConfig(model=model("random_full", 3, 2, F, 5), beta=1.0, seed=51, trials=25),
         CheckConfig(model=model("random_full", 2, 3, B, 6), beta=0.5, seed=52, trials=25),
     ]
-    reports = [run_check(check_f_convexity, c) for c in configs]
+    reports = [run_check("f_convexity", c) for c in configs]
     trials = sum(r.trials for r in reports)
     failures = sum(r.failures for r in reports)
     worst = min(r.worst_margin for r in reports)
@@ -231,7 +224,7 @@ def test_criterion_06_state_reconstruction(criterion_log):
         CheckConfig(model=model("zero", 3, 2, B, 9), seed=63, trials=50),
         CheckConfig(model=model("zero", 2, 3, B, 10), seed=64, trials=50),
     ]
-    reports = [run_check(check_coleman, c) for c in configs]
+    reports = [run_check("coleman", c) for c in configs]
     trials = sum(r.trials for r in reports)
     failures = sum(r.failures for r in reports)
     worst_err = 1e-10 - min(r.worst_margin for r in reports)
@@ -259,7 +252,7 @@ def test_criterion_07_fractional_occupations(criterion_log):
             fractional_v_scale=1.0,
         ),
     ]
-    reports = [run_check(check_fractional_occupations, c) for c in configs]
+    reports = [run_check("fractional_occupations", c) for c in configs]
     failures = sum(r.failures for r in reports)
     worst = min(r.worst_margin for r in reports)
     record(

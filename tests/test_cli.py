@@ -548,6 +548,15 @@ MALFORMED = {
         },
         "bad potential entry 1: expected a 4x4 matrix, got (3, 3)",
     ),
+    "functional_target_wrong_size": (
+        "functional",
+        {
+            "model": HUBBARD_4_2,
+            "beta": 1.0,
+            "targets": [{"occupations": [0.5, 0.5, 0.5, 0.5]}, {"occupations": [0.6, 0.7, 0.7]}],
+        },
+        "bad target entry 1: occupations must have length nb=4",
+    ),
     "gibbs_beta_past_float_range": ("gibbs", {"model": ZERO_MODEL, "beta": 10**400}, "finite"),
     "invert_occupations_nan": (
         "invert",

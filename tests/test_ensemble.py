@@ -30,7 +30,6 @@ from rdmft.fock import (
     build_basis,
     lift_one_body,
     lift_two_body,
-    slater_state,
 )
 
 F = Statistics.FERMION
@@ -120,7 +119,7 @@ class TestGibbsState:
 class TestEntropy:
     def test_pure_state_has_zero_entropy(self):
         basis = build_basis(3, 2, F)
-        assert entropy(slater_state({0, 1}, basis)) == 0.0
+        assert entropy(orc.slater_state({0, 1}, basis)) == 0.0
 
     def test_maximally_mixed(self):
         rho = DensityOperator(np.eye(3) / 3, "any")
@@ -174,7 +173,7 @@ class TestHelmholtz:
     def test_pure_state_zero_hamiltonian(self):
         basis = build_basis(3, 2, F)
         h = ManyBodyOperator(np.zeros((3, 3)), basis.tag)
-        rho = slater_state({0, 2}, basis)
+        rho = orc.slater_state({0, 2}, basis)
         assert helmholtz(rho, h, EnsembleParams(beta=1.0)) == 0.0
 
     def test_tag_mismatch(self):
@@ -240,12 +239,12 @@ class TestOneRdm:
 
     def test_slater_projector_gives_idempotent_rdm(self):
         basis = build_basis(4, 2, F)
-        gamma = one_rdm(slater_state({0, 1}, basis), basis)
+        gamma = one_rdm(orc.slater_state({0, 1}, basis), basis)
         npt.assert_allclose(gamma.matrix, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-14)
 
     def test_boson_condensate(self):
         basis = build_basis(2, 2, B)
-        gamma = one_rdm(slater_state((2, 0), basis), basis)
+        gamma = one_rdm(orc.slater_state((2, 0), basis), basis)
         npt.assert_allclose(gamma.matrix, np.diag([2.0, 0.0]), atol=1e-14)
 
     @pytest.mark.parametrize("nb,n,stat", [(3, 2, F), (4, 3, F), (2, 3, B)])
@@ -261,7 +260,7 @@ class TestOneRdm:
         basis = build_basis(3, 2, F)
         other = build_basis(3, 2, B)
         with pytest.raises(BasisMismatch):
-            one_rdm(slater_state((2, 0, 0), other), basis)
+            one_rdm(orc.slater_state((2, 0, 0), other), basis)
 
 
 class TestNaturalSpectrum:

@@ -28,7 +28,6 @@ from rdmft.fock import (
     build_basis,
     lift_one_body,
     lift_two_body,
-    slater_state,
     triangle_indices,
 )
 
@@ -308,7 +307,7 @@ def test_triangle_indices_cover_the_matrix(size):
 class TestSlaterState:
     def test_fermion_index_set(self):
         basis = build_basis(3, 2, F)
-        rho = slater_state({0, 1}, basis).matrix
+        rho = orc.slater_state({0, 1}, basis).matrix
         k = basis.index[(1, 1, 0)]
         expected = np.zeros((3, 3))
         expected[k, k] = 1.0
@@ -317,16 +316,16 @@ class TestSlaterState:
 
     def test_boson_occupation_vector(self):
         basis = build_basis(2, 2, B)
-        rho = slater_state((2, 0), basis).matrix
+        rho = orc.slater_state((2, 0), basis).matrix
         k = basis.index[(2, 0)]
         assert rho[k, k] == 1.0
 
     def test_wrong_size_rejected(self):
         basis = build_basis(4, 2, F)
         with pytest.raises(InvalidConfiguration):
-            slater_state({0, 1, 2}, basis)
+            orc.slater_state({0, 1, 2}, basis)
 
     def test_out_of_range_rejected(self):
         basis = build_basis(3, 2, F)
         with pytest.raises(InvalidConfiguration):
-            slater_state({1, 5}, basis)
+            orc.slater_state({1, 5}, basis)

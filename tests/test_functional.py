@@ -201,6 +201,24 @@ class TestOmegaOfV:
         assert omega == pytest.approx(sol.omega, abs=1e-12)
         npt.assert_allclose(gamma.matrix, one_rdm(sol.rho, system.basis).matrix, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "nb,n,statistics,beta",
+        [(nb, n, F, beta) for nb, n in ((3, 2), (4, 2), (5, 3), (6, 3)) for beta in (0.1, 1.0, 50.0)]
+        + [(nb, n, B, beta) for nb, n in ((3, 2), (3, 3), (4, 3), (2, 5)) for beta in (0.1, 1.0, 50.0, 1000.0)],
+    )
+    @pytest.mark.parametrize("kind", ["zero", "random_onebody"])
+    def test_one_body_models_match_the_exact_oracle(self, kind, nb, n, statistics, beta):
+        """Without interactions, Omega and the 1RDM at v = 0 and at a random v
+        are those of the symmetric-polynomial partition functions, which need
+        no many-body basis."""
+        spec = ModelSpec(kind=kind, nb=nb, n=n, statistics=statistics, seed=nb + n)
+        system, h = build_system(spec), build_operators(spec)[0].matrix
+        for v in (TracelessPotential(np.zeros((nb, nb))), random_potential(nb, seed=n, norm=1.5)):
+            omega, gamma = omega_of_v(v, system, EnsembleParams(beta))
+            exact_omega, exact_gamma = orc.noninteracting_gibbs(h + v.matrix, n, beta, statistics is F)
+            assert abs(omega - exact_omega) <= 1e-12
+            assert np.abs(gamma.matrix - exact_gamma).max() <= 1e-12
+
     @pytest.mark.parametrize("seed", range(3))
     def test_concave_along_segments(self, seed):
         system = zero_system(3, 2, B)

@@ -19,7 +19,7 @@ from rdmft.ensemble import (
     one_rdm,
 )
 from rdmft.errors import InfeasibleOccupations, InvalidArguments, NotRepresentableError
-from rdmft.fock import Statistics, build_basis, slater_state
+from rdmft.fock import Statistics, build_basis
 from rdmft.representability import (
     _condensate_vector,
     coleman_bosonic,
@@ -102,7 +102,7 @@ class TestColemanFermionic:
     def test_slater_rdm_returns_projector(self):
         basis = build_basis(3, 2, F)
         rho = coleman_fermionic(OneRdm(np.diag([1.0, 1.0, 0.0])), basis)
-        expected = slater_state({0, 1}, basis).matrix
+        expected = orc.slater_state({0, 1}, basis).matrix
         npt.assert_allclose(rho.matrix, expected, atol=1e-12)
 
     def test_half_filled_pair_is_rank_two(self):

@@ -60,8 +60,8 @@ def small_config(statistics, seed=9, trials=6, **overrides):
 
 
 def run_check(name, config):
-    """One check on a System of its own, as each grid point gets one."""
-    return CHECK_REGISTRY[name](config, build_system(config.model))
+    """One check alone: a one-check grid point, on a System of its own."""
+    return verify._run_point(config, (name,))[0]
 
 
 def run_check_keeping_rng(monkeypatch, name, config):
@@ -75,6 +75,25 @@ def run_check_keeping_rng(monkeypatch, name, config):
 
 
 class TestIndividualChecks:
+    def test_registry_order_keys_the_substreams(self):
+        """Each check's random substream is keyed by its place in ALL_CHECKS,
+        so the order is part of every report; each registered check is its
+        plan, bound in the module as check_<name>."""
+        assert ALL_CHECKS == (
+            "omega_concavity",
+            "injectivity",
+            "entropy_concavity",
+            "f_convexity",
+            "gradient",
+            "coleman",
+            "fractional_occupations",
+            "gibbs_minimality",
+        )
+        assert verify._STREAM == {name: k for k, name in enumerate(ALL_CHECKS, start=1)}
+        assert tuple(CHECK_REGISTRY) == tuple(verify._PLANS) == ALL_CHECKS
+        for name, plan in CHECK_REGISTRY.items():
+            assert plan is getattr(verify, f"check_{name}") is verify._PLANS[name][0]
+
     @pytest.mark.parametrize("check", ALL_CHECKS)
     @pytest.mark.parametrize("statistics", [F, B])
     def test_passes_with_positive_margin(self, check, statistics):
@@ -855,7 +874,7 @@ class TestSharedSystem:
         model = ModelSpec(kind="hubbard_ring", nb=4, n=2, statistics=F, u=4.0, t_hop=0.5)
         config = CheckConfig(model=model, beta=beta, seed=2026, trials=3)
         system = build_system(model)
-        shared = [CHECK_REGISTRY[name](config, system) for name in ALL_CHECKS]
+        shared = [verify._campaign(config, system, (name,))[0] for name in ALL_CHECKS]
         fresh = [run_check(name, config) for name in ALL_CHECKS]
         assert suite_failures(shared) == 0 and beta in system._cold_starts
         assert [canonical_json(theorem_report_to_json(r)) for r in shared] == [
