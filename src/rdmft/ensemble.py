@@ -14,13 +14,7 @@ from math import exp
 
 import numpy as np
 
-from .errors import (
-    BasisMismatch,
-    DimensionMismatch,
-    InvalidArguments,
-    InvalidDensityOperator,
-    NonHermitianInput,
-)
+from .errors import BasisMismatch, DimensionMismatch, InvalidArguments, InvalidDensityOperator
 from .fock import (
     LIFTED_HERMITICITY_TOL,
     ConfigurationBasis,
@@ -28,7 +22,7 @@ from .fock import (
     ManyBodyOperator,
     Statistics,
     _as_square,
-    _hermiticity_defect,
+    _check_hermitian,
     _rdm_matrix,
 )
 
@@ -88,7 +82,9 @@ class OneRdm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _hermitian_rdms(_as_square(self.matrix)))
+        m = _as_square(self.matrix)
+        _check_hermitian(m, LIFTED_HERMITICITY_TOL, "1RDM")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def nb(self) -> int:
@@ -99,18 +95,10 @@ class OneRdm:
         return float(np.trace(self.matrix).real)
 
 
-def _hermitian_rdms(m: np.ndarray) -> np.ndarray:
-    """m, a complex matrix or (B, nb, nb) stack, once OneRdm's checks pass on all of it."""
-    if not np.isfinite(m).all():
-        raise InvalidArguments("1RDM entries must be finite")
-    if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
-        raise NonHermitianInput("1RDM is not Hermitian within 1e-12")
-    return m
-
-
 def _one_rdms(m: np.ndarray) -> list[OneRdm]:
     """A OneRdm around each matrix of a complex (B, nb, nb) stack, checked once as a stack."""
-    rdms = [object.__new__(OneRdm) for _ in _hermitian_rdms(m)]
+    _check_hermitian(m, LIFTED_HERMITICITY_TOL, "1RDM")
+    rdms = [object.__new__(OneRdm) for _ in m]
     for rdm, row in zip(rdms, m):
         object.__setattr__(rdm, "matrix", row)
     return rdms

@@ -51,6 +51,17 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
+def _check_hermitian(m: np.ndarray, tol: float, noun: str) -> None:
+    """The admission rule of every checked Hermitian type, on a matrix or a
+    (..., n, n) stack: every entry finite, then every matrix Hermitian within
+    tol.  A density matrix fails either part as InvalidDensityOperator."""
+    density = noun == "density matrix"
+    if not np.isfinite(m).all():
+        raise (InvalidDensityOperator if density else InvalidArguments)(f"{noun} entries must be finite")
+    if _hermiticity_defect(m) > tol:
+        raise (InvalidDensityOperator if density else NonHermitianInput)(f"{noun} is not Hermitian within {tol:g}")
+
+
 def _as_square(matrix, size: int | None = None) -> np.ndarray:
     m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -68,8 +79,7 @@ class OneBodyOperator:
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
-            raise NonHermitianInput("one-body matrix is not Hermitian within 1e-13")
+        _check_hermitian(m, ONE_BODY_HERMITICITY_TOL, "one-body matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -91,6 +101,8 @@ class TwoBodyOperator:
         w = np.asarray(getattr(self.tensor, "tensor", self.tensor), dtype=complex)
         if w.ndim != 4 or len(set(w.shape)) != 1:
             raise DimensionMismatch(f"expected an (nb,)*4 tensor, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise InvalidArguments("two-body tensor entries must be finite")
         if np.max(np.abs(w - w.transpose(2, 3, 0, 1).conj())) > TWO_BODY_SYMMETRY_TOL:
             raise SymmetryViolation("two-body tensor violates hermiticity")
         if np.max(np.abs(w - w.transpose(1, 0, 3, 2))) > TWO_BODY_SYMMETRY_TOL:
@@ -140,10 +152,7 @@ class DensityOperator:
 def _check_densities(m: np.ndarray) -> None:
     """DensityOperator's checks, in order, on every matrix of a (B, dim, dim)
     complex stack: raises the first one that some matrix fails."""
-    if not np.isfinite(m).all():
-        raise InvalidDensityOperator("density matrix entries must be finite")
-    if _hermiticity_defect(m) > LIFTED_HERMITICITY_TOL:
-        raise InvalidDensityOperator("density matrix is not Hermitian within 1e-12")
+    _check_hermitian(m, LIFTED_HERMITICITY_TOL, "density matrix")
     trace = np.trace(m, axis1=-2, axis2=-1)
     if (abs(trace.real - 1.0) > DENSITY_TRACE_TOL).any() or (abs(trace.imag) > DENSITY_TRACE_TOL).any():
         raise InvalidDensityOperator("density matrix trace differs from 1 beyond 1e-12")
@@ -354,9 +363,6 @@ def lift_two_body(w, basis: ConfigurationBasis) -> ManyBodyOperator:
 
 
 def _hermitized(m: np.ndarray) -> np.ndarray:
-    """(m + m+)/2 of a matrix or of each matrix of a stack, whose hermiticity
-    defect must stay below 1e-12."""
-    defect = _hermiticity_defect(m) / 2
-    if defect >= LIFTED_HERMITICITY_TOL:
-        raise NonHermitianInput(f"lifted operator hermiticity defect {defect:.3e} exceeds 1e-12")
+    """(m + m+)/2: the lift of a checked operator, Hermitian up to the
+    round-off of its sums, made exactly Hermitian at any scale."""
     return (m + m.conj().swapaxes(-1, -2)) / 2

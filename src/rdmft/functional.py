@@ -41,7 +41,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidArguments,
-    NonHermitianInput,
     NotRepresentableError,
 )
 from .fock import (
@@ -49,7 +48,7 @@ from .fock import (
     ConfigurationBasis,
     ManyBodyOperator,
     _as_square,
-    _hermiticity_defect,
+    _check_hermitian,
     _lift,
     _rdm_matrix,
     triangle_indices,
@@ -111,10 +110,7 @@ def _check_traceless(m: np.ndarray) -> None:
     """The rule of TracelessPotential for a complex matrix or a (..., nb, nb)
     stack of them: each one finite, Hermitian within 1e-13 and traceless
     within 1e-12 relative to its norm."""
-    if not np.isfinite(m).all():
-        raise InvalidArguments("potential entries must be finite")
-    if _hermiticity_defect(m) > ONE_BODY_HERMITICITY_TOL:
-        raise NonHermitianInput("potential is not Hermitian within 1e-13")
+    _check_hermitian(m, ONE_BODY_HERMITICITY_TOL, "potential")
     trace = np.trace(m, axis1=-2, axis2=-1)
     # relative to scale: a large potential cannot express an exactly zero trace
     # below the ulp of its own diagonal entries; one within 1e-12 passes at any scale
@@ -595,18 +591,19 @@ def _dual_newton(
 
     jacobians = np.zeros(len(targets), dtype=int)
     final_c, final_value, final_residual = np.empty_like(c), np.empty_like(run.value), np.empty_like(run.residual)
+    verdicts = np.empty(len(targets), dtype=object)
 
-    def stop(run: _Running, mask: np.ndarray) -> _Running:
-        """Write out the final state of the rows in mask and drop them."""
+    def stop(run: _Running, mask: np.ndarray, verdict: InversionVerdict) -> _Running:
+        """Write out the verdict and final state of the rows in mask and drop them."""
         ids = run.ids[mask]
         final_c[ids], final_value[ids], final_residual[ids] = run.c[mask], run.value[mask], run.residual[mask]
+        verdicts[ids] = verdict
         return run._make(a[~mask] for a in run)
 
     records: list[list[IterationRecord]] = [[] for _ in targets]
     # off the interior no maximizer exists, so that verdict is final here
-    verdicts = [InversionVerdict.MAX_ITERATIONS if inside else InversionVerdict.NON_REPRESENTABLE for inside in interior]
     if not interior.all():
-        run = stop(run, ~interior)
+        run = stop(run, ~interior, InversionVerdict.NON_REPRESENTABLE)
 
     # every running target has taken the same number of iterations
     for iteration in range(1, opts.max_iter + 1):
@@ -617,9 +614,7 @@ def _dual_newton(
         for b, g, r, s, f in zip(*(a.tolist() for a in (run.ids, run.value, run.residual, run.step_norm, fresh_step))):
             records[b].append(IterationRecord(iteration, g, r, s, f))
         if done.any():
-            for b in run.ids[done].tolist():
-                verdicts[b] = InversionVerdict.CONVERGED
-            run = stop(run, done)
+            run = stop(run, done, InversionVerdict.CONVERGED)
         # the rows left stop at the state their last record shows
         if not run.ids.size or iteration == opts.max_iter:
             break
@@ -677,9 +672,9 @@ def _dual_newton(
             run.step_norm[stuck] = 0.0
             run, stuck = run._replace(fresh=refresh), stuck & run.fresh
         if stuck.any():
-            run = stop(run, stuck)
+            run = stop(run, stuck, InversionVerdict.MAX_ITERATIONS)
     if run.ids.size:
-        stop(run, np.ones(run.ids.size, dtype=bool))
+        stop(run, np.ones(run.ids.size, dtype=bool), InversionVerdict.MAX_ITERATIONS)
 
     finals = (final_value.tolist(), final_residual.tolist(), jacobians.tolist(), distance.tolist())
     reports = [

@@ -53,10 +53,6 @@ class PolytopeDecomposition:
     terms: tuple[tuple[float, tuple[int, ...]], ...]
     residual: float
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([mu for mu, _ in self.terms])
-
     def occupation_vector(self, nb: int) -> np.ndarray:
         out = np.zeros(nb)
         for mu, vertex in self.terms:

@@ -18,7 +18,8 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, _one_rdms, gibbs_occupations, one_rdm
+from .ensemble import EnsembleParams, OneRdm, _entropies, _free_energies, _gibbs, _one_rdms, face_distances
+from .ensemble import gibbs_occupations, one_rdm
 from .errors import ConfigError, InvalidArguments, RdmftError
 from .fock import Statistics, _check_densities, _lift, _rdm_matrix, build_basis
 from .functional import InversionOptions, PotentialBasis, System, _stack_rows, _thermal
@@ -441,9 +442,8 @@ def check_fractional_occupations(config: CheckConfig, system: System, kernel) ->
         beta = record["beta"] = config.fractional_betas[k % len(config.fractional_betas)]
         ((_, gamma),) = yield omegas[beta], [_coeff_draw(rng, pbasis, config.fractional_v_scale)]
         occ = gibbs_occupations(gamma, system.basis)
-        lowest = record["min_occupation"] = float(occ.min())
-        head = float(1 - occ.max()) if m.statistics is Statistics.FERMION else np.inf
-        return min(lowest, head) - config.fractional_floor
+        record["min_occupation"] = float(occ.min())
+        return float(face_distances(occ, m.statistics).min()) - config.fractional_floor
 
     return trial
 

@@ -119,6 +119,15 @@ class TestGibbs:
         code, _ = run(tmp_path, "gibbs", {"model": model, "beta": 1.0})
         assert code == 2
 
+    def test_two_body_norm_past_the_lift_round_off(self, tmp_path):
+        """At w_norm = 1e5 the lift's round-off exceeds 1e-12 in absolute
+        terms; the model is valid, so gibbs runs it."""
+        model = {"kind": "random_full", "nb": 4, "n": 2, "statistics": "fermion", "w_norm": 1e5, "seed": 1}
+        code, out = run(tmp_path, "gibbs", {"model": model, "beta": 1.0})
+        assert code == 0
+        header, rows = read_csv(out / "gibbs_summary.csv")
+        assert np.isfinite(float(dict(zip(header, rows[0]))["omega"]))
+
 
 class TestInvert:
     def test_round_trip_recovers_potential(self, tmp_path):

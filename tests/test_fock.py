@@ -23,6 +23,7 @@ from rdmft.errors import (
     SymmetryViolation,
 )
 from rdmft.fock import (
+    OneBodyOperator,
     Statistics,
     TwoBodyOperator,
     build_basis,
@@ -248,6 +249,28 @@ class TestLiftTwoBody:
         basis = build_basis(3, 2, F)
         with pytest.raises(DimensionMismatch):
             lift_two_body(np.zeros((2, 2, 2, 2)), basis)
+
+
+# name: (build from an array, the array's rank, the noun of its error)
+NON_FINITE_BUILDS = {
+    "OneBodyOperator": (OneBodyOperator, 2, "one-body matrix"),
+    "lift_one_body": (lambda h: lift_one_body(h, build_basis(3, 2, F)), 2, "one-body matrix"),
+    "TwoBodyOperator": (TwoBodyOperator, 4, "two-body tensor"),
+    "lift_two_body": (lambda w: lift_two_body(w, build_basis(3, 2, F)), 4, "two-body tensor"),
+}
+
+
+class TestNonFiniteMatrices:
+    """An operator with a NaN or inf entry is refused where it enters, not
+    passed on to the eigensolver."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("build,rank,noun", NON_FINITE_BUILDS.values(), ids=NON_FINITE_BUILDS.keys())
+    def test_refused(self, build, rank, noun, value):
+        m = np.zeros((3,) * rank, dtype=complex)
+        m[(0,) * rank] = value
+        with pytest.raises(InvalidArguments, match=f"^{noun} entries must be finite$"):
+            build(m)
 
 
 @pytest.mark.parametrize(

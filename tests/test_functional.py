@@ -36,7 +36,7 @@ from rdmft.functional import (
     response_jacobian,
     universal_functional,
 )
-from rdmft.models import ModelSpec, build_operators, build_system
+from rdmft.models import MODEL_KINDS, ModelSpec, build_operators, build_system
 from rdmft.representability import random_rdm
 
 F = Statistics.FERMION
@@ -203,8 +203,8 @@ class TestOmegaOfV:
 
     @pytest.mark.parametrize(
         "nb,n,statistics,beta",
-        [(nb, n, F, beta) for nb, n in ((3, 2), (4, 2), (5, 3), (6, 3)) for beta in (0.1, 1.0, 50.0)]
-        + [(nb, n, B, beta) for nb, n in ((3, 2), (3, 3), (4, 3), (2, 5)) for beta in (0.1, 1.0, 50.0, 1000.0)],
+        [(nb, n, F, beta) for nb, n in ((3, 2), (4, 2), (5, 3), (6, 3)) for beta in (0.1, 1.0, 50.0, 1000.0, 1e4)]
+        + [(nb, n, B, beta) for nb, n in ((3, 2), (3, 3), (4, 3), (2, 5)) for beta in (0.1, 1.0, 50.0, 1000.0, 1e4)],
     )
     @pytest.mark.parametrize("kind", ["zero", "random_onebody"])
     def test_one_body_models_match_the_exact_oracle(self, kind, nb, n, statistics, beta):
@@ -1196,3 +1196,21 @@ def test_random_onebody_is_random_full_without_its_two_body_part(h_scale):
     assert w is None
     assert h.matrix.tobytes() == full.matrix.tobytes()
     assert np.linalg.norm(h.matrix) == pytest.approx(h_scale, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["h_scale", "w_norm", "u", "t_hop"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_models_build_at_every_scale(kind, name):
+    """A model builds wherever its lifted H0 fits in the floats, and is
+    refused as overflowing where it does not.  The lifts' round-off grows
+    with the scale, so no absolute hermiticity bound on them may refuse a
+    valid model."""
+    systems, scales = ((3, 2, F), (4, 2, F), (3, 3, B)), (0.0, 1e-300, 1e-8, 1.0, 1e5, 1e8, 1e300, 1e308)
+    for (nb, n, stat), value in itertools.product(systems, scales):
+        spec = ModelSpec(kind=kind, nb=nb, n=n, statistics=stat, seed=0, **{name: value})
+        try:
+            h0 = build_system(spec).h0.matrix
+        except InvalidArguments as exc:
+            assert "overflows" in str(exc), spec
+        else:
+            assert np.isfinite(h0).all(), spec
