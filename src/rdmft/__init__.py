@@ -28,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     InfeasibleOccupations,
     InvalidArguments,
-    InvalidConfiguration,
     InvalidDensityOperator,
     NonHermitianInput,
     NotRepresentableError,

@@ -259,8 +259,11 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
     meta = {"command": "gibbs", "config_hash": config_hash(cfg)}
     summary_rows, occupation_rows = [], []
     for run_id, (beta, (v_id, h_v)) in enumerate(product(betas, enumerate(hamiltonians))):
-        params = EnsembleParams(beta)
-        solution = gibbs_state(h_v, params)
+        # a finite beta can still overflow beta times the spectrum of H_v
+        with np.errstate(over="ignore"):
+            solution = gibbs_state(h_v, EnsembleParams(beta))
+        if not (np.isfinite(solution.log_z) and np.isfinite(solution.omega)):
+            raise ConfigError(f"beta {beta!r} overflows the Gibbs state of potential {v_id}")
         s = entropy(solution.rho)
         energy = float(np.real(np.trace(solution.rho.matrix @ h_v.matrix)))
         gamma = one_rdm(solution.rho, basis)

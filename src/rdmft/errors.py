@@ -17,10 +17,6 @@ class SymmetryViolation(RdmftError):
     """A tensor lacks a required symmetry beyond tolerance."""
 
 
-class InvalidConfiguration(RdmftError):
-    """An occupation pattern does not belong to the requested basis."""
-
-
 class NonHermitianInput(RdmftError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 

@@ -241,9 +241,9 @@ class InversionOptions:
 
     tol bounds the residual of a converged inversion, classify_tol the face
     distance below which a target is not interior, and initial optionally
-    seeds the potential coefficients (zeros by default) with finite values:
-    shape (K,), or (B, K) with one row per target of an invert_potentials
-    batch.
+    seeds the potential coefficients (zeros by default) with real, finite
+    values: shape (K,), or (B, K) with one row per target of an
+    invert_potentials batch.
     """
 
     tol: float = 1e-10
@@ -254,12 +254,12 @@ class InversionOptions:
     def __post_init__(self):
         if not 0.0 < self.tol < float("inf"):
             raise InvalidArguments(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidArguments(f"max_iter must be at least 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidArguments(f"max_iter must be an integer of at least 1, got {self.max_iter}")
         if not 0.0 <= self.classify_tol < float("inf"):
             raise InvalidArguments(f"classify_tol must be nonnegative and finite, got {self.classify_tol}")
-        if self.initial is not None and not np.all(np.isfinite(self.initial)):
-            raise InvalidArguments("initial coefficients must be finite")
+        if self.initial is not None and (np.iscomplexobj(self.initial) or not np.all(np.isfinite(self.initial))):
+            raise InvalidArguments("initial coefficients must be real and finite")
 
 
 @dataclass(frozen=True)
@@ -505,51 +505,25 @@ class _Running(NamedTuple):
     fresh: np.ndarray
 
 
-def _dual_newton(
-    targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
-) -> tuple[list[InversionReport], np.ndarray]:
-    """invert_potentials at one beta, each target from its row of starts.
+def _evaluate(c: np.ndarray, state: tuple[np.ndarray, ...], target: np.ndarray) -> dict[str, np.ndarray]:
+    """The fields of _Running at the rows of c from _start's state there:
+    the gradient gamma_v - gamma and its norm, the Frobenius distance of
+    the matrices since both carry trace n."""
+    energies, vectors, weights, omega, gamma = state
+    grad = gamma - target
+    value, residual = omega - (c * target).sum(-1), np.linalg.norm(grad, axis=-1)
+    return dict(c=c, value=value, grad=grad, residual=residual, energies=energies, vectors=vectors, weights=weights)
 
-    The targets run in lockstep, each with its own Newton steps along
-    solve(J, -grad), line search, trace and verdict; one that has stopped
-    drops out of later rounds.  A singular J, a direction that does not
-    ascend or a step halved below MIN_STEP ends a target's attempt.  Also
-    returns each target's spread E_max - E_min of H at its start.
 
-    The first J come with the starting states, one for each distinct start
-    that some interior row steps from: rows with the same start bytes share
-    its state and first J, and a row that starts at v = 0 reads both from
-    _cold_start, which computes them once per system and beta.  The line
-    search evaluates its trial points as the starts are, through _start.
-
-    Where _reuses_jacobian holds, a row's J is then the BFGS update of its
-    last one, taken fresh (as a subset of the rows) after a step accepted at
-    t < 1 or keeping more than REFRESH_RATIO of its residual (Kelley, Solving
-    Nonlinear Equations with Newton's Method, ch. 2), or when y.s <= 0; a
-    reused J whose step fails is retaken, not given up.
-
-    The running targets' state is held compacted, so a round in which no
-    target stops and every one takes its first trial step indexes no rows.
-    """
-    basis, pbasis, reuse = system.basis, system.pbasis, _reuses_jacobian(system.basis)
-    matrices = np.stack([target.matrix for target in targets])
-    distance = face_distances(np.linalg.eigvalsh(matrices), basis.statistics).min(-1)
-    classes = [_rdm_class(d, opts.classify_tol) for d in distance]
-    interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
-    target_coeffs = pbasis.coefficients(matrices)
-    c = np.array(starts, dtype=float)
-
-    def evaluate(c: np.ndarray, state: tuple[np.ndarray, ...], target: np.ndarray) -> dict[str, np.ndarray]:
-        """The fields of _Running at the rows of c from _start's state there:
-        the gradient gamma_v - gamma and its norm, the Frobenius distance of
-        the matrices since both carry trace n."""
-        energies, vectors, weights, omega, gamma = state
-        grad = gamma - target
-        value, residual = omega - (c * target).sum(-1), np.linalg.norm(grad, axis=-1)
-        return dict(c=c, value=value, grad=grad, residual=residual, energies=energies, vectors=vectors, weights=weights)
-
-    # shared[b] numbers row b's start among the distinct ones, first holds
-    # the first row of each
+def _first_jacobians(
+    c: np.ndarray, target: np.ndarray, stepping: np.ndarray, tol: float, system: System, params: EnsembleParams
+) -> _Running:
+    """The state at the starts c and the first J of each distinct start that
+    a stepping row not yet within tol steps from.  Rows with the same start
+    bytes share its state and J, and a row that starts at v = 0 reads both
+    from _cold_start, which computes them once per system and beta."""
+    basis, pbasis = system.basis, system.pbasis
+    # shared[b] numbers row b's start among the distinct ones, first holds the first row of each
     distinct = {}
     shared = np.array([distinct.setdefault(row.tobytes(), len(distinct)) for row in c], dtype=int)
     first = np.unique(shared, return_index=True)[1]
@@ -562,20 +536,12 @@ def _dual_newton(
         if not cold.all():
             for mine, a in zip(start, _start(c[first[~cold]], system, params)):
                 mine[~cold] = a
-    run = _Running(
-        ids=np.arange(len(targets)),
-        step_norm=np.zeros(len(targets)),
-        target=target_coeffs,
-        jac=None,
-        fresh=np.ones(len(targets), dtype=bool),
-        **evaluate(c, start if len(first) == len(c) else [a[shared] for a in start], target_coeffs),
-    )
+    n = len(c)
+    fields = dict(ids=np.arange(n), step_norm=np.zeros(n), target=target, jac=None, fresh=np.ones(n, dtype=bool))
+    run = _Running(**fields, **_evaluate(c, start if len(first) == n else [a[shared] for a in start], target))
     del start
-    spread = run.energies[:, -1] - run.energies[:, 0]
-
-    # the first J of each start that some interior row steps from
     steps = np.zeros(len(first), dtype=bool)
-    steps[shared[interior & ~(run.residual <= opts.tol)]] = opts.max_iter > 1
+    steps[shared[stepping & ~(run.residual <= tol)]] = True
     jac = np.empty((len(first), pbasis.size, pbasis.size))
     if (steps & cold).any():
         if memo.jacobian is None:
@@ -584,10 +550,101 @@ def _dual_newton(
         jac[steps & cold] = memo.jacobian
     rows = first[steps & ~cold]
     if rows.size:
-        rows = slice(None) if rows.size == len(c) else rows
+        rows = slice(None) if rows.size == n else rows
         jac[steps & ~cold] = _jacobian(run.energies[rows], run.vectors[rows], run.weights[rows], basis, params, pbasis)
-    run = run._replace(jac=jac[shared])
-    del jac
+    return run._replace(jac=jac[shared])
+
+
+def _direction(run: _Running, iteration: int, system: System, params: EnsembleParams) -> tuple[np.ndarray, ...]:
+    """Each row's step solve(J, -grad), its slope grad.step and whether it
+    ascends, which a singular J's NaN step does not; the fresh rows take a
+    fresh J first, save at the first iteration, whose J are the starts'."""
+    if iteration > 1 and run.fresh.any():
+        # a slice where that is every row, since a mask would copy their spectra and raise the peak RSS
+        rows = slice(None) if run.fresh.all() else run.fresh
+        spectra = run.energies[rows], run.vectors[rows], run.weights[rows]
+        run.jac[rows] = _jacobian(*spectra, system.basis, params, system.pbasis)
+    step = _newton_steps(run.jac, run.grad)
+    slope = (run.grad * step).sum(-1)
+    return step, slope, np.isfinite(slope) & (slope > 0.0)
+
+
+def _line_search(
+    run: _Running, step: np.ndarray, slope: np.ndarray, ascends: np.ndarray, system: System, params: EnsembleParams
+) -> tuple[_Running, np.ndarray]:
+    """Armijo backtracking along the ascending rows' steps: the state with
+    each accepted row moved, and the t each took, 0 where the step does not
+    ascend or no t down to MIN_STEP was admissible."""
+    length, taken = _norm(step, axis=-1), np.zeros(run.ids.size)
+    # the rows whose direction ascends search, each having halved its step as often; searching is
+    # None while that is every row, since gathering all of them at each trial point only costs time
+    t, searching = 1.0, None if ascends.all() else ascends
+    while t >= MIN_STEP and (searching is None or searching.any()):
+        rows = (run.c, run.value, run.residual, run.target, step, slope, length)
+        if searching is not None:
+            rows = (a[searching] for a in rows)
+        c, value, residual, target, direction, gain, norm = rows
+        trial_c = c + t * direction
+        # t is a power of 2, so t * norm is the norm of the step taken
+        trial = dict(_evaluate(trial_c, _start(trial_c, system, params), target), step_norm=t * norm)
+        # once the required gain falls below float resolution of g the
+        # Armijo test is meaningless; accept on residual contraction
+        required = ARMIJO_SLOPE * t * gain
+        flat = required <= 1e-12 * np.maximum(1.0, np.abs(value))
+        contracted = trial["residual"] <= residual * (1.0 - ARMIJO_SLOPE * t)
+        ok = (trial["value"] >= value + required) | (flat & contracted)
+        if searching is None and ok.all():
+            return run._replace(**trial), np.full(run.ids.size, t)
+        if ok.any():
+            if searching is None:
+                searching = np.ones(run.ids.size, dtype=bool)
+            accept = np.flatnonzero(searching)[ok]
+            for name, new in trial.items():
+                getattr(run, name)[accept] = new[ok]
+            taken[accept], searching[accept] = t, False
+        t *= BACKTRACK_FACTOR
+    return run, taken
+
+
+def _stop_or_retake(run: _Running, taken: np.ndarray, before: tuple, reuse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that stop and the rows whose next step takes a fresh J, from
+    the steps taken and the c, grad and residual before them.  Where J is
+    reused, a row's next J is the BFGS update of its last one, but fresh
+    after a step accepted at t < 1 or keeping more than REFRESH_RATIO of its
+    residual (Kelley, Solving Nonlinear Equations with Newton's Method,
+    ch. 2), or when y.s <= 0; elsewhere every row takes a fresh one.  A row
+    that took no step stops if its J was fresh, else retakes J."""
+    c0, grad0, residual0 = before
+    s, y = run.c - c0, grad0 - run.grad
+    curvature = (y * s).sum(-1)
+    refresh = (not reuse) | (taken < 1.0) | (run.residual > REFRESH_RATIO * residual0) | ~(curvature > 0.0)
+    update = ~refresh
+    run.jac[update] = _bfgs(run.jac[update], s[update], y[update], curvature[update])
+    stuck = taken == 0.0
+    run.step_norm[stuck] = 0.0
+    return stuck & run.fresh, refresh
+
+
+def _dual_newton(
+    targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
+) -> tuple[list[InversionReport], np.ndarray]:
+    """invert_potentials at one beta, each target from its row of starts;
+    also returns each target's spread E_max - E_min of H at its start.
+
+    The targets run in lockstep from _first_jacobians, each with its own
+    trace and verdict.  Each iteration records the running targets, stops
+    those within tol, and moves the others by _direction, _line_search and
+    _stop_or_retake.  Their state is held compacted, so a round in which no
+    target stops and every one takes its first trial step indexes no rows.
+    """
+    basis, pbasis, reuse = system.basis, system.pbasis, _reuses_jacobian(system.basis)
+    matrices = np.stack([target.matrix for target in targets])
+    distance = face_distances(np.linalg.eigvalsh(matrices), basis.statistics).min(-1)
+    classes = [_rdm_class(d, opts.classify_tol) for d in distance]
+    interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
+    c = np.array(starts, dtype=float)
+    run = _first_jacobians(c, pbasis.coefficients(matrices), interior & (opts.max_iter > 1), opts.tol, system, params)
+    spread = run.energies[:, -1] - run.energies[:, 0]
 
     jacobians = np.zeros(len(targets), dtype=int)
     final_c, final_value, final_residual = np.empty_like(c), np.empty_like(run.value), np.empty_like(run.residual)
@@ -618,59 +675,12 @@ def _dual_newton(
         # the rows left stop at the state their last record shows
         if not run.ids.size or iteration == opts.max_iter:
             break
-
-        # after the first step, which reads its J from the starts', the fresh rows take a fresh one
-        if iteration > 1 and run.fresh.any():
-            # a slice where that is every row, since a mask would copy their spectra and raise the peak RSS
-            rows = slice(None) if run.fresh.all() else run.fresh
-            run.jac[rows] = _jacobian(run.energies[rows], run.vectors[rows], run.weights[rows], basis, params, pbasis)
+        step, slope, ascends = _direction(run, iteration, system, params)
         jacobians[run.ids[run.fresh]] += 1
-        step = _newton_steps(run.jac, run.grad)
-        slope = (run.grad * step).sum(-1)
-        ascends = np.isfinite(slope) & (slope > 0.0)
-        length, taken = _norm(step, axis=-1), np.zeros(run.ids.size)
-        before = (run.c.copy(), run.grad.copy(), run.residual.copy()) if reuse else None
-
-        # the rows whose direction ascends search, each having halved its step as often; searching is
-        # None while that is every row, since gathering all of them at each trial point only costs time
-        t, searching, trial = 1.0, None if ascends.all() else ascends, None
-        while t >= MIN_STEP and (searching is None or searching.any()):
-            rows = (run.c, run.value, run.residual, run.target, step, slope, length)
-            if searching is not None:
-                rows = (a[searching] for a in rows)
-            c, value, residual, target, direction, gain, norm = rows
-            trial_c = c + t * direction
-            # t is a power of 2, so t * norm is the norm of the step taken
-            trial = dict(evaluate(trial_c, _start(trial_c, system, params), target), step_norm=t * norm)
-            # once the required gain falls below float resolution of g the
-            # Armijo test is meaningless; accept on residual contraction
-            required = ARMIJO_SLOPE * t * gain
-            flat = required <= 1e-12 * np.maximum(1.0, np.abs(value))
-            contracted = trial["residual"] <= residual * (1.0 - ARMIJO_SLOPE * t)
-            ok = (trial["value"] >= value + required) | (flat & contracted)
-            if searching is None and ok.all():
-                run, taken[:] = run._replace(**trial), t
-                break
-            if ok.any():
-                if searching is None:
-                    searching = np.ones(run.ids.size, dtype=bool)
-                accept = np.flatnonzero(searching)[ok]
-                for name, new in trial.items():
-                    getattr(run, name)[accept] = new[ok]
-                taken[accept], searching[accept] = t, False
-            t *= BACKTRACK_FACTOR
-        del trial
-        # a row that took no step, for want of ascent or of an admissible step, stops if J was fresh, else retakes J
-        stuck = taken == 0.0
-        if reuse:
-            c0, grad0, residual0 = before
-            s, y = run.c - c0, grad0 - run.grad
-            curvature = (y * s).sum(-1)
-            refresh = (taken < 1.0) | (run.residual > REFRESH_RATIO * residual0) | ~(curvature > 0.0)
-            update = ~refresh
-            run.jac[update] = _bfgs(run.jac[update], s[update], y[update], curvature[update])
-            run.step_norm[stuck] = 0.0
-            run, stuck = run._replace(fresh=refresh), stuck & run.fresh
+        before = run.c.copy(), run.grad.copy(), run.residual.copy()
+        run, taken = _line_search(run, step, slope, ascends, system, params)
+        stuck, refresh = _stop_or_retake(run, taken, before, reuse)
+        run = run._replace(fresh=refresh)
         if stuck.any():
             run = stop(run, stuck, InversionVerdict.MAX_ITERATIONS)
     if run.ids.size:

@@ -16,7 +16,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from rdmft.errors import InvalidConfiguration
+from rdmft.errors import InvalidArguments
 from rdmft.fock import ConfigurationBasis, DensityOperator, Statistics
 
 
@@ -320,13 +320,13 @@ def slater_state(orbitals, basis: ConfigurationBasis) -> DensityOperator:
         state = spec
     elif basis.statistics is Statistics.FERMION and len(spec) == basis.n:
         if len(set(spec)) != basis.n or not all(0 <= p < basis.nb for p in spec):
-            raise InvalidConfiguration(f"index set {spec!r} is not n distinct orbitals below nb")
+            raise InvalidArguments(f"index set {spec!r} is not n distinct orbitals below nb")
         vec = [0] * basis.nb
         for p in spec:
             vec[p] = 1
         state = tuple(vec)
     if state is None or state not in basis.index:
-        raise InvalidConfiguration(f"{spec!r} does not describe a configuration of {basis.tag}")
+        raise InvalidArguments(f"{spec!r} does not describe a configuration of {basis.tag}")
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     k = basis.index[state]
     rho[k, k] = 1.0

@@ -723,6 +723,12 @@ MALFORMED = {
         },
         "potential 0 overflows",
     ),
+    # a finite beta whose Boltzmann factors overflow wrote omega = inf and log_z = -inf
+    "gibbs_beta_overflow": (
+        "gibbs",
+        {"model": {"kind": "hubbard_ring", "nb": 3, "n": 2, "statistics": "fermion"}, "beta": 1.7e308},
+        "beta 1.7e+308 overflows the Gibbs state of potential 0",
+    ),
 }
 
 

@@ -18,7 +18,6 @@ import oracles as orc
 from rdmft.errors import (
     DimensionMismatch,
     InvalidArguments,
-    InvalidConfiguration,
     NonHermitianInput,
     SymmetryViolation,
 )
@@ -345,10 +344,10 @@ class TestSlaterState:
 
     def test_wrong_size_rejected(self):
         basis = build_basis(4, 2, F)
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(InvalidArguments):
             orc.slater_state({0, 1, 2}, basis)
 
     def test_out_of_range_rejected(self):
         basis = build_basis(3, 2, F)
-        with pytest.raises(InvalidConfiguration):
+        with pytest.raises(InvalidArguments):
             orc.slater_state({1, 5}, basis)

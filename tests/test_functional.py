@@ -526,6 +526,10 @@ class TestInvertPotential:
             {"classify_tol": float("nan")},
             {"initial": np.array([0.0, np.nan, 0.0])},
             {"initial": np.array([[0.0, 0.0], [-np.inf, 0.0]])},
+            # its imaginary part was dropped with only a ComplexWarning
+            {"initial": np.array([0.0, 1j, 0.0])},
+            # range() refused it deep in the solve, with a TypeError
+            {"max_iter": 2.5},
         ],
     )
     def test_options_out_of_range_rejected(self, options):
@@ -789,10 +793,19 @@ class TestInvertPotentials:
         assert np.all(np.isnan(steps[0]))
         npt.assert_array_equal(steps[1], [1.0, 2.0])
 
-    @pytest.mark.parametrize("nb, n", [(4, 2), (8, 4)])
-    def test_non_ascending_fresh_row_stops_only_itself(self, monkeypatch, nb, n):
-        """Row 0's first direction, from a fresh J, is negated so that it does
-        not ascend: on hubbard 4/2 F, where J is not reused, and 8/4 F, where
+    @pytest.mark.parametrize(
+        "nb, n, factor",
+        [
+            pytest.param(4, 2, -1.0, id="4-2"),
+            pytest.param(8, 4, -1.0, id="8-4"),
+            pytest.param(4, 2, 1e30, id="4-2-no_admissible_step"),
+            pytest.param(8, 4, 1e30, id="8-4-no_admissible_step"),
+        ],
+    )
+    def test_non_ascending_fresh_row_stops_only_itself(self, monkeypatch, nb, n, factor):
+        """Row 0's first direction, from a fresh J, is scaled by factor: negated,
+        it does not ascend; times 1e30, it ascends but no t >= MIN_STEP is
+        admissible.  On hubbard 4/2 F, where J is not reused, and 8/4 F, where
         it is, that row stops where it started and the others go on as alone."""
         system, params = hubbard_system(nb, n, F), EnsembleParams(1.0)
         targets = [random_rdm(nb, n, F, interior=True, seed=seed) for seed in range(3)]
@@ -800,14 +813,14 @@ class TestInvertPotentials:
         solo = [functional._dual_newton([target], system, params, opts, cold)[0][0] for target in targets[1:]]
         steps, calls = functional._newton_steps, []
 
-        def negate_first(jac, grad):
+        def scale_first(jac, grad):
             step = steps(jac, grad)
             if not calls:
-                step[0] = -step[0]
+                step[0] *= factor
             calls.append(len(grad))
             return step
 
-        monkeypatch.setattr(functional, "_newton_steps", negate_first)
+        monkeypatch.setattr(functional, "_newton_steps", scale_first)
         batch, _ = functional._dual_newton(targets, system, params, opts, np.repeat(cold, 3, axis=0))
         assert calls[0] == 3 and functional._reuses_jacobian(system.basis) == (nb == 8)
         assert (batch[0].verdict, batch[0].iterations, batch[0].jacobians) == (InversionVerdict.MAX_ITERATIONS, 1, 1)
