@@ -257,7 +257,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
             raise ConfigError(f"potential {v_id} overflows the floats once lifted and added to H0")
         hamiltonians.append(ManyBodyOperator(h_v, basis.tag))
     meta = {"command": "gibbs", "config_hash": config_hash(cfg)}
-    summary_rows, occupation_rows = [], []
+    summary_rows, occupation_rows, rdms = [], [], []
     for run_id, (beta, (v_id, h_v)) in enumerate(product(betas, enumerate(hamiltonians))):
         # a finite beta can still overflow beta times the spectrum of H_v
         with np.errstate(over="ignore"):
@@ -273,7 +273,10 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
         occupation_rows.extend(
             (run_id, beta, orbital, float(x), float(d)) for orbital, (x, d) in enumerate(zip(occupations, distances))
         )
-        dump_json(out / f"rdm_{run_id:03d}.json", {**rdm_to_json(gamma), "beta": beta, "run_id": run_id})
+        rdms.append({**rdm_to_json(gamma), "beta": beta, "run_id": run_id})
+    # written once every run is checked, so that a refused grid leaves no file
+    for rdm in rdms:
+        dump_json(out / f"rdm_{rdm['run_id']:03d}.json", rdm)
     write_csv(
         out / "gibbs_summary.csv",
         ["run_id", "beta", "potential_id", "potential_norm", "omega", "entropy", "energy", "log_z"],

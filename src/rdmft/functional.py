@@ -394,28 +394,36 @@ def _jacobian(
     entries weighted twice), J_h = -X X^T for the real view X, and
     J = T J_h T^T with T = pbasis.generator_map.
 
-    X X^T is summed over blocks of _block_width eigenbasis rows [a, b): the
-    upper triangle of the square Q[a:b, a:b], which holds its mirror, and the
-    rectangle Q[a:b, b:], whose mirror is the product Q[b:, a:b].
+    X X^T is summed over pairs of tiles of _block_width eigenbasis columns
+    M <= N: the upper triangle of the square Q[M, M], which holds its
+    mirror, and the rectangle Q[M, N], whose mirror is the product Q[N, M].
+    Q[M, N] = conj(V[rows, M])^T amps V[cols, N] over the configurations
+    a+_i a_j reaches, so a tile gathers only its own columns of V: the outer
+    tile M once, into one workspace, and each inner tile N again for each M.
     """
-    dim, lead, conj = basis.dim, energies.shape[:-1], vectors.conj()
-    # Q_ij = conj(V[rows])^T (amps V[cols]) over the configurations a+_i a_j
-    # reaches; amps scales in place, as a copy would raise the peak by a third
-    (rows_d, cols_d), (rows_u, cols_u) = (
-        (conj.take(t.rows, axis=-2).swapaxes(-1, -2), vectors.take(t.cols, axis=-2)) for t in basis.hop_blocks
-    )
-    cols_d *= basis.hop_blocks.diagonal.amps[..., None]
-    cols_u *= basis.hop_blocks.upper.amps[..., None]
-    nd, nu = rows_d.shape[-3], rows_u.shape[-3]
+    dim, lead, (diagonal, upper) = basis.dim, energies.shape[:-1], basis.hop_blocks
+    nd, nu, sd = len(diagonal.rows), len(upper.rows), diagonal.rows.size
     root = np.sqrt(-_divided_differences(energies, weights, params.beta))
-    # held: the diagonal entries of the blocks before the last
+    rows, cols, amps = (np.concatenate([d, u], axis=None) for d, u in zip(diagonal[1:], upper[1:]))
+    # held: the diagonal entries of the tiles before the last
     held, gram, width = [], 0, _block_width(basis)
+    gathered = np.empty((2, *lead, rows.size, width), dtype=complex)
     for a in range(0, dim, width):
         b = min(a + width, dim)
+        tile = vectors[..., a:b]
+        # mode clip: the indices are in range, and raise would take through a copy
+        conj_rows = np.take(tile.conj(), rows, axis=-2, out=gathered[0, ..., : b - a], mode="clip")
+        amps_cols = np.take(tile, cols, axis=-2, out=gathered[1, ..., : b - a], mode="clip")
+        # the amps scale in place, as a copy would raise the peak by a third
+        amps_cols *= amps[:, None]
+        rows_d = conj_rows[..., :sd, :].reshape(*lead, nd, -1, b - a).swapaxes(-1, -2)
+        rows_u = conj_rows[..., sd:, :].reshape(*lead, nu, -1, b - a).swapaxes(-1, -2)
+        cols_d = amps_cols[..., :sd, :].reshape(*lead, nd, -1, b - a)
+        cols_u = amps_cols[..., sd:, :].reshape(*lead, nu, -1, b - a)
         triangle, mirror = triangle_indices(b - a)
         x = np.empty((*lead, nd + 2 * nu, triangle.size), dtype=complex)
-        x[..., :nd, :] = (rows_d[..., a:b, :] @ cols_d[..., a:b]).reshape(*lead, nd, -1).take(triangle, axis=-1)
-        q = (rows_u[..., a:b, :] @ cols_u[..., a:b]).reshape(*lead, nu, -1)
+        x[..., :nd, :] = (rows_d @ cols_d).reshape(*lead, nd, -1).take(triangle, axis=-1)
+        q = (rows_u @ cols_u).reshape(*lead, nu, -1)
         q, adjoint = q.take(triangle, axis=-1), q.take(mirror, axis=-1)
         _hermitian_parts(x, nd, q, np.conjugate(adjoint, out=adjoint))
         weight = root[..., a:b, a:b].reshape(*lead, -1).take(triangle, axis=-1)
@@ -423,6 +431,11 @@ def _jacobian(
         if b < dim:
             held.append(x[..., : b - a].copy())
             x, weight = x[..., b - a :], weight[..., b - a :]
+            # the rows take the amps and cols_u is conjugated to give the
+            # mirrors' adjoints, so the inner tiles are gathered as they are
+            rows_d *= diagonal.amps[..., None, :]
+            rows_u *= upper.amps[..., None, :]
+            np.conjugate(cols_u, out=cols_u)
         else:
             if held:
                 x = np.concatenate([*held, x], axis=-1)
@@ -431,14 +444,16 @@ def _jacobian(
         x *= weight[..., None, :]
         real = x.view(float)
         gram = gram + real @ real.swapaxes(-1, -2)
-        if b < dim:
-            x = np.empty((*lead, nd + 2 * nu, b - a, dim - b), dtype=complex)
-            np.matmul(rows_d[..., a:b, :], cols_d[..., b:], out=x[..., :nd, :, :])
-            np.matmul(rows_u[..., a:b, :], cols_u[..., b:], out=x[..., nd : nd + nu, :, :])
-            adjoint = cols_u[..., a:b].swapaxes(-1, -2) @ rows_u[..., b:, :].swapaxes(-1, -2)
+        for c in range(b, dim, width):
+            d = min(c + width, dim)
+            inner = vectors[..., c:d]
+            x = np.empty((*lead, nd + 2 * nu, b - a, d - c), dtype=complex)
+            np.matmul(rows_d, inner.take(diagonal.cols, axis=-2), out=x[..., :nd, :, :])
+            np.matmul(rows_u, inner.take(upper.cols, axis=-2), out=x[..., nd : nd + nu, :, :])
+            adjoint = cols_u.swapaxes(-1, -2) @ inner.take(upper.rows, axis=-2)
             x = x.reshape(*lead, nd + 2 * nu, -1)
-            _hermitian_parts(x, nd, x[..., nd : nd + nu, :], np.conjugate(adjoint, out=adjoint).reshape(*lead, nu, -1))
-            x *= sqrt(2) * root[..., a:b, b:].reshape(*lead, 1, -1)
+            _hermitian_parts(x, nd, x[..., nd : nd + nu, :], adjoint.reshape(*lead, nu, -1))
+            x *= sqrt(2) * root[..., a:b, c:d].reshape(*lead, 1, -1)
             real = x.view(float)
             gram = gram + real @ real.swapaxes(-1, -2)
     t = pbasis.generator_map
@@ -706,29 +721,23 @@ def _dual_newton(
     return reports, spread
 
 
-def _column_bytes(basis: ConfigurationBasis) -> int:
-    """Workspace per eigenbasis row of a block: X and the pairs' mirror products."""
-    return 24 * basis.nb * basis.nb * basis.dim
-
-
-def _gathered_bytes(basis: ConfigurationBasis) -> int:
-    """The gathered rows and columns of the nb(nb+1)/2 pairs i <= j that
-    _jacobian holds for one target."""
-    return 32 * basis.dim * sum(table.rows.size for table in basis.hop_blocks)
-
-
 def _block_width(basis: ConfigurationBasis) -> int:
-    """Eigenbasis rows per block of _jacobian: a property of the basis alone,
-    so that a target's Jacobian sums in the same order in any batch.  Each
-    block streams every gathered operand, so where an eighth of them exceeds
-    WORKSPACE_BYTES the blocks take that much instead."""
-    return max(1, max(WORKSPACE_BYTES, _gathered_bytes(basis) // 8) // _column_bytes(basis))
+    """Eigenbasis columns per tile of _jacobian: a property of the basis
+    alone, so that a target's Jacobian sums in the same order in any batch.
+    The fewest tiles of equal width whose _workspace_bytes fit in
+    WORKSPACE_BYTES, but never more than eight: each outer tile gathers the
+    tiles after it again, so narrower tiles would cost time."""
+    tiles = next((k for k in range(1, 8) if _workspace_bytes(basis, -(-basis.dim // k)) <= WORKSPACE_BYTES), 8)
+    return -(-basis.dim // tiles)
 
 
-def _workspace_bytes(basis: ConfigurationBasis) -> int:
-    """The largest arrays of one target's Jacobian: the gathered operands and
-    one block."""
-    return _gathered_bytes(basis) + min(_block_width(basis), basis.dim) * _column_bytes(basis)
+def _workspace_bytes(basis: ConfigurationBasis, width: int | None = None) -> int:
+    """The largest arrays of one target's Jacobian in tiles of width, by
+    default _block_width's: conj(V[rows]) and amps V[cols] of the pairs
+    i <= j gathered for an outer and an inner tile, and a tile pair's
+    generators with their mirror products."""
+    width = width or _block_width(basis)
+    return 64 * width * sum(table.rows.size for table in basis.hop_blocks) + 24 * basis.nb**2 * width**2
 
 
 def _stack_rows(basis: ConfigurationBasis) -> int:

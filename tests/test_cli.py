@@ -119,6 +119,15 @@ class TestGibbs:
         code, _ = run(tmp_path, "gibbs", {"model": model, "beta": 1.0})
         assert code == 2
 
+    def test_refused_run_leaves_no_file(self, tmp_path):
+        """Every (beta, potential) run is checked before any file is
+        written: the second beta overflows, and the first run's rdm_000.json
+        is not left behind."""
+        model = {"kind": "hubbard_ring", "nb": 3, "n": 2, "statistics": "fermion"}
+        code, out = run(tmp_path, "gibbs", {"model": model, "betas": [1.0, 1.7e308]})
+        assert code == 2
+        assert list(out.iterdir()) == []
+
     def test_two_body_norm_past_the_lift_round_off(self, tmp_path):
         """At w_norm = 1e5 the lift's round-off exceeds 1e-12 in absolute
         terms; the model is valid, so gibbs runs it."""

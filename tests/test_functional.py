@@ -300,41 +300,47 @@ class TestResponseJacobian:
         npt.assert_allclose(np.diag(jac), np.diag(expected), rtol=1e-14, atol=0)
         npt.assert_array_equal(jac - np.diag(np.diag(jac)), 0.0)
 
-    @pytest.mark.parametrize("nb,n,stat", [(6, 3, F), (4, 3, B)])
-    @pytest.mark.parametrize("width", [1, 3, 9])
+    @pytest.mark.parametrize(
+        "nb,n,stat,width",
+        [(nb, n, stat, width) for width in (1, 3, 9) for nb, n, stat in [(6, 3, F), (4, 3, B)]] + [(9, 4, F, None)],
+    )
     def test_blocks_match_one_block(self, monkeypatch, nb, n, stat, width):
-        """A budget of width eigenbasis rows cuts the triangle at dim 20 into
-        blocks, down to one row each: their sum is the dense oracle's
-        Jacobian and the one-block one, and a stack's rows are the bits of
-        the one-target calls."""
+        """Tiles of width eigenbasis columns cut dim 20 down to one column
+        each and at widths 3 and 9, which do not divide it, and (9,4,F)'s own
+        width cuts dim 126 in two: their sum is the dense oracle's Jacobian
+        and the one-tile one, and a stack of three targets gives each row the
+        bits of that target's call alone."""
         system = interacting_system(nb, n, stat)
         basis, pb = system.basis, potential_basis(nb)
-        potentials = [random_potential(nb, seed=nb + n + k) for k in range(2)]
+        if width is None:
+            width = functional._block_width(basis)
+            assert width < basis.dim
+        else:
+            assert functional._block_width(basis) >= basis.dim
+        potentials = [random_potential(nb, seed=nb + n + k) for k in range(3)]
         hops = orc.hop_stack(nb, n, stat is F)
         h = system.h0.matrix + np.tensordot(potentials[0].matrix.ravel(), hops, axes=1)
-        assert functional._block_width(basis) >= basis.dim
         for beta in (0.5, 50.0, 1000.0):
             params = EnsembleParams(beta=beta)
-            whole = response_jacobian(potentials[0], system, params, pb)
             with monkeypatch.context() as patch:
-                patch.setattr(functional, "WORKSPACE_BYTES", width * functional._column_bytes(basis))
-                assert functional._block_width(basis) == width
-                blocked = response_jacobian(potentials[0], system, params, pb)
+                patch.setattr(functional, "_block_width", lambda basis: basis.dim)
+                whole = response_jacobian(potentials[0], system, params, pb)
+            with monkeypatch.context() as patch:
+                patch.setattr(functional, "_block_width", lambda basis: width)
+                tiled = response_jacobian(potentials[0], system, params, pb)
                 state = functional._thermal(np.stack([v.matrix.ravel() for v in potentials]), system, params)
                 stack = functional._jacobian(state.energies, state.eigenvectors, state.weights, basis, params, pb)
                 for row, v in zip(stack, potentials):
                     assert row.tobytes() == response_jacobian(v, system, params, pb).tobytes()
             expected = orc.dense_response_jacobian(h, hops, beta, pb.elements)
-            assert np.linalg.norm(blocked - expected) <= 1e-12 * np.linalg.norm(expected)
-            assert np.linalg.norm(blocked - whole) <= 1e-13 * np.linalg.norm(whole)
+            assert np.linalg.norm(tiled - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.linalg.norm(tiled - whole) <= 1e-13 * np.linalg.norm(whole)
 
     def test_workspace_is_bounded(self):
-        """At nb=10/n=5 (dim 252) one Jacobian holds its gathered operands and
-        about one block of WORKSPACE_BYTES at a time, not the whole
-        (nb^2, dim(dim+1)/2) generator matrix."""
+        """At nb=10/n=5 (dim 252) one Jacobian holds about one tile pair of
+        WORKSPACE_BYTES at a time: neither the whole (nb^2, dim(dim+1)/2)
+        generator matrix nor the operands gathered for every column."""
         system = hubbard_system(10, 5, F)
-        blocks, dim = system.basis.hop_blocks, system.basis.dim
-        gathered = 32 * dim * (blocks.diagonal.rows.size + blocks.upper.rows.size)
         v = random_potential(10, seed=1)
         params = EnsembleParams(beta=1.0)
         response_jacobian(v, system, params)
@@ -344,22 +350,25 @@ class TestResponseJacobian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= gathered + 2 * functional.WORKSPACE_BYTES
+        assert peak <= 2 * functional.WORKSPACE_BYTES
 
     @pytest.mark.parametrize(
         "nb, n, stat, width",
-        [(nb, n, stat, None) for nb, n, stat in verify.DEFAULT_SYSTEMS]
-        + [(8, 4, F, 156), (9, 4, F, 68), (10, 5, F, 27), (11, 5, F, 12), (12, 6, F, 25), (6, 8, B, 77)],
+        [(nb, n, stat, None) for nb, n, stat in [*verify.DEFAULT_SYSTEMS, (6, 3, F), (4, 3, B)]]
+        + [(8, 4, F, 70), (9, 4, F, 63), (10, 5, F, 42), (11, 5, F, 58), (12, 6, F, 116), (6, 8, B, 161)],
     )
     def test_block_widths(self, nb, n, stat, width):
-        """The default grid takes its triangle in one block, and the width
-        grows with the gathered operands only past nb = 11, so every
-        Jacobian up to there keeps its bits."""
+        """The default grid and the tiling tests' bases take their triangle
+        in one tile, so their Jacobians keep their bits.  Up to nb = 10 the
+        tiles are the fewest of equal width whose workspace fits
+        WORKSPACE_BYTES, and past it eight."""
         basis = build_basis(nb, n, stat)
         if width is None:
             assert functional._block_width(basis) >= basis.dim
         else:
             assert functional._block_width(basis) == width
+            tiles = -(-basis.dim // width)
+            assert (functional._workspace_bytes(basis) <= functional.WORKSPACE_BYTES) is (tiles < 8)
 
     def test_degenerate_spectrum_handled(self):
         # zero Hamiltonian: fully degenerate, runs through the limit branch
