@@ -2,8 +2,8 @@
 
 One JSON config per run; numeric tables land as CSV with a JSON
 metadata sidecar, structured results as JSON.  Exit codes: 0 success,
-1 verification or convergence failure, 2 config error, 3 target not
-representable.
+1 verification or convergence failure, or a result that JSON cannot hold,
+2 config error, 3 target not representable.
 """
 
 from __future__ import annotations
@@ -508,7 +508,10 @@ def main(argv=None) -> int:
         # a null reads as an absent key
         cfg = {key: value for key, value in cfg.items() if value is not None}
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # --out names a file, or a directory it cannot create
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         seed = args.seed if args.seed is not None else _get(cfg, "seed", int, SuiteConfig.seed)
         return command(cfg, out, seed)
     except ConfigError as exc:

@@ -2,9 +2,11 @@
 
 Matrices are stored row-major with interleaved real/imaginary parts and
 an explicit shape header, so any language can reassemble them without
-guessing conventions.  JSON is always written with sorted keys; the only
-nondeterministic field anywhere is the generated_at timestamp in sidecar
-metadata.
+guessing conventions.  JSON is strict (no NaN or infinity) with sorted
+keys; the only nondeterministic field anywhere is the generated_at
+timestamp in sidecar metadata.  Every file is streamed through
+_atomic_open, so it is written whole or not at all, and its text is
+never held in memory.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import OneRdm
-from .errors import ConfigError
+from .errors import ConfigError, RdmftError
 from .functional import InversionReport, TracelessPotential
 from .verify import TheoremReport, suite_failures
 
@@ -112,9 +116,29 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+@contextmanager
+def _atomic_open(path: Path, newline=None):
+    """A text file that replaces path once the block exits without an exception,
+    and is removed on one; made with the umask's permissions, not mkstemp's 0600."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = tmp.open("x", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def dump_json(path, obj) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n")
+    with _atomic_open(path) as fh:
+        try:
+            json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False, default=_plain)
+        except ValueError as exc:  # a NaN or an infinity, or a circular reference
+            raise RdmftError(f"cannot write {path}: {exc}") from exc
+        fh.write("\n")
     return path
 
 
@@ -128,7 +152,7 @@ def load_json(path):
 def write_csv(path, header, rows, metadata=None) -> Path:
     """Write a CSV table plus a .meta.json sidecar next to it."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -139,7 +163,7 @@ def write_csv(path, header, rows, metadata=None) -> Path:
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     sidecar.update(metadata or {})
-    path.with_suffix(".meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2, default=_plain) + "\n")
+    dump_json(path.with_suffix(".meta.json"), sidecar)
     return path
 
 

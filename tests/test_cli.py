@@ -887,6 +887,24 @@ class TestTopLevel:
         missing = str(tmp_path / "nope.json")
         assert main(["gibbs", "--config", missing, "--out", str(tmp_path)]) == 2
 
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        argv = ["gibbs", "--config", write_config(tmp_path, {"model": ZERO_MODEL, "beta": 1.0})]
+        for out in (taken, taken / "below"):
+            assert main([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: cannot create output directory {out}: ")
+        assert taken.read_text() == "not a directory\n"
+
+    def test_non_finite_output_exits_1_and_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # strict JSON: an output holding a NaN is refused, naming the file
+        monkeypatch.setattr("rdmft.cli.matrix_to_json", lambda m: {"shape": [1], "data": [float("nan")]})
+        cfg = {"statistics": "fermion", "n": 1, "gamma": matrix_to_json(np.diag([0.5, 0.5]))}
+        code, out = run(tmp_path, "polytope", cfg)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'natural_orbitals.json'}: ")
+        assert sorted(p.name for p in out.iterdir()) == ["decomposition.csv", "decomposition.meta.json"]
+
     def test_console_script(self, tmp_path):
         exe = shutil.which("rdmft")
         assert exe is not None, "console script not installed"
