@@ -55,8 +55,7 @@ from .serialize import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    potential_to_json,
-    rdm_to_json,
+    one_body_to_json,
     suite_report_json,
     write_csv,
 )
@@ -165,7 +164,13 @@ def _inversion_setup(cfg, seed):
     betas = _betas_from(cfg)
     if len(betas) != 1:
         raise ConfigError(f"this command runs at one beta, got betas {betas}")
-    return system, EnsembleParams(betas[0])
+    params = EnsembleParams(betas[0])
+    # a finite beta can still overflow beta times the spectrum of H0, where every inversion starts
+    with np.errstate(over="ignore"):
+        solution = gibbs_state(system.h0, params)
+    if not (np.isfinite(solution.log_z) and np.isfinite(solution.omega)):
+        raise ConfigError(f"beta {params.beta!r} overflows the Gibbs state of H0")
+    return system, params
 
 
 def _potentials_from(cfg, system, seed) -> list[TracelessPotential]:
@@ -273,7 +278,7 @@ def cmd_gibbs(cfg, out: Path, seed) -> int:
         occupation_rows.extend(
             (run_id, beta, orbital, float(x), float(d)) for orbital, (x, d) in enumerate(zip(occupations, distances))
         )
-        rdms.append({**rdm_to_json(gamma), "beta": beta, "run_id": run_id})
+        rdms.append({**one_body_to_json(gamma), "beta": beta, "run_id": run_id})
     # written once every run is checked, so that a refused grid leaves no file
     for rdm in rdms:
         dump_json(out / f"rdm_{rdm['run_id']:03d}.json", rdm)
@@ -360,7 +365,7 @@ def cmd_functional(cfg, out: Path, seed) -> int:
         [(index, r.f_value, r.v_star.norm, r.iterations, r.residual) for index, r in enumerate(reports)],
         meta,
     )
-    gradients = [potential_to_json(r.gradient) for r in reports]
+    gradients = [one_body_to_json(r.gradient) for r in reports]
     dump_json(out / "gradients.json", {"format_version": 1, "gradients": gradients})
     print(f"functional: {len(reports)} evaluations written to {out}")
     return 0

@@ -641,9 +641,10 @@ def _stop_or_retake(run: _Running, taken: np.ndarray, before: tuple, reuse: bool
 
 
 def _dual_newton(
-    targets: list[OneRdm], system: System, params: EnsembleParams, opts: InversionOptions, starts: np.ndarray
+    target: np.ndarray, distance: np.ndarray, system: System, params: EnsembleParams, opts: InversionOptions, starts
 ) -> tuple[list[InversionReport], np.ndarray]:
-    """invert_potentials at one beta, each target from its row of starts;
+    """invert_potentials at one beta for the (B, K) coefficients and (B,)
+    face distances of _admitted's targets, each from its row of starts;
     also returns each target's spread E_max - E_min of H at its start.
 
     The targets run in lockstep from _first_jacobians, each with its own
@@ -651,28 +652,26 @@ def _dual_newton(
     those within tol, and moves the others by _direction, _line_search and
     _stop_or_retake.  Their state is held compacted, so a round in which no
     target stops and every one takes its first trial step indexes no rows.
+    Each row's report is built by stop, from the row's state there.
     """
-    basis, pbasis, reuse = system.basis, system.pbasis, _reuses_jacobian(system.basis)
-    matrices = np.stack([target.matrix for target in targets])
-    distance = face_distances(np.linalg.eigvalsh(matrices), basis.statistics).min(-1)
+    pbasis, reuse = system.pbasis, _reuses_jacobian(system.basis)
     classes = [_rdm_class(d, opts.classify_tol) for d in distance]
     interior = np.array([cls is RdmClass.INTERIOR for cls in classes])
     c = np.array(starts, dtype=float)
-    run = _first_jacobians(c, pbasis.coefficients(matrices), interior & (opts.max_iter > 1), opts.tol, system, params)
+    run = _first_jacobians(c, target, interior & (opts.max_iter > 1), opts.tol, system, params)
     spread = run.energies[:, -1] - run.energies[:, 0]
-
-    jacobians = np.zeros(len(targets), dtype=int)
-    final_c, final_value, final_residual = np.empty_like(c), np.empty_like(run.value), np.empty_like(run.residual)
-    verdicts = np.empty(len(targets), dtype=object)
+    # each target's count of fresh Jacobians, its IterationRecords, and its report once it has stopped
+    jacobians, records, reports = np.zeros(len(classes), dtype=int), [[] for _ in classes], [None] * len(classes)
 
     def stop(run: _Running, mask: np.ndarray, verdict: InversionVerdict) -> _Running:
-        """Write out the verdict and final state of the rows in mask and drop them."""
+        """Build the report of each row in mask from its state and drop the rows."""
         ids = run.ids[mask]
-        final_c[ids], final_value[ids], final_residual[ids] = run.c[mask], run.value[mask], run.residual[mask]
-        verdicts[ids] = verdict
+        finals = (a.tolist() for a in (ids, run.value[mask], run.residual[mask], jacobians[ids], distance[ids]))
+        for v, b, value, residual, count, d in zip(pbasis.traceless(run.c[mask]), *finals):
+            trace = tuple(records[b])
+            reports[b] = InversionReport(verdict, _checked(v), value, residual, len(trace), count, classes[b], d, trace)
         return run._make(a[~mask] for a in run)
 
-    records: list[list[IterationRecord]] = [[] for _ in targets]
     # off the interior no maximizer exists, so that verdict is final here
     if not interior.all():
         run = stop(run, ~interior, InversionVerdict.NON_REPRESENTABLE)
@@ -700,24 +699,6 @@ def _dual_newton(
             run = stop(run, stuck, InversionVerdict.MAX_ITERATIONS)
     if run.ids.size:
         stop(run, np.ones(run.ids.size, dtype=bool), InversionVerdict.MAX_ITERATIONS)
-
-    finals = (final_value.tolist(), final_residual.tolist(), jacobians.tolist(), distance.tolist())
-    reports = [
-        InversionReport(
-            verdict=verdict,
-            v_star=_checked(v_star),
-            f_value=f_value,
-            residual=res,
-            iterations=len(trace),
-            jacobians=count,
-            classification=cls,
-            face_distance=d,
-            trace=tuple(trace),
-        )
-        for verdict, v_star, f_value, res, count, d, trace, cls in zip(
-            verdicts, pbasis.traceless(final_c), *finals, records, classes
-        )
-    ]
     return reports, spread
 
 
@@ -755,6 +736,26 @@ def _reuses_jacobian(basis: ConfigurationBasis) -> bool:
     return cost >= REUSE_COST_RATIO * 25 * basis.dim**3
 
 
+def _admitted(targets, system: System) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, K) coefficients of a list of targets, each a OneRdm or a
+    matrix, and the (B,) smallest signed face distances of their natural
+    occupations, which classify them; the first target whose size or trace
+    does not fit the system raises DimensionMismatch or InvalidArguments."""
+    basis = system.basis
+    targets = [gamma if isinstance(gamma, OneRdm) else OneRdm(gamma) for gamma in targets]
+    fits = all(gamma.nb == basis.nb for gamma in targets)
+    # checked as one stack; target by target only where that fails, for the first bad one's text
+    stack = np.array([gamma.matrix for gamma in targets]).reshape(-1, basis.nb, basis.nb) if fits else None
+    if stack is None or (abs(np.einsum("bii->b", stack).real - basis.n) > RDM_TRACE_TOL).any():
+        for target in targets:
+            if target.nb != basis.nb:
+                raise DimensionMismatch(f"target on {target.nb} orbitals, basis has {basis.nb}")
+            if abs(target.trace - basis.n) > RDM_TRACE_TOL:
+                raise InvalidArguments(f"target trace {target.trace} differs from n={basis.n} beyond 1e-10")
+    coefficients = system.pbasis.coefficients(stack)
+    return coefficients, face_distances(np.linalg.eigvalsh(stack), basis.statistics).min(-1)
+
+
 def invert_potentials(
     targets,
     system: System,
@@ -773,38 +774,30 @@ def invert_potentials(
     vector of shape (K,) for every target, or a (B, K) array with one row
     per target.
 
-    Targets go in chunks whose Jacobians fit in WORKSPACE_BYTES,
-    or one by one where one does not.  Each round solves one rung of the
-    beta ladder: the first unfinished chunk's targets on its coldest rung.
+    The targets are checked, classified and expanded in the potential basis
+    once, by _admitted, and go in chunks whose Jacobians fit in
+    WORKSPACE_BYTES, or one by one where one does not.  Each round solves
+    one rung of the beta ladder, on its rows of those arrays: the first
+    unfinished chunk's targets on its coldest rung.
     """
-    targets = [gamma if isinstance(gamma, OneRdm) else OneRdm(gamma) for gamma in targets]
+    target, distance = _admitted(targets, system)
     basis, size = system.basis, system.pbasis.size
-    # checked as one stack; target by target only where that fails, for the first bad one's text
-    stack = np.array([gamma.matrix for gamma in targets]) if all(gamma.nb == basis.nb for gamma in targets) else None
-    if stack is None or (
-        abs(np.einsum("bii->b", stack.reshape(-1, basis.nb, basis.nb)).real - basis.n) > RDM_TRACE_TOL
-    ).any():
-        for target in targets:
-            if target.nb != basis.nb:
-                raise DimensionMismatch(f"target on {target.nb} orbitals, basis has {basis.nb}")
-            if abs(target.trace - basis.n) > RDM_TRACE_TOL:
-                raise InvalidArguments(f"target trace {target.trace} differs from n={basis.n} beyond 1e-10")
     starts = np.zeros(size) if opts.initial is None else np.array(opts.initial, dtype=float)
-    if starts.shape not in ((size,), (len(targets), size)):
-        raise InvalidArguments(f"initial coefficients must have shape ({size},) or ({len(targets)}, {size})")
-    starts = np.array(np.broadcast_to(starts, (len(targets), size)))
-    chunk = np.arange(len(targets)) // max(1, WORKSPACE_BYTES // _workspace_bytes(basis))
+    if starts.shape not in ((size,), (len(target), size)):
+        raise InvalidArguments(f"initial coefficients must have shape ({size},) or ({len(target)}, {size})")
+    starts = np.array(np.broadcast_to(starts, (len(target), size)))
+    chunk = np.arange(len(target)) // max(1, WORKSPACE_BYTES // _workspace_bytes(basis))
     # each target's rung k on the ladder at beta / BETA_RUNG^k, -1 once it
     # has stopped, and whether it is climbing back from a colder rung
-    rung, climbing = np.zeros(len(targets), dtype=int), np.zeros(len(targets), dtype=bool)
-    ladder, reports = [params], [None] * len(targets)
+    rung, climbing = np.zeros(len(target), dtype=int), np.zeros(len(target), dtype=bool)
+    ladder, reports = [params], [None] * len(target)
     while (rung >= 0).any():
         pending = (rung >= 0) & (chunk == chunk[np.argmax(rung >= 0)])
         k = rung[pending].max()
         rows = np.flatnonzero(pending & (rung == k)).tolist()
         if k == len(ladder):
             ladder.append(EnsembleParams(ladder[-1].beta / BETA_RUNG))
-        solved, spread = _dual_newton([targets[b] for b in rows], system, ladder[k], opts, starts[rows])
+        solved, spread = _dual_newton(target[rows], distance[rows], system, ladder[k], opts, starts[rows])
         for b, report, s in zip(rows, solved, spread.tolist()):
             if k == 0:
                 reports[b] = report

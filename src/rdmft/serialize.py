@@ -52,17 +52,14 @@ def matrix_from_json(obj) -> np.ndarray:
     return (data[0::2] + 1j * data[1::2]).reshape(shape)
 
 
-def rdm_to_json(gamma: OneRdm) -> dict:
-    return {"nb": gamma.nb, "matrix": matrix_to_json(gamma.matrix)}
+def one_body_to_json(x: OneRdm | TracelessPotential) -> dict:
+    """A 1RDM or a potential as its orbital count and its matrix."""
+    return {"nb": x.nb, "matrix": matrix_to_json(x.matrix)}
 
 
 def rdm_from_json(obj) -> OneRdm:
     inner = obj.get("matrix", obj) if isinstance(obj, dict) else obj
     return OneRdm(matrix_from_json(inner))
-
-
-def potential_to_json(v: TracelessPotential) -> dict:
-    return {"nb": v.nb, "matrix": matrix_to_json(v.matrix)}
 
 
 def _field_values(record) -> dict:
@@ -72,8 +69,8 @@ def _field_values(record) -> dict:
 def inversion_report_to_json(report: InversionReport) -> dict:
     return {
         **_field_values(report),
-        "v_star": potential_to_json(report.v_star),
-        "gradient": potential_to_json(report.gradient),
+        "v_star": one_body_to_json(report.v_star),
+        "gradient": one_body_to_json(report.gradient),
         "trace": [asdict(r) for r in report.trace],
     }
 

@@ -738,6 +738,24 @@ MALFORMED = {
         {"model": {"kind": "hubbard_ring", "nb": 3, "n": 2, "statistics": "fermion"}, "beta": 1.7e308},
         "beta 1.7e+308 overflows the Gibbs state of potential 0",
     ),
+    "invert_beta_overflow": (
+        "invert",
+        {
+            "model": {"kind": "hubbard_ring", "nb": 3, "n": 2, "statistics": "fermion"},
+            "beta": 1.7e308,
+            "target": {"sample": {"seed": 0}},
+        },
+        "beta 1.7e+308 overflows the Gibbs state of H0",
+    ),
+    "functional_beta_overflow": (
+        "functional",
+        {
+            "model": {"kind": "hubbard_ring", "nb": 3, "n": 2, "statistics": "fermion"},
+            "beta": 1.7e308,
+            "samples": {"count": 1},
+        },
+        "beta 1.7e+308 overflows the Gibbs state of H0",
+    ),
 }
 
 

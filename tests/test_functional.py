@@ -141,8 +141,8 @@ class TestPotentialBasis:
 
 
 class TestReportAssembly:
-    """The report pass of the solver: every v* of a batch assembled and
-    checked as one stack, and -v* derived from it."""
+    """The reports of the solver's stop sites: the v* of the rows one stop
+    ends assembled and checked as one stack, and -v* derived from it."""
 
     @pytest.mark.parametrize("nb", [2, 3, 4, 10])
     def test_stack_matches_one_row_at_a_time(self, nb):
@@ -153,7 +153,9 @@ class TestReportAssembly:
         rng = np.random.default_rng(nb)
         coeffs = rng.normal(size=(9, pb.size)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(9, 1))
         targets = [OneRdm(np.diag([1.0] + [0.0] * (nb - 1)))] * len(coeffs)
-        reports, _ = functional._dual_newton(targets, system, EnsembleParams(1.0), InversionOptions(), coeffs)
+        reports, _ = functional._dual_newton(
+            *functional._admitted(targets, system), system, EnsembleParams(1.0), InversionOptions(), coeffs
+        )
         for row, report in zip(coeffs, reports):
             assert report.verdict is InversionVerdict.NON_REPRESENTABLE
             single = pb.potential(row)
@@ -601,9 +603,9 @@ def dual_newton_calls(monkeypatch):
     """(number of targets, beta) of each _dual_newton call, in order."""
     calls, dual_newton = [], functional._dual_newton
 
-    def spy(targets, system, params, *args):
-        calls.append((len(targets), params.beta))
-        return dual_newton(targets, system, params, *args)
+    def spy(target, distance, system, params, *args):
+        calls.append((len(target), params.beta))
+        return dual_newton(target, distance, system, params, *args)
 
     monkeypatch.setattr(functional, "_dual_newton", spy)
     return calls
@@ -796,6 +798,23 @@ class TestInvertPotentials:
         invert_potentials(targets, system, EnsembleParams(beta), InversionOptions(initial=starts))
         assert dual_newton_calls == calls
 
+    def test_targets_are_admitted_once_per_call(self, monkeypatch, dual_newton_calls):
+        """The mixed batch at beta = 200 and its first target alone each go
+        down to beta/4 and climb back in three rungs, and each call checks,
+        classifies and expands its targets once, before the ladder."""
+        admitted, admit = [], functional._admitted
+
+        def spy(targets, system):
+            admitted.append(len(targets))
+            return admit(targets, system)
+
+        monkeypatch.setattr(functional, "_admitted", spy)
+        system, params, targets, starts = self.mixed_batch()
+        invert_potentials(targets, system, params, InversionOptions(initial=starts))
+        invert_potential(targets[0], system, params)
+        assert dual_newton_calls == [(8, 200.0), (5, 50.0), (5, 200.0), (1, 200.0), (1, 50.0), (1, 200.0)]
+        assert admitted == [8, 1]
+
     def test_singular_jacobian_stops_only_its_target(self):
         jac = np.stack([np.zeros((2, 2)), -np.eye(2)])
         steps = functional._newton_steps(jac, np.array([[1.0, 2.0], [1.0, 2.0]]))
@@ -819,7 +838,10 @@ class TestInvertPotentials:
         system, params = hubbard_system(nb, n, F), EnsembleParams(1.0)
         targets = [random_rdm(nb, n, F, interior=True, seed=seed) for seed in range(3)]
         cold, opts = np.zeros((1, system.pbasis.size)), InversionOptions()
-        solo = [functional._dual_newton([target], system, params, opts, cold)[0][0] for target in targets[1:]]
+        solo = [
+            functional._dual_newton(*functional._admitted([target], system), system, params, opts, cold)[0][0]
+            for target in targets[1:]
+        ]
         steps, calls = functional._newton_steps, []
 
         def scale_first(jac, grad):
@@ -830,7 +852,9 @@ class TestInvertPotentials:
             return step
 
         monkeypatch.setattr(functional, "_newton_steps", scale_first)
-        batch, _ = functional._dual_newton(targets, system, params, opts, np.repeat(cold, 3, axis=0))
+        batch, _ = functional._dual_newton(
+            *functional._admitted(targets, system), system, params, opts, np.repeat(cold, 3, axis=0)
+        )
         assert calls[0] == 3 and functional._reuses_jacobian(system.basis) == (nb == 8)
         assert (batch[0].verdict, batch[0].iterations, batch[0].jacobians) == (InversionVerdict.MAX_ITERATIONS, 1, 1)
         assert not batch[0].v_star.matrix.any()
@@ -852,7 +876,9 @@ class TestBetaLadder:
         ladder, from its v*."""
         colder = invert_potential(gamma, system, EnsembleParams(beta / functional.BETA_RUNG))
         start = system.pbasis.coefficients(colder.v_star)[None]
-        (warm,), _ = functional._dual_newton([gamma], system, EnsembleParams(beta), InversionOptions(), start)
+        (warm,), _ = functional._dual_newton(
+            *functional._admitted([gamma], system), system, EnsembleParams(beta), InversionOptions(), start
+        )
         return colder, warm
 
     @staticmethod
@@ -984,7 +1010,10 @@ class TestSharedStarts:
         rng = np.random.default_rng(5)
         starts = np.repeat(0.3 * rng.normal(size=(2, system.pbasis.size)), 5, axis=0)
         opts = InversionOptions()
-        alone = [functional._dual_newton([t], system, params, opts, s[None])[0][0] for t, s in zip(targets, starts)]
+        alone = [
+            functional._dual_newton(*functional._admitted([t], system), system, params, opts, s[None])[0][0]
+            for t, s in zip(targets, starts)
+        ]
         rows = {"_start": [], "_jacobian": []}
         for name in rows:
 
@@ -993,7 +1022,7 @@ class TestSharedStarts:
                 return kernel(c, *args)
 
             monkeypatch.setattr(functional, name, spy)
-        batch, spread = functional._dual_newton(targets, system, params, opts, starts)
+        batch, spread = functional._dual_newton(*functional._admitted(targets, system), system, params, opts, starts)
         # the starting state's call, then the line search's
         assert rows["_start"][0] == 2 and rows["_jacobian"][0] == 2
         assert max(rows["_jacobian"][1:]) > 2  # later Jacobians are per row
@@ -1020,7 +1049,9 @@ class TestSharedStarts:
 
         monkeypatch.setattr(functional, "_jacobian", spy)
         opts = InversionOptions(max_iter=max_iter)
-        reports, _ = functional._dual_newton(targets, system, params, opts, np.array([a, b, c]))
+        reports, _ = functional._dual_newton(
+            *functional._admitted(targets, system), system, params, opts, np.array([a, b, c])
+        )
         last = InversionVerdict.CONVERGED if max_iter > 1 else InversionVerdict.MAX_ITERATIONS
         assert [r.verdict for r in reports] == [InversionVerdict.NON_REPRESENTABLE, InversionVerdict.CONVERGED, last]
         assert reports[1].iterations == 1
@@ -1040,8 +1071,11 @@ class TestSharedStarts:
         a, b = 0.3 * np.random.default_rng(5).normal(size=(2, system.pbasis.size))
         starts = np.array([a, b, a])
         opts = InversionOptions()
-        alone = [functional._dual_newton([t], system, params, opts, s[None])[0][0] for t, s in zip(targets, starts)]
-        batch, _ = functional._dual_newton(targets, system, params, opts, starts)
+        alone = [
+            functional._dual_newton(*functional._admitted([t], system), system, params, opts, s[None])[0][0]
+            for t, s in zip(targets, starts)
+        ]
+        batch, _ = functional._dual_newton(*functional._admitted(targets, system), system, params, opts, starts)
         assert_same_reports(batch, alone)
         assert [r.verdict for r in batch] == [InversionVerdict.NON_REPRESENTABLE] + [InversionVerdict.CONVERGED] * 2
         public = invert_potentials(targets, system, params, InversionOptions(initial=starts))
