@@ -252,11 +252,11 @@ class InversionOptions:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tol < float("inf"):
+        if isinstance(self.tol, (bool, np.bool_)) or not 0.0 < self.tol < float("inf"):
             raise InvalidArguments(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise InvalidArguments(f"max_iter must be an integer of at least 1, got {self.max_iter}")
-        if not 0.0 <= self.classify_tol < float("inf"):
+        if isinstance(self.classify_tol, (bool, np.bool_)) or not 0.0 <= self.classify_tol < float("inf"):
             raise InvalidArguments(f"classify_tol must be nonnegative and finite, got {self.classify_tol}")
         if self.initial is not None and (np.iscomplexobj(self.initial) or not np.all(np.isfinite(self.initial))):
             raise InvalidArguments("initial coefficients must be real and finite")
@@ -361,14 +361,6 @@ def _divided_differences(energies: np.ndarray, weights: np.ndarray, beta: float)
     return np.maximum(weights[..., :, None], weights[..., None, :]) * quotient
 
 
-def _hermitian_parts(x: np.ndarray, nd: int, q: np.ndarray, adjoint: np.ndarray) -> None:
-    """Q_ij + Q_ij+ into rows nd:nd+nu of x, -i(Q_ij - Q_ij+) after them; q may be those rows."""
-    nu = q.shape[-2]
-    antisymmetric = np.subtract(q, adjoint, out=x[..., nd + nu :, :])
-    antisymmetric *= -1j
-    np.add(q, adjoint, out=x[..., nd : nd + nu, :])
-
-
 def _jacobian(
     energies: np.ndarray,
     vectors: np.ndarray,
@@ -399,14 +391,15 @@ def _jacobian(
     mirror, and the rectangle Q[M, N], whose mirror is the product Q[N, M].
     Q[M, N] = conj(V[rows, M])^T amps V[cols, N] over the configurations
     a+_i a_j reaches, so a tile gathers only its own columns of V: the outer
-    tile M once, into one workspace, and each inner tile N again for each M.
+    tile M once, into one workspace, and each inner tile N again for each M
+    and each chunk of _pair_chunks: its products are batch items of one matmul.
     """
     dim, lead, (diagonal, upper) = basis.dim, energies.shape[:-1], basis.hop_blocks
     nd, nu, sd = len(diagonal.rows), len(upper.rows), diagonal.rows.size
     root = np.sqrt(-_divided_differences(energies, weights, params.beta))
     rows, cols, amps = (np.concatenate([d, u], axis=None) for d, u in zip(diagonal[1:], upper[1:]))
     # held: the diagonal entries of the tiles before the last
-    held, gram, width = [], 0, _block_width(basis)
+    held, gram, width, chunks = [], 0, _block_width(basis), _pair_chunks(basis)
     gathered = np.empty((2, *lead, rows.size, width), dtype=complex)
     for a in range(0, dim, width):
         b = min(a + width, dim)
@@ -423,9 +416,14 @@ def _jacobian(
         triangle, mirror = triangle_indices(b - a)
         x = np.empty((*lead, nd + 2 * nu, triangle.size), dtype=complex)
         x[..., :nd, :] = (rows_d @ cols_d).reshape(*lead, nd, -1).take(triangle, axis=-1)
-        q = (rows_u @ cols_u).reshape(*lead, nu, -1)
-        q, adjoint = q.take(triangle, axis=-1), q.take(mirror, axis=-1)
-        _hermitian_parts(x, nd, q, np.conjugate(adjoint, out=adjoint))
+        sym, anti = x[..., nd : nd + nu, :], x[..., nd + nu :, :]
+        for s in chunks:
+            q = (rows_u[..., s, :, :] @ cols_u[..., s, :, :]).reshape(*lead, -1, (b - a) ** 2)
+            sym[..., s, :] = q.take(triangle, axis=-1)
+            adjoint = np.conjugate(q, out=q).take(mirror, axis=-1)
+            np.subtract(sym[..., s, :], adjoint, out=anti[..., s, :])
+            anti[..., s, :] *= -1j
+            sym[..., s, :] += adjoint
         weight = root[..., a:b, a:b].reshape(*lead, -1).take(triangle, axis=-1)
         weight[..., b - a :] *= sqrt(2)
         if b < dim:
@@ -442,20 +440,23 @@ def _jacobian(
                 weight = np.concatenate([np.diagonal(root, axis1=-2, axis2=-1)[..., :a], weight], axis=-1)
             x[..., :dim] -= x[..., :dim] @ weights[..., None]
         x *= weight[..., None, :]
-        real = x.view(float)
-        gram = gram + real @ real.swapaxes(-1, -2)
+        gram = gram + x.view(float) @ x.view(float).swapaxes(-1, -2)
+        del x, sym, anti  # freed before the next tile pair's rows are allocated
         for c in range(b, dim, width):
             d = min(c + width, dim)
             inner = vectors[..., c:d]
-            x = np.empty((*lead, nd + 2 * nu, b - a, d - c), dtype=complex)
-            np.matmul(rows_d, inner.take(diagonal.cols, axis=-2), out=x[..., :nd, :, :])
-            np.matmul(rows_u, inner.take(upper.cols, axis=-2), out=x[..., nd : nd + nu, :, :])
-            adjoint = cols_u.swapaxes(-1, -2) @ inner.take(upper.rows, axis=-2)
-            x = x.reshape(*lead, nd + 2 * nu, -1)
-            _hermitian_parts(x, nd, x[..., nd : nd + nu, :], adjoint.reshape(*lead, nu, -1))
+            x = np.empty((*lead, nd + 2 * nu, (b - a) * (d - c)), dtype=complex)
+            diag, sym, anti = np.split(x.reshape(*lead, -1, b - a, d - c), [nd, nd + nu], axis=-3)
+            np.matmul(rows_d, inner.take(diagonal.cols, axis=-2), out=diag)
+            for s in chunks:
+                np.matmul(rows_u[..., s, :, :], inner.take(upper.cols[s], axis=-2), out=sym[..., s, :, :])
+                adjoint = cols_u[..., s, :, :].swapaxes(-1, -2) @ inner.take(upper.rows[s], axis=-2)
+                np.subtract(sym[..., s, :, :], adjoint, out=anti[..., s, :, :])
+                anti[..., s, :, :] *= -1j
+                sym[..., s, :, :] += adjoint
             x *= sqrt(2) * root[..., a:b, c:d].reshape(*lead, 1, -1)
-            real = x.view(float)
-            gram = gram + real @ real.swapaxes(-1, -2)
+            gram = gram + x.view(float) @ x.view(float).swapaxes(-1, -2)
+            del x, diag, sym, anti
     t = pbasis.generator_map
     j = t @ gram @ t.T
     return (j + j.swapaxes(-1, -2)) / -2
@@ -712,11 +713,16 @@ def _block_width(basis: ConfigurationBasis) -> int:
     return -(-basis.dim // tiles)
 
 
+def _pair_chunks(basis: ConfigurationBasis) -> list[slice]:
+    """The chunks of _jacobian's tile-pair rows: the pairs i < j, nb at a time; the nb pairs (i, i) are one."""
+    return [slice(p, p + basis.nb) for p in range(0, basis.nb * (basis.nb - 1) // 2, basis.nb)]
+
+
 def _workspace_bytes(basis: ConfigurationBasis, width: int | None = None) -> int:
-    """The largest arrays of one target's Jacobian in tiles of width, by
-    default _block_width's: conj(V[rows]) and amps V[cols] of the pairs
-    i <= j gathered for an outer and an inner tile, and a tile pair's
-    generators with their mirror products."""
+    """A bound on the arrays one target's Jacobian holds in tiles of width,
+    by default _block_width's: conj(V[rows]) and amps V[cols] of the pairs
+    i <= j gathered for an outer tile and (chunk by chunk) an inner one, and
+    a tile pair's generators with their mirror products."""
     width = width or _block_width(basis)
     return 64 * width * sum(table.rows.size for table in basis.hop_blocks) + 24 * basis.nb**2 * width**2
 

@@ -338,10 +338,33 @@ class TestResponseJacobian:
             assert np.linalg.norm(tiled - expected) <= 1e-12 * np.linalg.norm(expected)
             assert np.linalg.norm(tiled - whole) <= 1e-13 * np.linalg.norm(whole)
 
+    @pytest.mark.parametrize("nb,n,stat", [(9, 4, F), (4, 3, B)])
+    def test_pair_chunks_only_block(self, monkeypatch, nb, n, stat):
+        """The chunks of orbital pairs i < j only block the products: with
+        chunks of one pair, of all pairs and of the default nb, (9,4,F) in
+        two tiles and (4,3,B) in one give J the same bytes, alone and as a
+        row of a stack of three targets."""
+        system = interacting_system(nb, n, stat)
+        basis, pb, pairs = system.basis, potential_basis(nb), nb * (nb - 1) // 2
+        assert len(functional._pair_chunks(basis)) == -(-pairs // nb)
+        potentials = [random_potential(nb, seed=nb + n + k) for k in range(3)]
+        for beta in (0.5, 50.0):
+            params = EnsembleParams(beta=beta)
+            state = functional._thermal(np.stack([v.matrix.ravel() for v in potentials]), system, params)
+            default = functional._jacobian(state.energies, state.eigenvectors, state.weights, basis, params, pb)
+            for chunks in ([slice(p, p + 1) for p in range(pairs)], [slice(0, pairs)]):
+                with monkeypatch.context() as patch:
+                    patch.setattr(functional, "_pair_chunks", lambda basis: chunks)
+                    stack = functional._jacobian(state.energies, state.eigenvectors, state.weights, basis, params, pb)
+                    assert stack.tobytes() == default.tobytes()
+                    for row, v in zip(stack, potentials):
+                        assert row.tobytes() == response_jacobian(v, system, params, pb).tobytes()
+
     def test_workspace_is_bounded(self):
-        """At nb=10/n=5 (dim 252) one Jacobian holds about one tile pair of
-        WORKSPACE_BYTES at a time: neither the whole (nb^2, dim(dim+1)/2)
-        generator matrix nor the operands gathered for every column."""
+        """At nb=10/n=5 (dim 252) one Jacobian holds at most the
+        _workspace_bytes its tiles are sized by: neither the whole
+        (nb^2, dim(dim+1)/2) generator matrix nor the operands gathered for
+        every column, and one tile pair's rows and chunk at a time."""
         system = hubbard_system(10, 5, F)
         v = random_potential(10, seed=1)
         params = EnsembleParams(beta=1.0)
@@ -352,7 +375,7 @@ class TestResponseJacobian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * functional.WORKSPACE_BYTES
+        assert peak <= functional._workspace_bytes(system.basis)
 
     @pytest.mark.parametrize(
         "nb, n, stat, width",
@@ -541,6 +564,12 @@ class TestInvertPotential:
             {"initial": np.array([0.0, 1j, 0.0])},
             # range() refused it deep in the solve, with a TypeError
             {"max_iter": 2.5},
+            # bool subclasses int: these read as 1 iteration and tol 1.0 or 0.0
+            {"max_iter": True},
+            {"tol": True},
+            {"tol": np.True_},
+            {"classify_tol": False},
+            {"classify_tol": np.False_},
         ],
     )
     def test_options_out_of_range_rejected(self, options):
